@@ -13,6 +13,7 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -21,11 +22,11 @@ from .el import lambda_approx
 from .errors import CsvSchemaError, EstimationError
 from .estimators import fit_a1, fit_a2, fit_l1, fit_l2, pilot_estimate
 from .inference import bic_sweep, el_ratio, empirical_tau, wilks_test
-from .kernels import Kernel
+from .kernels import KERNEL_NAMES, Kernel
 from .model import Dataset, ModelConfig, PenaltyConfig
-from .simulate import SimConfig, preset_config, run_monte_carlo
-
-SCHEMA_VERSION = 1
+from .simulate import (DESIGNS, ERROR_LAWS, MISSING_MECHANISMS, PRESETS,
+                       SCHEMA_VERSION, SimConfig, _generate_dataset,
+                       preset_config, run_monte_carlo)
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -103,53 +104,69 @@ def write_dataset(path, ds):
 # ---------------------------------------------------------------------------
 # shared option plumbing
 
-def _add_model_flags(sub):
-    sub.add_argument("--tau", default="0.5",
+def _default(cls, name):
+    return next(f.default for f in fields(cls) if f.name == name)
+
+
+def _floats(text):
+    return [float(v) for v in text.split(",")]
+
+
+def _sim_tau(text):
+    # 'default' and 'auto' both leave tau to SimConfig's error-law rule
+    return None if text.lower() in ("auto", "default") else float(text)
+
+
+def _add_dataset_flags(sub):
+    sub.add_argument("data", help="dataset CSV path")
+    sub.add_argument("--tau", default=str(_default(ModelConfig, "tau")),
                      help="expectile level in (0,1), or 'auto' for the "
-                          "empirical rule (default 0.5)")
-    sub.add_argument("--h", type=float, default=None,
-                     help="bandwidth (default n^(-1/4))")
-    sub.add_argument("--kernel", default="epanechnikov",
-                     choices=("epanechnikov", "quartic", "triweight"))
-    sub.add_argument("--nu", type=float, default=1e-2,
-                     help="outer stopping tolerance")
-    sub.add_argument("--eps-zero", type=float, default=1e-4,
-                     help="coefficient-zeroing threshold")
-    sub.add_argument("--max-iter", type=int, default=200)
-    sub.add_argument("--alpha", type=float, default=0.05)
+                          "empirical rule (default %(default)s)")
     sub.add_argument("--standardize", action="store_true",
                      help="center and scale covariates before fitting")
+
+
+def _add_solver_flags(sub, alpha=True):
+    sub.add_argument("--h", type=float, default=None,
+                     help="bandwidth (default n^(-1/4))")
+    sub.add_argument("--kernel", default=Kernel().name, choices=KERNEL_NAMES)
+    sub.add_argument("--nu", type=float, default=_default(ModelConfig, "nu"),
+                     help="outer stopping tolerance")
+    sub.add_argument("--eps-zero", type=float,
+                     default=_default(ModelConfig, "eps_zero"),
+                     help="coefficient-zeroing threshold")
+    sub.add_argument("--max-iter", type=int,
+                     default=_default(ModelConfig, "max_iter"))
+    if alpha:
+        sub.add_argument("--alpha", type=float,
+                         default=_default(SimConfig, "alpha"))
     sub.add_argument("--out", default=None, help="directory for report files")
     sub.add_argument("--config", default=None,
                      help="flat key=value file; flags override its values")
 
 
-def _add_penalty_flags(sub):
-    sub.add_argument("--eta", type=float, default=None,
-                     help="penalty level (default n^(-5/6))")
-    sub.add_argument("--gamma", type=float, default=2.5,
+def _add_penalty_flags(sub, pilot, eta=True):
+    if eta:
+        sub.add_argument("--eta", type=float, default=None,
+                         help="penalty level (default n^(-5/6))")
+    sub.add_argument("--gamma", type=float,
+                     default=_default(PenaltyConfig, "gamma"),
                      help="adaptive weight power")
-    sub.add_argument("--pilot", default="same", choices=("same", "split"),
+    sub.add_argument("--pilot", dest="pilot_mode", default=pilot,
+                     choices=("same", "split"),
                      help="pilot estimate from the same data or a half split")
 
 
-def _load_config_defaults(argv, parser):
-    # expand --config file entries into flag tokens placed right after the
-    # subcommand, so explicit flags (parsed later) override them
-    if argv is None:
-        argv = sys.argv[1:]
-    argv = list(argv)
-    path = None
-    for i, tok in enumerate(argv):
-        if tok == "--config" and i + 1 < len(argv):
-            path = argv[i + 1]
-        elif tok.startswith("--config="):
-            path = tok.split("=", 1)[1]
-    if path is None:
-        return argv
+def _parse_args(parser, argv):
+    """Parse argv; the entries of a --config file become flags right after
+    the subcommand, so explicit flags (parsed later) override them."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = parser.parse_args(argv)
+    if args.config is None:
+        return args
     injected = []
     try:
-        for raw in Path(path).read_text(encoding="utf-8").splitlines():
+        for raw in Path(args.config).read_text(encoding="utf-8").splitlines():
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
@@ -163,34 +180,35 @@ def _load_config_defaults(argv, parser):
             else:
                 injected.extend([flag, value])
     except OSError as exc:
-        raise CsvSchemaError(f"cannot read config {path}: {exc}") from None
-    # insert after the subcommand token (first non-flag argument)
-    for i, tok in enumerate(argv):
-        if not tok.startswith("-"):
-            return argv[: i + 1] + injected + argv[i + 1:]
-    return argv + injected
+        raise CsvSchemaError(f"cannot read config {args.config}: {exc}") from None
+    at = argv.index(args.command) + 1
+    return parser.parse_args(argv[:at] + injected + argv[at:])
 
 
-def _standardize(ds):
-    center = ds.X.mean(axis=0)
-    scale = ds.X.std(axis=0)
-    if np.any(scale == 0.0):
-        raise CsvSchemaError("constant covariate cannot be standardized")
-    X = (ds.X - center) / scale
-    return Dataset(X, ds.y, ds.delta), center, scale
-
-
-def _resolve_tau(args, ds):
-    if str(args.tau).lower() == "auto":
-        return float(empirical_tau(ds.y[ds.delta == 1])), True
-    tau = float(args.tau)
-    return tau, False
-
-
-def _model_config(args, tau):
-    return ModelConfig(tau=tau, h=args.h, kernel=Kernel(args.kernel),
-                       nu=float(args.nu), eps_zero=float(args.eps_zero),
-                       max_iter=int(args.max_iter))
+def _prepare(args):
+    """Read the dataset, optionally standardize it, resolve tau and build the
+    ModelConfig.  Returns (ds, cfg, report head, standardizing transform)."""
+    ds = read_dataset(args.data)
+    transform = None
+    if args.standardize:
+        center, scale = ds.X.mean(axis=0), ds.X.std(axis=0)
+        if np.any(scale == 0.0):
+            raise CsvSchemaError("constant covariate cannot be standardized")
+        ds = Dataset((ds.X - center) / scale, ds.y, ds.delta)
+        transform = {"center": center.tolist(), "scale": scale.tolist()}
+    tau_auto = args.tau.lower() == "auto"
+    tau = float(empirical_tau(ds.y[ds.delta == 1]) if tau_auto else args.tau)
+    cfg = ModelConfig(tau=tau, h=args.h, kernel=Kernel(args.kernel),
+                      nu=args.nu, eps_zero=args.eps_zero,
+                      max_iter=args.max_iter)
+    report = {
+        "schema_version": SCHEMA_VERSION,
+        "n": ds.n, "p": ds.p, "n_complete": ds.n_complete,
+        "tau": tau, "tau_auto": tau_auto,
+        "h": cfg.bandwidth(ds.n),
+        "kernel": cfg.kernel.name,
+    }
+    return ds, cfg, report, transform
 
 
 def _emit(report, out_dir, name):
@@ -209,43 +227,24 @@ def _write_csv(path, header, rows):
         writer.writerows(rows)
 
 
-def _common_report(args, ds, tau, tau_auto):
-    rep = {
-        "schema_version": SCHEMA_VERSION,
-        "n": ds.n, "p": ds.p, "n_complete": ds.n_complete,
-        "tau": tau, "tau_auto": tau_auto,
-        "h": args.h if args.h is not None else float(ds.n) ** -0.25,
-        "kernel": args.kernel,
-    }
-    return rep
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
 def cmd_fit(args):
-    ds = read_dataset(args.data)
-    transform = None
-    if args.standardize:
-        ds, center, scale = _standardize(ds)
-        transform = {"center": center.tolist(), "scale": scale.tolist()}
-    tau, tau_auto = _resolve_tau(args, ds)
-    cfg = _model_config(args, tau)
+    ds, cfg, report, transform = _prepare(args)
     fit = {"a1": fit_a1, "a2": fit_a2}[args.algorithm](ds, cfg)
-    lam = lambda_approx(ds, cfg, fit.beta)
-    report = _common_report(args, ds, tau, tau_auto)
     report.update({
         "command": "fit",
         "algorithm": args.algorithm,
         "beta": fit.beta.tolist(),
-        "lambda": lam.tolist(),
+        "lambda": lambda_approx(ds, cfg, fit.beta).tolist(),
         "iterations": fit.iterations,
         "converged": fit.converged,
         "ratio_at_beta": el_ratio(ds, cfg, fit.beta),
         "standardized": transform,
     })
     if args.test_beta is not None:
-        hyp = np.array([float(v) for v in args.test_beta.split(",")])
+        hyp = np.array(_floats(args.test_beta))
         if hyp.shape != (ds.p,):
             raise CsvSchemaError("--test-beta needs p comma-separated values")
         t = wilks_test(ds, cfg, hyp, alpha=args.alpha)
@@ -263,23 +262,16 @@ def _test_dict(t, hyp):
 
 
 def cmd_select(args):
-    ds = read_dataset(args.data)
-    transform = None
-    if args.standardize:
-        ds, center, scale = _standardize(ds)
-        transform = {"center": center.tolist(), "scale": scale.tolist()}
-    tau, tau_auto = _resolve_tau(args, ds)
-    cfg = _model_config(args, tau)
+    ds, cfg, report, transform = _prepare(args)
     eta = args.eta if args.eta is not None else float(ds.n) ** (-5.0 / 6.0)
-    pilot = pilot_estimate(ds, cfg, mode=args.pilot)
+    pilot = pilot_estimate(ds, cfg, mode=args.pilot_mode)
     pen = PenaltyConfig(eta=eta, gamma=args.gamma, pilot=pilot)
     fit = {"l1": fit_l1, "l2": fit_l2}[args.algorithm](ds, cfg, pen)
     active = fit.active_set
-    report = _common_report(args, ds, tau, tau_auto)
     report.update({
         "command": "select",
         "algorithm": args.algorithm,
-        "eta": eta, "gamma": args.gamma, "pilot_mode": args.pilot,
+        "eta": eta, "gamma": args.gamma, "pilot_mode": args.pilot_mode,
         "pilot": pilot.tolist(),
         "beta": fit.beta.tolist(),
         "active_set": (active + 1).tolist(),  # 1-based, matching x1..xp
@@ -295,86 +287,57 @@ def cmd_select(args):
     return EXIT_OK
 
 
+def _bic_dict(rec):
+    return {"eta": rec.eta, "bic": rec.bic,
+            "active_set": (rec.active_set + 1).tolist(),
+            "beta": rec.beta.tolist()}
+
+
 def cmd_sweep(args):
-    ds = read_dataset(args.data)
-    if args.standardize:
-        ds, _, _ = _standardize(ds)
-    tau, tau_auto = _resolve_tau(args, ds)
-    cfg = _model_config(args, tau)
-    exponent = {"n56": -5.0 / 6.0, "n67": -6.0 / 7.0}[args.grid_form]
+    ds, cfg, report, _ = _prepare(args)
     if args.a_values:
-        a_values = [float(v) for v in args.a_values.split(",")]
+        a_values = _floats(args.a_values)
+    elif args.a_step <= 0:
+        raise ValueError("--a-step must be positive")
     else:
-        a_values = list(np.arange(args.a_min, args.a_max + 0.5 * args.a_step,
-                                  args.a_step))
-    scale = float(ds.n) ** exponent
+        a_values = [float(a) for a in np.arange(
+            args.a_min, args.a_max + 0.5 * args.a_step, args.a_step)]
+    scale = float(ds.n) ** {"n56": -5.0 / 6.0, "n67": -6.0 / 7.0}[args.grid_form]
     grid = [a * scale for a in a_values]
-    best, records = bic_sweep(ds, cfg, args.gamma, grid, pilot_mode=args.pilot)
-    rows = []
-    for a, rec in zip(a_values, [r for r in records]):
-        rows.append([repr(a), repr(rec.eta), repr(rec.bic),
-                     " ".join(str(j + 1) for j in rec.active_set),
-                     " ".join(repr(v) for v in rec.beta)])
-    report = _common_report(args, ds, tau, tau_auto)
+    a_of_eta = dict(zip(grid, a_values))
+    # failed grid cells are dropped, so each record is labelled by its own eta
+    best, fitted = bic_sweep(ds, cfg, args.gamma, grid,
+                             pilot_mode=args.pilot_mode)
+    records = [{"a": a_of_eta[rec.eta], **_bic_dict(rec)} for rec in fitted]
     report.update({
         "command": "sweep",
         "grid_form": args.grid_form,
         "a_values": a_values,
         "gamma": args.gamma,
-        "records": [
-            {"a": a, "eta": rec.eta, "bic": rec.bic,
-             "active_set": (rec.active_set + 1).tolist(),
-             "beta": rec.beta.tolist()}
-            for a, rec in zip(a_values, records)
-        ],
-        "best": {"eta": best.eta, "bic": best.bic,
-                 "active_set": (best.active_set + 1).tolist(),
-                 "beta": best.beta.tolist()},
+        "records": records,
+        "best": _bic_dict(best),
     })
     _emit(report, args.out, "sweep_report.json")
     if args.out:
         _write_csv(Path(args.out) / "sweep_records.csv",
-                   ["a", "eta", "bic", "active_set", "beta"], rows)
+                   ["a", "eta", "bic", "active_set", "beta"],
+                   [[repr(float(r[k])) for k in ("a", "eta", "bic")]
+                    + [" ".join(str(j) for j in r["active_set"]),
+                       " ".join(repr(float(v)) for v in r["beta"])]
+                    for r in records])
     return EXIT_OK
 
 
 def cmd_simulate(args):
-    overrides = {}
-    if args.n is not None:
-        overrides["n"] = args.n
-    if args.p is not None:
-        overrides["p"] = args.p
-    if args.beta0 is not None:
-        overrides["beta0"] = np.array([float(v) for v in args.beta0.split(",")])
+    # every SimConfig field the user set; flags left unset parse to None
+    overrides = {f.name: getattr(args, f.name) for f in fields(SimConfig)
+                 if getattr(args, f.name) is not None}
+    if "beta0" in overrides:
         overrides.setdefault("p", len(overrides["beta0"]))
-    if args.design:
-        overrides["design"] = args.design
-    if args.errors:
-        overrides["errors"] = args.errors
-    if args.missing:
-        overrides["missing"] = args.missing
-    if args.pi is not None:
-        overrides["pi"] = args.pi
-    if args.reps is not None:
-        overrides["replications"] = args.reps
-    if args.algorithms:
-        overrides["algorithms"] = tuple(args.algorithms.split(","))
-    if args.eta is not None:
-        overrides["eta"] = args.eta
-    if args.h is not None:
-        overrides["h"] = args.h
-    if str(args.tau).lower() not in ("auto", "default"):
-        overrides["tau"] = float(args.tau)
-    overrides.update({
-        "gamma": args.gamma, "alpha": args.alpha, "seed": args.seed,
-        "kernel": args.kernel, "nu": args.nu, "eps_zero": args.eps_zero,
-        "max_iter": args.max_iter, "pilot_mode": args.pilot,
-    })
     if args.preset:
         sc = preset_config(args.preset, **overrides)
     else:
-        required = {"n", "p", "beta0"}
-        if not required <= set(overrides):
+        if not {"n", "p", "beta0"} <= set(overrides):
             raise CsvSchemaError("without --preset, --n, --p and --beta0 "
                                  "are required")
         sc = SimConfig(**overrides)
@@ -386,8 +349,6 @@ def cmd_simulate(args):
         _write_csv(out / "sim_cells.csv", report.csv_header(),
                    [report.csv_row()])
         if args.dump:
-            from .simulate import _generate_dataset
-
             write_dataset(out / "sim_dump.csv", _generate_dataset(sc, 0))
     return EXIT_OK
 
@@ -404,22 +365,22 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_fit = sub.add_parser("fit", help="fit the unpenalized estimator")
-    p_fit.add_argument("data", help="dataset CSV path")
+    _add_dataset_flags(p_fit)
     p_fit.add_argument("--algorithm", default="a2", choices=("a1", "a2"))
     p_fit.add_argument("--test-beta", default=None,
                        help="comma-separated hypothesis vector for a Wilks test")
-    _add_model_flags(p_fit)
+    _add_solver_flags(p_fit)
     p_fit.set_defaults(func=cmd_fit)
 
     p_sel = sub.add_parser("select", help="penalized variable selection")
-    p_sel.add_argument("data", help="dataset CSV path")
+    _add_dataset_flags(p_sel)
     p_sel.add_argument("--algorithm", default="l2", choices=("l1", "l2"))
-    _add_penalty_flags(p_sel)
-    _add_model_flags(p_sel)
+    _add_penalty_flags(p_sel, pilot="same")
+    _add_solver_flags(p_sel)
     p_sel.set_defaults(func=cmd_select)
 
     p_sw = sub.add_parser("sweep", help="BIC scan over the tuning parameter")
-    p_sw.add_argument("data", help="dataset CSV path")
+    _add_dataset_flags(p_sw)
     p_sw.add_argument("--grid-form", default="n56", choices=("n56", "n67"),
                       help="eta = a*n^(-5/6) or a*n^(-6/7)")
     p_sw.add_argument("--a-min", type=float, default=1.0)
@@ -427,59 +388,40 @@ def build_parser():
     p_sw.add_argument("--a-step", type=float, default=1.0)
     p_sw.add_argument("--a-values", default=None,
                       help="explicit comma-separated multipliers (overrides range)")
-    _add_penalty_flags(p_sw)
-    _add_model_flags(p_sw)
+    _add_penalty_flags(p_sw, pilot="same", eta=False)
+    _add_solver_flags(p_sw, alpha=False)
     p_sw.set_defaults(func=cmd_sweep)
 
     p_sim = sub.add_parser("simulate", help="run a Monte Carlo cell")
-    p_sim.add_argument("--preset", default=None,
-                       choices=("table1", "table1-caption", "table2",
-                                "fig-coverage", "fig-selection"))
+    p_sim.add_argument("--preset", default=None, choices=tuple(PRESETS))
     p_sim.add_argument("--n", type=int, default=None)
     p_sim.add_argument("--p", type=int, default=None)
-    p_sim.add_argument("--beta0", default=None,
+    p_sim.add_argument("--beta0", type=_floats, default=None,
                        help="comma-separated true coefficients")
-    p_sim.add_argument("--design", default=None, choices=("d1", "d2"))
-    p_sim.add_argument("--errors", default=None,
-                       choices=("normal", "shifted_exp"))
-    p_sim.add_argument("--missing", default=None,
-                       choices=("complete", "constant", "covariate"))
+    p_sim.add_argument("--design", default=None, choices=DESIGNS)
+    p_sim.add_argument("--errors", default=None, choices=ERROR_LAWS)
+    p_sim.add_argument("--missing", default=None, choices=MISSING_MECHANISMS)
     p_sim.add_argument("--pi", type=float, default=None)
-    p_sim.add_argument("--reps", type=int, default=None)
-    p_sim.add_argument("--seed", type=int, default=0)
-    p_sim.add_argument("--algorithms", default=None,
+    p_sim.add_argument("--reps", dest="replications", type=int, default=None)
+    p_sim.add_argument("--seed", type=int, default=_default(SimConfig, "seed"))
+    p_sim.add_argument("--algorithms", type=lambda text: text.split(","),
+                       default=None,
                        help="comma-separated subset of a1,a2,l1,l2")
     p_sim.add_argument("--workers", type=int, default=1)
     p_sim.add_argument("--dump", action="store_true",
                        help="also write replication 0 as a dataset CSV")
-    p_sim.add_argument("--eta", type=float, default=None)
-    p_sim.add_argument("--gamma", type=float, default=2.5)
-    p_sim.add_argument("--pilot", default="split", choices=("same", "split"))
-    p_sim.add_argument("--tau", default="default",
+    p_sim.add_argument("--tau", type=_sim_tau, default="default",
                        help="expectile level, or 'default' for the error-law rule")
-    p_sim.add_argument("--h", type=float, default=None)
-    p_sim.add_argument("--kernel", default="epanechnikov",
-                       choices=("epanechnikov", "quartic", "triweight"))
-    p_sim.add_argument("--nu", type=float, default=1e-2)
-    p_sim.add_argument("--eps-zero", type=float, default=1e-4)
-    p_sim.add_argument("--max-iter", type=int, default=200)
-    p_sim.add_argument("--alpha", type=float, default=0.05)
-    p_sim.add_argument("--out", default=None)
-    p_sim.add_argument("--config", default=None)
+    _add_penalty_flags(p_sim, pilot=_default(SimConfig, "pilot_mode"))
+    _add_solver_flags(p_sim)
     p_sim.set_defaults(func=cmd_simulate)
 
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
     try:
-        argv = _load_config_defaults(argv, parser)
-        args = parser.parse_args(argv)
-    except CsvSchemaError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    try:
+        args = _parse_args(build_parser(), argv)
         return args.func(args)
     except (CsvSchemaError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -9,6 +9,7 @@ import numpy as np
 from .el import el_ratio_approx, el_ratio_exact, lambda_approx, solve_lambda_exact
 from .errors import (
     DegenerateSampleError,
+    EstimationError,
     HullViolationError,
     LogDomainError,
     NoConvergenceError,
@@ -119,8 +120,9 @@ def bic_sweep(ds, cfg, gamma, eta_grid, pilot=None, pilot_mode="same"):
     """Fit the penalized estimator on each eta and rank by BIC.
 
     One pilot is shared across the grid.  Ties in the criterion break toward
-    the larger eta (the sparser model).  Grid cells whose fit fails are
-    reported through a warning and excluded.
+    the larger eta (the sparser model).  Grid cells whose fit raises an
+    EstimationError are reported through a warning and excluded; any other
+    exception propagates.
 
     Returns
     -------
@@ -139,7 +141,7 @@ def bic_sweep(ds, cfg, gamma, eta_grid, pilot=None, pilot_mode="same"):
         try:
             fit = fit_l2(ds, cfg, pen)
             records.append(bic(ds, cfg, pen, fit))
-        except Exception as exc:  # noqa: BLE001 - cell failures are reported
+        except EstimationError as exc:
             failures.append((eta, exc))
             warnings.warn(f"BIC sweep cell eta={eta:g} failed: {exc}")
     if not records:

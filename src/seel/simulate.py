@@ -30,6 +30,8 @@ _EXP_MEAN = 1.5
 _TAU_STREAM = 2 ** 48 + 7  # reserved stream id for the tau calibration draw
 _MAX_FAILURE_SHARE = 0.10
 
+SCHEMA_VERSION = 1  # of every JSON report the package writes
+
 
 @dataclass
 class SimConfig:
@@ -57,7 +59,7 @@ class SimConfig:
     pilot_mode: str = "split"
 
     def __post_init__(self):
-        self.beta0 = np.asarray(self.beta0, dtype=float).ravel()
+        self.beta0 = np.array(self.beta0, dtype=float).ravel()
         if self.beta0.shape != (self.p,):
             raise ValueError("beta0 must have p entries")
         if not self.n > self.p >= 1:
@@ -117,7 +119,7 @@ class SimReport:
     def to_json_dict(self):
         sc = self.config
         return {
-            "schema_version": 1,
+            "schema_version": SCHEMA_VERSION,
             "n": sc.n, "p": sc.p, "beta0": sc.beta0.tolist(),
             "design": sc.design, "errors": sc.errors,
             "missing": sc.missing, "pi": sc.pi if sc.missing == "constant" else None,
@@ -316,46 +318,47 @@ def run_monte_carlo(sc, workers=1):
     return report
 
 
-def preset_config(name, **overrides):
-    """Named desk-scale configurations mirroring the simulation studies."""
-    presets = {
-        # sparse truth, beta_3 = 1, beta_5 = 2 (main text values)
-        "table1": dict(n=500, p=5, beta0=_sparse_beta(5, {2: 1.0, 4: 2.0}),
-                       design="d1", errors="shifted_exp", missing="complete",
-                       algorithms=("a1", "a2", "l1", "l2"), replications=50),
-        # swapped variant: beta_3 = 2, beta_5 = 1
-        "table1-caption": dict(n=500, p=5, beta0=_sparse_beta(5, {2: 2.0, 4: 1.0}),
-                               design="d1", errors="shifted_exp",
-                               missing="complete",
-                               algorithms=("a1", "a2", "l1", "l2"),
-                               replications=50),
-        # every coefficient nonzero: selection rate is undefined (NaN)
-        "table2": dict(n=500, p=5,
-                       beta0=_sparse_beta(5, {2: 2.0, 4: 1.0}, fill=1.0),
-                       design="d1", errors="shifted_exp", missing="complete",
-                       algorithms=("a2", "l2"), replications=50),
-        # coverage-versus-missingness figures: p = 10, support {3, 5, 7}
-        "fig-coverage": dict(n=1000, p=10,
-                             beta0=_sparse_beta(10, {2: 1.0, 4: 2.0, 6: -1.0}),
-                             design="d2", errors="shifted_exp",
-                             missing="constant", pi=0.8,
-                             algorithms=("a2", "l2"), replications=50),
-        # selection-rate figures: complete data, large n
-        "fig-selection": dict(n=2000, p=10,
-                              beta0=_sparse_beta(10, {2: 1.0, 4: 2.0, 6: -1.0}),
-                              design="d2", errors="shifted_exp",
-                              missing="complete",
-                              algorithms=("l2",), replications=50),
-    }
-    if name not in presets:
-        raise ValueError(f"unknown preset {name!r}; choose from {sorted(presets)}")
-    base = presets[name]
-    base.update(overrides)
-    return SimConfig(**base)
-
-
 def _sparse_beta(p, entries, fill=0.0):
     beta = np.full(p, fill)
     for j, v in entries.items():
         beta[j] = v
     return beta
+
+
+# named desk-scale configurations mirroring the simulation studies
+PRESETS = {
+    # sparse truth, beta_3 = 1, beta_5 = 2 (main text values)
+    "table1": dict(n=500, p=5, beta0=_sparse_beta(5, {2: 1.0, 4: 2.0}),
+                   design="d1", errors="shifted_exp", missing="complete",
+                   algorithms=("a1", "a2", "l1", "l2"), replications=50),
+    # swapped variant: beta_3 = 2, beta_5 = 1
+    "table1-caption": dict(n=500, p=5, beta0=_sparse_beta(5, {2: 2.0, 4: 1.0}),
+                           design="d1", errors="shifted_exp",
+                           missing="complete",
+                           algorithms=("a1", "a2", "l1", "l2"),
+                           replications=50),
+    # every coefficient nonzero: selection rate is undefined (NaN)
+    "table2": dict(n=500, p=5,
+                   beta0=_sparse_beta(5, {2: 2.0, 4: 1.0}, fill=1.0),
+                   design="d1", errors="shifted_exp", missing="complete",
+                   algorithms=("a2", "l2"), replications=50),
+    # coverage-versus-missingness figures: p = 10, support {3, 5, 7}
+    "fig-coverage": dict(n=1000, p=10,
+                         beta0=_sparse_beta(10, {2: 1.0, 4: 2.0, 6: -1.0}),
+                         design="d2", errors="shifted_exp",
+                         missing="constant", pi=0.8,
+                         algorithms=("a2", "l2"), replications=50),
+    # selection-rate figures: complete data, large n
+    "fig-selection": dict(n=2000, p=10,
+                          beta0=_sparse_beta(10, {2: 1.0, 4: 2.0, 6: -1.0}),
+                          design="d2", errors="shifted_exp",
+                          missing="complete",
+                          algorithms=("l2",), replications=50),
+}
+
+
+def preset_config(name, **overrides):
+    """SimConfig of the named entry of PRESETS, with overrides applied."""
+    if name not in PRESETS:
+        raise ValueError(f"unknown preset {name!r}; choose from {sorted(PRESETS)}")
+    return SimConfig(**{**PRESETS[name], **overrides})

@@ -1,10 +1,12 @@
+import csv
 import json
 
 import numpy as np
 import pytest
 
+from seel import inference
 from seel.cli import main, read_dataset, write_dataset
-from seel.errors import CsvSchemaError
+from seel.errors import CsvSchemaError, NoConvergenceError
 from seel.estimators import fit_a2
 from seel.inference import empirical_tau
 from seel.model import Dataset, ModelConfig
@@ -175,6 +177,54 @@ def test_sweep_csv_row_count(sparse_csv, tmp_path, capsys):
     assert len(rep["records"]) == 4
     lines = (out / "sweep_records.csv").read_text().strip().splitlines()
     assert len(lines) == 5  # header + one row per grid point
+
+
+def test_sweep_csv_matches_report(sparse_csv, tmp_path, capsys):
+    path, _ = sparse_csv
+    out = tmp_path / "sweepout"
+    code, _ = run_cli(capsys, "sweep", str(path), "--a-min", "0.5",
+                      "--a-max", "2", "--a-step", "0.5", "--out", str(out))
+    assert code == 0
+    records = json.loads((out / "sweep_report.json").read_text())["records"]
+    with open(out / "sweep_records.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == len(records) == 4
+    for row, rec in zip(rows, records):
+        for key in ("a", "eta", "bic"):
+            assert float(row[key]) == rec[key]
+        assert [float(v) for v in row["beta"].split()] == rec["beta"]
+        assert [int(j) for j in row["active_set"].split()] == rec["active_set"]
+
+
+def test_sweep_failed_cell_keeps_labels(sparse_csv, capsys, monkeypatch):
+    path, _ = sparse_csv
+    real_fit_l2 = inference.fit_l2
+    calls = []
+
+    def fit_l2(ds, cfg, pen):
+        calls.append(pen.eta)
+        if len(calls) == 1:
+            raise NoConvergenceError("forced failure")
+        return real_fit_l2(ds, cfg, pen)
+
+    monkeypatch.setattr(inference, "fit_l2", fit_l2)
+    with pytest.warns(UserWarning, match="forced failure"):
+        code, rep = run_cli(capsys, "sweep", str(path), "--a-values", "1,2,3")
+    assert code == 0
+    assert [r["a"] for r in rep["records"]] == [2.0, 3.0]
+    for r in rep["records"]:
+        assert r["eta"] == r["a"] * rep["n"] ** (-5.0 / 6.0)
+
+
+@pytest.mark.parametrize("flags", [["--a-step", "0"], ["--eta", "99"],
+                                   ["--alpha", "0.9"]])
+def test_sweep_rejects_bad_flags(sparse_csv, flags):
+    path, _ = sparse_csv
+    try:
+        code = main(["sweep", str(path), *flags])
+    except SystemExit as exc:  # argparse rejects unknown flags
+        code = exc.code
+    assert code == 2
 
 
 def test_sweep_selects_support_on_synthetic(sparse_csv, capsys):

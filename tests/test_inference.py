@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from seel import inference
 from seel.errors import DegenerateSampleError, OneSidedSampleError
 from seel.estimators import fit_a2
 from seel.inference import (
@@ -179,6 +180,20 @@ def test_bic_sweep_recovers_support():
         if set(best.active_set.tolist()) == {2, 4}:
             hits += 1
     assert hits >= 9
+
+
+def test_bic_sweep_propagates_non_estimation_errors(monkeypatch):
+    ds, _ = simulated(n=200, p=3, seed=13, beta0=[1.0, 0.0, -1.0])
+    real_fit_l2 = inference.fit_l2
+
+    def fit_l2(ds, cfg, pen):
+        if pen.eta == 0.02:
+            raise TypeError("programming error")
+        return real_fit_l2(ds, cfg, pen)
+
+    monkeypatch.setattr(inference, "fit_l2", fit_l2)
+    with pytest.raises(TypeError, match="programming error"):
+        bic_sweep(ds, ModelConfig(tau=0.5), 2.5, [0.01, 0.02, 0.04])
 
 
 def test_bic_sweep_rejects_bad_grid():

@@ -106,6 +106,10 @@ def test_preset_configs():
     sel = preset_config("fig-selection", n=400, replications=2)
     assert sel.design == "d2" and sel.n == 400
     assert set(np.flatnonzero(sel.beta0).tolist()) == {2, 4, 6}
+    # overrides and edits of one config do not leak into the preset table
+    assert preset_config("fig-selection").n == 2000
+    t1.beta0[2] = 9.0
+    assert preset_config("table1").beta0[2] == 1.0
     with pytest.raises(ValueError):
         preset_config("table9")
 
