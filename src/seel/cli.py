@@ -20,7 +20,8 @@ import numpy as np
 
 from .el import lambda_approx
 from .errors import CsvSchemaError, EstimationError
-from .estimators import fit_a1, fit_a2, fit_l1, fit_l2, pilot_estimate
+from .estimators import (expectile_fit, fit_a1, fit_a2, fit_l1, fit_l2,
+                         pilot_estimate)
 from .inference import bic_sweep, el_ratio, empirical_tau, wilks_test
 from .kernels import KERNEL_NAMES, Kernel
 from .model import Dataset, ModelConfig, PenaltyConfig
@@ -113,8 +114,15 @@ def _floats(text):
 
 
 def _sim_tau(text):
-    # 'default' and 'auto' both leave tau to SimConfig's error-law rule
-    return None if text.lower() in ("auto", "default") else float(text)
+    # 'default' leaves tau to SimConfig's error-law rule; simulate has no
+    # empirical rule, so 'auto' is not a valid value here
+    if text.lower() == "default":
+        return None
+    try:
+        return float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected a number or 'default', not {text!r}") from None
 
 
 def _add_dataset_flags(sub):
@@ -264,9 +272,10 @@ def _test_dict(t, hyp):
 def cmd_select(args):
     ds, cfg, report, transform = _prepare(args)
     eta = args.eta if args.eta is not None else float(ds.n) ** (-5.0 / 6.0)
-    pilot = pilot_estimate(ds, cfg, mode=args.pilot_mode)
+    start = expectile_fit(ds, cfg.tau)  # shared by a same-mode pilot and the fit
+    pilot = pilot_estimate(ds, cfg, mode=args.pilot_mode, beta0=start)
     pen = PenaltyConfig(eta=eta, gamma=args.gamma, pilot=pilot)
-    fit = {"l1": fit_l1, "l2": fit_l2}[args.algorithm](ds, cfg, pen)
+    fit = {"l1": fit_l1, "l2": fit_l2}[args.algorithm](ds, cfg, pen, start)
     active = fit.active_set
     report.update({
         "command": "select",
@@ -411,7 +420,8 @@ def build_parser():
     p_sim.add_argument("--dump", action="store_true",
                        help="also write replication 0 as a dataset CSV")
     p_sim.add_argument("--tau", type=_sim_tau, default="default",
-                       help="expectile level, or 'default' for the error-law rule")
+                       help="expectile level as a number, or 'default' for "
+                            "the error-law rule (no 'auto' here)")
     _add_penalty_flags(p_sim, pilot=_default(SimConfig, "pilot_mode"))
     _add_solver_flags(p_sim)
     p_sim.set_defaults(func=cmd_simulate)

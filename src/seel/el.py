@@ -78,12 +78,16 @@ def solve_lambda_exact(ds, cfg, beta, tol=_LAMBDA_TOL, max_iter=None):
     floor = 1.0 / n
     lam = np.zeros(p)
     w = np.ones(n)
+    # rows scaled by 1/w, written in place: one n x p buffer per call
+    Gw = np.empty_like(G)
     it = 0
     for it in range(1, max_iter + 1):
-        grad = (G / w[:, None]).mean(axis=0)
+        winv = 1.0 / w
+        grad = winv @ G / n
         if np.linalg.norm(grad) <= tol:
             break
-        H = G.T @ (G / (w * w)[:, None]) / n
+        np.multiply(G, winv[:, None], out=Gw)
+        H = Gw.T @ Gw / n
         step = solve_spd(H, grad)
         size = 1.0
         for _ in range(60):
@@ -96,8 +100,7 @@ def solve_lambda_exact(ds, cfg, beta, tol=_LAMBDA_TOL, max_iter=None):
             raise HullViolationError(
                 "no multiplier step keeps all probabilities positive"
             )
-        lam = lam + size * step
-        w = 1.0 + G @ lam
+        lam, w = cand, w_cand
         if not np.all(np.isfinite(lam)):
             raise NoConvergenceError("multiplier iteration produced non-finite values")
     else:

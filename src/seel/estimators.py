@@ -97,22 +97,24 @@ def adaptive_weights(pilot, gamma, eps_zero=1e-4):
     return out
 
 
-def pilot_estimate(ds, cfg, mode="same"):
+def pilot_estimate(ds, cfg, mode="same", beta0=None):
     """Pilot coefficients for the adaptive weights, from an unpenalized fit.
 
     mode "same" fits on the full dataset; "split" fits on the first half of
-    the rows only, approximating the independent pilot sample.
+    the rows only, approximating the independent pilot sample.  beta0 is a
+    starting point for the full dataset (typically its expectile fit, shared
+    with the penalized fits that follow); it is used only in "same" mode,
+    and the fit starts from the expectile fit of its own rows when omitted.
     """
     if mode == "same":
-        pilot_ds = ds
-    elif mode == "split":
+        return fit_a2(ds, cfg, beta0).beta
+    if mode == "split":
         from .model import Dataset
 
         half = max(ds.n // 2, ds.p + 1)
         pilot_ds = Dataset(ds.X[:half], ds.y[:half], ds.delta[:half])
-    else:
-        raise ValueError("pilot mode must be 'same' or 'split'")
-    return fit_a2(pilot_ds, cfg).beta
+        return fit_a2(pilot_ds, cfg).beta
+    raise ValueError("pilot mode must be 'same' or 'split'")
 
 
 def _check_fittable(ds):
@@ -133,7 +135,9 @@ def _fit_engine(ds, cfg, beta0, refresh_lambda, pen=None):
     penalized = pen is not None and pen.eta > 0.0
     if penalized:
         weights = adaptive_weights(pen.pilot, pen.gamma, cfg.eps_zero)
-        active = np.isfinite(weights)
+        # a start at exactly zero would give the penalty eta w_j / 0 = inf;
+        # such coordinates begin frozen, as the steps below freeze them
+        active = np.isfinite(weights) & (beta != 0.0)
         beta[~active] = 0.0
         if not active.any():
             zeros = np.zeros(p)

@@ -16,7 +16,7 @@ from .errors import (
     OneSidedSampleError,
     SingularMatrixError,
 )
-from .estimators import adaptive_weights, fit_l2, pilot_estimate
+from .estimators import adaptive_weights, expectile_fit, fit_l2, pilot_estimate
 from .model import PenaltyConfig
 from .numkit import chi2_quantile, chi2_sf
 
@@ -119,10 +119,12 @@ def bic(ds, cfg, pen, fit):
 def bic_sweep(ds, cfg, gamma, eta_grid, pilot=None, pilot_mode="same"):
     """Fit the penalized estimator on each eta and rank by BIC.
 
-    One pilot is shared across the grid.  Ties in the criterion break toward
-    the larger eta (the sparser model).  Grid cells whose fit raises an
-    EstimationError are reported through a warning and excluded; any other
-    exception propagates.
+    One pilot is shared across the grid, and so is one starting point: the
+    expectile fit of the dataset, computed once and passed as beta0 to the
+    "same"-mode pilot and to the fit of every cell.  Ties in the criterion
+    break toward the larger eta (the sparser model).  Grid cells whose fit
+    raises an EstimationError are reported through a warning and excluded;
+    any other exception propagates.
 
     Returns
     -------
@@ -132,14 +134,15 @@ def bic_sweep(ds, cfg, gamma, eta_grid, pilot=None, pilot_mode="same"):
     etas = list(eta_grid)
     if not etas or any(e < 0 for e in etas):
         raise ValueError("eta grid must be nonempty and nonnegative")
+    start = expectile_fit(ds, cfg.tau)
     if pilot is None:
-        pilot = pilot_estimate(ds, cfg, mode=pilot_mode)
+        pilot = pilot_estimate(ds, cfg, mode=pilot_mode, beta0=start)
     records = []
     failures = []
     for eta in etas:
         pen = PenaltyConfig(eta=float(eta), gamma=gamma, pilot=pilot)
         try:
-            fit = fit_l2(ds, cfg, pen)
+            fit = fit_l2(ds, cfg, pen, start)
             records.append(bic(ds, cfg, pen, fit))
         except EstimationError as exc:
             failures.append((eta, exc))

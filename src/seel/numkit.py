@@ -7,6 +7,7 @@ regularized incomplete gamma, the normal quantile, the generator itself) is
 implemented here so results are reproducible bit for bit across platforms.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -188,11 +189,14 @@ def chi2_sf(stat, df):
     return gamma_q(0.5 * df, 0.5 * float(stat))
 
 
+@functools.lru_cache(maxsize=None)
 def chi2_quantile(q, df):
     """Quantile c with P[chi2(df) <= c] = q, accurate to 1e-8 absolute.
 
     Solved by bisection on the regularized incomplete gamma; monotonicity
-    makes the bracket shrink unconditionally.
+    makes the bracket shrink unconditionally.  Results are memoized: the
+    value depends on (q, df) alone, and callers ask for a handful of levels
+    and degrees of freedom many times over.
     """
     if not 0.0 < q < 1.0:
         raise InvalidProbabilityError("quantile level must lie in (0, 1)")

@@ -15,7 +15,8 @@ import numpy as np
 
 from .el import el_ratio_approx
 from .errors import EstimationError
-from .estimators import fit_a1, fit_a2, fit_l1, fit_l2, pilot_estimate
+from .estimators import (expectile_fit, fit_a1, fit_a2, fit_l1, fit_l2,
+                         pilot_estimate)
 from .inference import el_ratio, zero_expectile_tau
 from .kernels import Kernel
 from .model import Dataset, ModelConfig, PenaltyConfig
@@ -230,20 +231,22 @@ def _replicate(sc, tau, m):
         out["cp_cr0"] = el_ratio_approx(ds, cfg, sc.beta0) <= crit_p
 
         needs_pilot = any(a in ("l1", "l2") for a in sc.algorithms)
+        # every fit on ds starts from the same expectile fit, computed once
+        start = expectile_fit(ds, cfg.tau) if sc.algorithms else None
         fits = {}
         if "a1" in sc.algorithms:
-            fits["a1"] = fit_a1(ds, cfg)
+            fits["a1"] = fit_a1(ds, cfg, start)
         if "a2" in sc.algorithms or (needs_pilot and sc.pilot_mode == "same"):
-            fits["a2"] = fit_a2(ds, cfg)
+            fits["a2"] = fit_a2(ds, cfg, start)
         pilot = None
         if needs_pilot:
             pilot = fits["a2"].beta if sc.pilot_mode == "same" \
                 else pilot_estimate(ds, cfg, mode="split")
             pen = PenaltyConfig(eta=sc.resolved_eta(), gamma=sc.gamma, pilot=pilot)
             if "l1" in sc.algorithms:
-                fits["l1"] = fit_l1(ds, cfg, pen)
+                fits["l1"] = fit_l1(ds, cfg, pen, start)
             if "l2" in sc.algorithms:
-                fits["l2"] = fit_l2(ds, cfg, pen)
+                fits["l2"] = fit_l2(ds, cfg, pen, start)
 
         true_zero = int(np.sum(sc.beta0 == 0.0))
         true_support = set(np.flatnonzero(sc.beta0).tolist())

@@ -201,11 +201,11 @@ def test_sweep_failed_cell_keeps_labels(sparse_csv, capsys, monkeypatch):
     real_fit_l2 = inference.fit_l2
     calls = []
 
-    def fit_l2(ds, cfg, pen):
+    def fit_l2(ds, cfg, pen, beta0=None):
         calls.append(pen.eta)
         if len(calls) == 1:
             raise NoConvergenceError("forced failure")
-        return real_fit_l2(ds, cfg, pen)
+        return real_fit_l2(ds, cfg, pen, beta0)
 
     monkeypatch.setattr(inference, "fit_l2", fit_l2)
     with pytest.warns(UserWarning, match="forced failure"):
@@ -291,6 +291,27 @@ def test_simulate_custom_beta0(capsys):
     assert code == 0
     assert rep["p"] == 3
     assert rep["beta0"] == [1.0, 0.0, 2.0]
+
+
+@pytest.mark.parametrize("via_config", [False, True])
+def test_simulate_rejects_tau_auto(tmp_path, capsys, via_config):
+    # simulate has no empirical tau rule; 'auto' must not pass for 'default'
+    argv = ["simulate", "--preset", "table1", "--n", "90", "--reps", "2"]
+    if via_config:
+        cfg_file = tmp_path / "sim.cfg"
+        cfg_file.write_text("tau=auto\n")
+        argv += ["--config", str(cfg_file)]
+    else:
+        argv += ["--tau", "auto"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--tau" in captured.err and "'default'" in captured.err
+    code, rep = run_cli(capsys, "simulate", "--preset", "table1", "--n", "90",
+                        "--reps", "2", "--tau", "DEFAULT")
+    assert code == 0 and rep["tau"] != 0.5  # the shifted-exponential rule
 
 
 def test_config_file_defaults_and_flag_override(tmp_path, capsys):

@@ -8,8 +8,9 @@ from seel.el import (
     solve_lambda_exact,
 )
 from seel.errors import HullViolationError, LogDomainError
-from seel.model import Dataset, ModelConfig, moments
-from seel.numkit import RngStream
+from seel.model import Dataset, ModelConfig, g_matrix, moments
+from seel.numkit import RngStream, solve_spd
+from seel.simulate import gen_design, gen_errors, gen_missing
 
 
 def hand_ds(beta_offset=0.0):
@@ -161,3 +162,71 @@ def test_ratio_approx_close_to_exact_near_truth():
     approx = el_ratio_approx(ds, cfg, beta0)
     exact = solve_lambda_exact(ds, cfg, beta0).ratio
     assert abs(approx - exact) / max(exact, 1e-12) < 0.15
+
+
+def missing_d2_ds(seed, n, p, beta0):
+    # d2 design, shifted-exponential errors, about 20% of responses missing
+    rng = RngStream(seed, 0)
+    X = gen_design("d2", n, p, rng)
+    eps = gen_errors("shifted_exp", n, rng)
+    delta = gen_missing("constant", X, rng, 0.8)
+    y = np.where(delta == 1, X @ beta0 + eps, np.nan)
+    return Dataset(X, y, delta)
+
+
+def reference_lambda(ds, cfg, beta, tol=1e-8, max_iter=200):
+    # the solver written out with a mean-based gradient and the G / w^2
+    # Hessian, recomputing w from lambda after each accepted step
+    G = g_matrix(ds, cfg, beta)
+    n, p = G.shape
+    lam, w = np.zeros(p), np.ones(n)
+    halvings = 0
+    for it in range(1, max_iter + 1):
+        grad = (G / w[:, None]).mean(axis=0)
+        if np.linalg.norm(grad) <= tol:
+            break
+        H = G.T @ (G / (w * w)[:, None]) / n
+        step = solve_spd(H, grad)
+        size = 1.0
+        while not np.all(1.0 + G @ (lam + size * step) > 1.0 / n):
+            size *= 0.5
+            halvings += 1
+        lam = lam + size * step
+        w = 1.0 + G @ lam
+    return lam, float(2.0 * np.log(w).sum()), it, halvings
+
+
+def test_lambda_exact_matches_reference_loop():
+    beta0 = np.array([1.0, 0.0, 1.0, 0.0])
+    ds = missing_d2_ds(3, 400, 4, beta0)
+    assert 0.15 < 1.0 - ds.delta.mean() < 0.25
+    cfg = ModelConfig(tau=0.5)
+    beta = beta0 + 0.3
+    lam, ratio, iterations, halvings = reference_lambda(ds, cfg, beta)
+    assert halvings >= 1
+    st = solve_lambda_exact(ds, cfg, beta)
+    np.testing.assert_allclose(st.lam, lam, rtol=1e-12)
+    assert st.ratio == pytest.approx(ratio, rel=1e-12)
+    assert st.iterations == iterations
+
+
+def test_lambda_exact_memory_stays_near_two_matrices():
+    # G plus one reused n x p work buffer; a fresh scaled copy per iteration
+    # would keep a third n x p array alive
+    import tracemalloc
+
+    n, p = 20_000, 20
+    beta0 = np.zeros(p)
+    beta0[[2, 4, 6]] = [1.0, 2.0, -1.0]
+    ds = missing_d2_ds(4, n, p, beta0)
+    cfg = ModelConfig(tau=0.25)
+    beta = beta0 + 0.05
+    nbytes = g_matrix(ds, cfg, beta).nbytes
+    tracemalloc.start()
+    try:
+        st = solve_lambda_exact(ds, cfg, beta)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert st.iterations > 2
+    assert peak <= 2.75 * nbytes

@@ -218,6 +218,36 @@ def test_frozen_coordinates_stay_zero():
     assert np.array_equal(res.active_set, np.flatnonzero(res.beta))
 
 
+def test_penalized_fit_from_previous_cell():
+    # a penalized fit has exact zeros where the weight is finite; starting
+    # the next cell there keeps those coordinates frozen at zero
+    ds, _ = simulated(n=400, p=4, seed=37, beta0=[1.5, 0.0, -1.0, 0.0])
+    cfg = ModelConfig(tau=0.5)
+    pilot = fit_a2(ds, cfg).beta
+    assert np.all(np.isfinite(adaptive_weights(pilot, 2.5, cfg.eps_zero)))
+    eta = 400.0 ** (-5.0 / 6.0)
+    prev = fit_l2(ds, cfg, PenaltyConfig(eta=4 * eta, gamma=2.5, pilot=pilot))
+    assert prev.active_set.tolist() == [0, 2]
+    for fit in (fit_l1, fit_l2):
+        res = fit(ds, cfg, PenaltyConfig(eta=2 * eta, gamma=2.5, pilot=pilot),
+                  beta0=prev.beta)
+        assert res.beta[1] == 0.0 and res.beta[3] == 0.0
+        assert res.active_set.tolist() == [0, 2]
+
+
+def test_shared_start_is_the_default_start():
+    ds, _ = simulated(n=300, p=4, seed=29, missing=0.2)
+    cfg = ModelConfig(tau=0.3)
+    start = expectile_fit(ds, cfg.tau)
+    pen = PenaltyConfig(eta=300.0 ** (-5.0 / 6.0), gamma=2.5,
+                        pilot=pilot_estimate(ds, cfg, beta0=start))
+    assert np.array_equal(pen.pilot, pilot_estimate(ds, cfg))
+    for fit, args in ((fit_a1, ()), (fit_a2, ()), (fit_l1, (pen,)), (fit_l2, (pen,))):
+        assert np.array_equal(fit(ds, cfg, *args).beta,
+                              fit(ds, cfg, *args, beta0=start).beta)
+    assert np.array_equal(start, expectile_fit(ds, cfg.tau))  # not modified
+
+
 def test_pilot_modes():
     ds, beta0 = simulated(n=400, p=3, seed=41)
     cfg = ModelConfig(tau=0.5)

@@ -186,14 +186,23 @@ def test_bic_sweep_propagates_non_estimation_errors(monkeypatch):
     ds, _ = simulated(n=200, p=3, seed=13, beta0=[1.0, 0.0, -1.0])
     real_fit_l2 = inference.fit_l2
 
-    def fit_l2(ds, cfg, pen):
+    def fit_l2(ds, cfg, pen, beta0=None):
         if pen.eta == 0.02:
             raise TypeError("programming error")
-        return real_fit_l2(ds, cfg, pen)
+        return real_fit_l2(ds, cfg, pen, beta0)
 
     monkeypatch.setattr(inference, "fit_l2", fit_l2)
     with pytest.raises(TypeError, match="programming error"):
         bic_sweep(ds, ModelConfig(tau=0.5), 2.5, [0.01, 0.02, 0.04])
+
+
+@pytest.mark.parametrize("mode, sizes", [("same", [200]), ("split", [200, 100])])
+def test_bic_sweep_computes_one_start_per_dataset(expectile_calls, mode, sizes):
+    # the pilot (in "same" mode) and every cell share one expectile start;
+    # a "split" pilot fits its own half of the rows
+    ds, _ = simulated(n=200, p=3, seed=13, beta0=[1.0, 0.0, -1.0])
+    bic_sweep(ds, ModelConfig(tau=0.5), 2.5, [0.01, 0.02, 0.04], pilot_mode=mode)
+    assert expectile_calls == sizes
 
 
 def test_bic_sweep_rejects_bad_grid():

@@ -124,6 +124,13 @@ def test_quantile_sf_mutual_inverse(q, df):
     assert chi2_sf(c, df) == pytest.approx(1.0 - q, abs=1e-6)
 
 
+def test_chi2_quantile_memo_matches_fresh_solve():
+    for q, df in ((0.95, 3), (0.95, 10), (0.9, 1), (0.99, 7)):
+        first = chi2_quantile(q, df)
+        assert chi2_quantile(q, df) == first
+        assert chi2_quantile.__wrapped__(q, df) == first
+
+
 def test_chi2_quantile_rejects_bad_probability():
     for q in (0.0, 1.0, -0.2, 1.7):
         with pytest.raises(InvalidProbabilityError):

@@ -4,6 +4,7 @@ import pytest
 from seel.numkit import RngStream
 from seel.simulate import (
     SimConfig,
+    _replicate,
     gen_design,
     gen_errors,
     gen_missing,
@@ -170,6 +171,15 @@ def test_cp_only_run_without_algorithms():
     report = run_monte_carlo(sc)
     assert report.mean_norm == {}
     assert 0.0 <= report.cp <= 1.0
+
+
+def test_replicate_computes_one_start_per_dataset(expectile_calls):
+    # all four fits share the full dataset's expectile start; the split
+    # pilot fits its own half of the rows
+    sc = preset_config("table1", replications=1)
+    out = _replicate(sc, sc.resolved_tau(), 0)
+    assert out is not None
+    assert expectile_calls == [sc.n, sc.n // 2]
 
 
 def test_norms_shrink_with_sample_size():
