@@ -315,15 +315,20 @@ def cmd_sweep(args):
     grid = [a * scale for a in a_values]
     a_of_eta = dict(zip(grid, a_values))
     # failed grid cells are dropped, so each record is labelled by its own eta
+    failures = []
     best, fitted = bic_sweep(ds, cfg, args.gamma, grid,
-                             pilot_mode=args.pilot_mode)
+                             pilot_mode=args.pilot_mode, failures=failures)
     records = [{"a": a_of_eta[rec.eta], **_bic_dict(rec)} for rec in fitted]
+    failed_cells = [{"a": a_of_eta[eta], "eta": eta,
+                     "error": type(exc).__name__, "message": str(exc)}
+                    for eta, exc in failures]
     report.update({
         "command": "sweep",
         "grid_form": args.grid_form,
         "a_values": a_values,
         "gamma": args.gamma,
         "records": records,
+        "failed_cells": failed_cells,
         "best": _bic_dict(best),
     })
     _emit(report, args.out, "sweep_report.json")

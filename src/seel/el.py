@@ -55,7 +55,8 @@ def el_ratio_approx(ds, cfg, beta):
     return max(val, 0.0)
 
 
-def solve_lambda_exact(ds, cfg, beta, tol=_LAMBDA_TOL, max_iter=None):
+def solve_lambda_exact(ds, cfg, beta, tol=_LAMBDA_TOL, max_iter=None,
+                       lam0=None):
     """Solve the multiplier equation mean(g_i / (1 + lambda'g_i)) = 0.
 
     Damped Newton steps on the dual, halved until every factor satisfies
@@ -63,6 +64,13 @@ def solve_lambda_exact(ds, cfg, beta, tol=_LAMBDA_TOL, max_iter=None):
     p_i = 1 / (n (1 + lambda'g_i)); their total over the full sample equals
     one exactly at an interior solution, which is also how an exterior
     (hull-violating) pseudo-solution is recognised.
+
+    lam0 is an optional starting multiplier, typically the solution at a
+    nearby beta.  It is used only when every factor 1 + lam0'g_i exceeds
+    1/n; otherwise the solve starts from zero.  A solve started from a
+    nonzero lam0 that fails is retried once from zero, so a warm start
+    raises only where a cold one does; `iterations` then counts both
+    attempts.  max_iter bounds each attempt.
 
     Raises
     ------
@@ -75,11 +83,36 @@ def solve_lambda_exact(ds, cfg, beta, tol=_LAMBDA_TOL, max_iter=None):
         max_iter = max(cfg.max_iter, 200)
     G = g_matrix(ds, cfg, beta)
     n, p = G.shape
-    floor = 1.0 / n
-    lam = np.zeros(p)
-    w = np.ones(n)
     # rows scaled by 1/w, written in place: one n x p buffer per call
     Gw = np.empty_like(G)
+    starts = [(np.zeros(p), np.ones(n))]
+    if lam0 is not None and np.any(lam0):
+        lam0 = np.array(lam0, dtype=float)
+        w0 = 1.0 + G @ lam0
+        if np.all(w0 > 1.0 / n):
+            starts.insert(0, (lam0, w0))
+    iterations = 0
+    for lam, w in starts:
+        lam, w, it, error = _newton(G, Gw, lam, w, tol, max_iter)
+        iterations += it
+        if error is None:
+            break
+    else:
+        raise error
+    probs = 1.0 / (n * w)
+    ratio = float(2.0 * np.log(w).sum())
+    return ELState(lam=lam, probs=probs, ratio=ratio, converged=True,
+                   iterations=iterations)
+
+
+def _newton(G, Gw, lam, w, tol, max_iter):
+    """Newton iteration of solve_lambda_exact from lam, with w = 1 + G lam.
+
+    Returns (lam, w, iterations, error): error is None at a solution, else
+    the HullViolationError or NoConvergenceError that ended the attempt.
+    """
+    n = G.shape[0]
+    floor = 1.0 / n
     it = 0
     for it in range(1, max_iter + 1):
         winv = 1.0 / w
@@ -97,20 +130,19 @@ def solve_lambda_exact(ds, cfg, beta, tol=_LAMBDA_TOL, max_iter=None):
                 break
             size *= 0.5
         else:
-            raise HullViolationError(
+            return lam, w, it, HullViolationError(
                 "no multiplier step keeps all probabilities positive"
             )
         lam, w = cand, w_cand
         if not np.all(np.isfinite(lam)):
-            raise NoConvergenceError("multiplier iteration produced non-finite values")
+            return lam, w, it, NoConvergenceError(
+                "multiplier iteration produced non-finite values")
     else:
-        raise NoConvergenceError(
+        return lam, w, it, NoConvergenceError(
             f"multiplier equation not solved to {tol:g} in {max_iter} iterations"
         )
-
-    probs = 1.0 / (n * w)
-    if abs(probs.sum() - 1.0) > _PROB_SUM_TOL:
+    if abs((1.0 / (n * w)).sum() - 1.0) > _PROB_SUM_TOL:
         # residual vanished only because lambda ran off to infinity
-        raise HullViolationError("zero lies outside the convex hull of the g_i")
-    ratio = float(2.0 * np.log(w).sum())
-    return ELState(lam=lam, probs=probs, ratio=ratio, converged=True, iterations=it)
+        return lam, w, it, HullViolationError(
+            "zero lies outside the convex hull of the g_i")
+    return lam, w, it, None

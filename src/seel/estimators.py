@@ -60,6 +60,8 @@ def expectile_fit(ds, tau, tol=1e-8, max_iter=500):
         Fewer complete rows than parameters.
     RankDeficientError
         Complete-case design without full column rank.
+    NoConvergenceError
+        If the step does not fall below tol within max_iter iterations.
     """
     Xc, yc = ds.complete_cases()
     if Xc.shape[0] < ds.p:
@@ -83,8 +85,9 @@ def expectile_fit(ds, tau, tol=1e-8, max_iter=500):
         step = np.linalg.norm(beta_new - beta)
         beta = beta_new
         if step < tol:
-            break
-    return beta
+            return beta
+    raise NoConvergenceError(
+        f"expectile fit not converged to {tol:g} in {max_iter} iterations")
 
 
 def adaptive_weights(pilot, gamma, eps_zero=1e-4):

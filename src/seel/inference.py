@@ -85,7 +85,7 @@ def wilks_test(ds, cfg, beta_hypothesis, df=None, alpha=0.05, support=None):
                       pvalue=pvalue, reject=bool(stat > critical), alpha=alpha)
 
 
-def penalized_ratio(ds, cfg, pen, beta):
+def penalized_ratio(ds, cfg, pen, beta, lam=None):
     """Ratio plus the adaptive-LASSO penalty n eta sum(w_j |beta_j|).
 
     The ratio part prefers the exact multiplier; when the multiplier
@@ -93,12 +93,20 @@ def penalized_ratio(ds, cfg, pen, beta):
     finally to the quadratic approximation.  Coordinates at exactly zero
     contribute nothing, so frozen coordinates (infinite weight, zero
     coefficient) are well defined.
+
+    lam is an optional multiplier array of length p that calls at nearby
+    betas share: the exact solve starts from it (see solve_lambda_exact)
+    and writes its solution back into it; a fallback leaves it unchanged.
     """
     beta = np.asarray(beta, dtype=float)
     try:
-        ratio = solve_lambda_exact(ds, cfg, beta).ratio
+        state = solve_lambda_exact(ds, cfg, beta, lam0=lam)
     except (HullViolationError, NoConvergenceError, SingularMatrixError):
         ratio = el_ratio(ds, cfg, beta)
+    else:
+        ratio = state.ratio
+        if lam is not None:
+            lam[:] = state.lam
     if pen.eta == 0.0:
         return ratio
     w = adaptive_weights(pen.pilot, pen.gamma, cfg.eps_zero)
@@ -107,24 +115,31 @@ def penalized_ratio(ds, cfg, pen, beta):
     return ratio + penalty
 
 
-def bic(ds, cfg, pen, fit):
-    """Schwarz-type criterion: penalized ratio + log(n) * |active set|."""
-    value = penalized_ratio(ds, cfg, pen, fit.beta) \
+def bic(ds, cfg, pen, fit, lam=None):
+    """Schwarz-type criterion: penalized ratio + log(n) * |active set|.
+
+    lam is passed to penalized_ratio as its shared multiplier array."""
+    value = penalized_ratio(ds, cfg, pen, fit.beta, lam=lam) \
         + np.log(ds.n) * len(fit.active_set)
     return BicRecord(eta=pen.eta, bic=float(value),
                      active_set=np.asarray(fit.active_set, dtype=int),
                      beta=np.asarray(fit.beta, dtype=float))
 
 
-def bic_sweep(ds, cfg, gamma, eta_grid, pilot=None, pilot_mode="same"):
+def bic_sweep(ds, cfg, gamma, eta_grid, pilot=None, pilot_mode="same",
+              failures=None):
     """Fit the penalized estimator on each eta and rank by BIC.
 
     One pilot is shared across the grid, and so is one starting point: the
     expectile fit of the dataset, computed once and passed as beta0 to the
-    "same"-mode pilot and to the fit of every cell.  Ties in the criterion
-    break toward the larger eta (the sparser model).  Grid cells whose fit
-    raises an EstimationError are reported through a warning and excluded;
-    any other exception propagates.
+    "same"-mode pilot and to the fit of every cell.  Neighbouring cells have
+    nearly the same fit, so the exact multiplier of each cell's ratio starts
+    from the last one solved along the grid (zero for the first cell); the
+    start changes the multiplier only within the solver's tolerance.  Ties
+    in the criterion break toward the larger eta (the sparser model).  Grid
+    cells whose fit raises an EstimationError are reported through a
+    warning, appended as (eta, exception) to the `failures` list when one is
+    given, and excluded; any other exception propagates.
 
     Returns
     -------
@@ -137,18 +152,19 @@ def bic_sweep(ds, cfg, gamma, eta_grid, pilot=None, pilot_mode="same"):
     start = expectile_fit(ds, cfg.tau)
     if pilot is None:
         pilot = pilot_estimate(ds, cfg, mode=pilot_mode, beta0=start)
+    lam = np.zeros(ds.p)
     records = []
-    failures = []
+    failed = [] if failures is None else failures
     for eta in etas:
         pen = PenaltyConfig(eta=float(eta), gamma=gamma, pilot=pilot)
         try:
             fit = fit_l2(ds, cfg, pen, start)
-            records.append(bic(ds, cfg, pen, fit))
+            records.append(bic(ds, cfg, pen, fit, lam=lam))
         except EstimationError as exc:
-            failures.append((eta, exc))
+            failed.append((eta, exc))
             warnings.warn(f"BIC sweep cell eta={eta:g} failed: {exc}")
     if not records:
-        raise failures[-1][1]
+        raise failed[-1][1]
     best = records[0]
     for rec in records[1:]:
         if rec.bic < best.bic or (rec.bic == best.bic and rec.eta > best.eta):

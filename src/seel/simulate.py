@@ -31,7 +31,7 @@ _EXP_MEAN = 1.5
 _TAU_STREAM = 2 ** 48 + 7  # reserved stream id for the tau calibration draw
 _MAX_FAILURE_SHARE = 0.10
 
-SCHEMA_VERSION = 1  # of every JSON report the package writes
+SCHEMA_VERSION = 2  # of every JSON report the package writes
 
 
 @dataclass

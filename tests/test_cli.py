@@ -11,7 +11,7 @@ from seel.estimators import fit_a2
 from seel.inference import empirical_tau
 from seel.model import Dataset, ModelConfig
 from seel.numkit import RngStream
-from seel.simulate import _generate_dataset, preset_config
+from seel.simulate import SCHEMA_VERSION, _generate_dataset, preset_config
 
 
 @pytest.fixture
@@ -92,7 +92,7 @@ def test_fit_five_column_file(tmp_path, capsys):
     code, rep = run_cli(capsys, "fit", str(path))
     assert code == 0
     assert rep["p"] == 3 and len(rep["beta"]) == 3
-    assert rep["schema_version"] == 1
+    assert rep["schema_version"] == SCHEMA_VERSION
     assert rep["converged"]
 
 
@@ -166,6 +166,7 @@ def test_sweep_single_point(sparse_csv, capsys):
     assert code == 0
     assert len(rep["records"]) == 1
     assert rep["best"]["eta"] == rep["records"][0]["eta"]
+    assert rep["failed_cells"] == []
 
 
 def test_sweep_csv_row_count(sparse_csv, tmp_path, capsys):
@@ -214,6 +215,9 @@ def test_sweep_failed_cell_keeps_labels(sparse_csv, capsys, monkeypatch):
     assert [r["a"] for r in rep["records"]] == [2.0, 3.0]
     for r in rep["records"]:
         assert r["eta"] == r["a"] * rep["n"] ** (-5.0 / 6.0)
+    assert rep["failed_cells"] == [{"a": 1.0, "eta": rep["n"] ** (-5.0 / 6.0),
+                                    "error": "NoConvergenceError",
+                                    "message": "forced failure"}]
 
 
 @pytest.mark.parametrize("flags", [["--a-step", "0"], ["--eta", "99"],
@@ -351,4 +355,4 @@ def test_flag_combinations_smoke(sparse_csv, tmp_path, capsys):
     for argv in combos:
         code, rep = run_cli(capsys, *argv)
         assert code == 0, argv
-        assert rep["schema_version"] == 1
+        assert rep["schema_version"] == SCHEMA_VERSION

@@ -230,3 +230,66 @@ def test_lambda_exact_memory_stays_near_two_matrices():
         tracemalloc.stop()
     assert st.iterations > 2
     assert peak <= 2.75 * nbytes
+
+
+def warm_instance():
+    beta0 = np.array([1.0, 0.0, 1.0, 0.0])
+    ds = missing_d2_ds(3, 400, 4, beta0)
+    cfg = ModelConfig(tau=0.5)
+    beta = beta0 + 0.3
+    return ds, cfg, beta, solve_lambda_exact(ds, cfg, beta)
+
+
+def test_lambda_exact_warm_start_matches_cold():
+    # the multiplier at a nearby beta, as a sweep along a grid carries it
+    ds, cfg, beta, cold = warm_instance()
+    lam0 = solve_lambda_exact(ds, cfg, beta + 0.01).lam
+    st = solve_lambda_exact(ds, cfg, beta, lam0=lam0)
+    assert st.ratio == pytest.approx(cold.ratio, rel=1e-12)
+    # at the default tolerance the cold multiplier is itself about 1e-10
+    # from the root, which a tightly solved reference locates
+    root = solve_lambda_exact(ds, cfg, beta, tol=1e-14).lam
+    np.testing.assert_allclose(cold.lam, root, rtol=0, atol=1e-9)
+    np.testing.assert_allclose(st.lam, cold.lam, rtol=0, atol=1e-9)
+    np.testing.assert_allclose(st.lam, root, rtol=0, atol=1e-10)
+    assert st.iterations <= cold.iterations
+    assert st.probs.sum() == pytest.approx(1.0, abs=1e-8)
+
+
+def assert_same_state(st, cold):
+    np.testing.assert_array_equal(st.lam, cold.lam)
+    np.testing.assert_array_equal(st.probs, cold.probs)
+    assert st.ratio == cold.ratio
+
+
+@pytest.mark.parametrize("scale", [-20.0, 5.0])
+def test_lambda_exact_infeasible_start_is_cold(scale):
+    ds, cfg, beta, cold = warm_instance()
+    lam0 = scale * cold.lam
+    assert np.min(1.0 + g_matrix(ds, cfg, beta) @ lam0) <= 1.0 / ds.n
+    st = solve_lambda_exact(ds, cfg, beta, lam0=lam0)
+    assert_same_state(st, cold)
+    assert st.iterations == cold.iterations
+
+
+def test_lambda_exact_failed_warm_start_retries_from_zero():
+    # a feasible start near the boundary, opposite the solution, needs more
+    # iterations than the cold solve; with the cold count as the budget the
+    # warm attempt fails and the retry from zero gives the cold solution
+    ds, cfg, beta, cold = warm_instance()
+    lam0 = -0.2 * cold.lam
+    assert np.min(1.0 + g_matrix(ds, cfg, beta) @ lam0) > 1.0 / ds.n
+    assert solve_lambda_exact(ds, cfg, beta, lam0=lam0).iterations \
+        > cold.iterations
+    st = solve_lambda_exact(ds, cfg, beta, lam0=lam0, max_iter=cold.iterations)
+    assert_same_state(st, cold)
+    assert st.iterations == 2 * cold.iterations
+
+
+@pytest.mark.parametrize("lam0", [0.5, -0.1])
+def test_hull_violation_with_warm_start(lam0):
+    ds = Dataset(np.ones((2, 1)), np.array([2.0, 4.0]), np.ones(2))
+    G = g_matrix(ds, CFG, np.zeros(1))
+    assert np.all(1.0 + G @ np.array([lam0]) > 0.5)
+    with pytest.raises(HullViolationError):
+        solve_lambda_exact(ds, CFG, np.zeros(1), lam0=np.array([lam0]))

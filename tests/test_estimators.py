@@ -66,6 +66,16 @@ def test_expectile_errors():
         expectile_fit(ds, 0.5)
 
 
+def test_expectile_raises_when_iterations_run_out():
+    # off tau = 1/2 the reweighted solve moves the least-squares start, so
+    # one iteration cannot meet the step tolerance
+    ds, _ = simulated(missing=0.2)
+    with pytest.raises(NoConvergenceError):
+        expectile_fit(ds, 0.25, max_iter=1)
+    beta = expectile_fit(ds, 0.25)
+    assert np.array_equal(expectile_fit(ds, 0.25, max_iter=50), beta)
+
+
 # ---------------------------------------------------------------------------
 # unpenalized algorithms
 

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from seel import inference
 from seel.errors import DegenerateSampleError, OneSidedSampleError
-from seel.estimators import fit_a2
+from seel.estimators import expectile_fit, fit_a2, fit_l2, pilot_estimate
 from seel.inference import (
     bic,
     bic_sweep,
@@ -16,6 +16,7 @@ from seel.inference import (
 )
 from seel.model import Dataset, ModelConfig, PenaltyConfig
 from seel.numkit import RngStream, chi2_quantile, chi2_sf
+from seel.simulate import gen_design, gen_errors, gen_missing
 
 
 def simulated(n=300, p=4, seed=13, beta0=None, sigma=1.0):
@@ -108,6 +109,19 @@ def test_penalized_ratio_eta_zero_and_zero_beta():
     r_pen = penalized_ratio(ds, cfg, pen, np.array([0.0]))
     r_unpen = penalized_ratio(ds, cfg, pen0, np.array([0.0]))
     assert r_pen == pytest.approx(r_unpen, abs=1e-12)
+
+
+def test_penalized_ratio_carries_the_exact_multiplier():
+    cfg = ModelConfig(tau=0.5, h=0.1)
+    pen = PenaltyConfig(eta=0.0, gamma=1.0, pilot=np.array([0.5]))
+    lam = np.array([0.1])
+    val = penalized_ratio(hand_ds_at_one(), cfg, pen, np.array([1.0]), lam=lam)
+    assert val == pytest.approx(0.23556607131276697, abs=1e-6)
+    assert lam[0] == pytest.approx(0.25, abs=1e-9)
+    # zero outside the hull: the fallback ratio leaves the multiplier alone
+    ds = Dataset(np.ones((2, 1)), np.array([2.0, 4.0]), np.ones(2))
+    assert np.isfinite(penalized_ratio(ds, cfg, pen, np.zeros(1), lam=lam))
+    assert lam[0] == pytest.approx(0.25, abs=1e-9)
 
 
 def test_penalized_ratio_frozen_coordinate_contributes_nothing():
@@ -203,6 +217,47 @@ def test_bic_sweep_computes_one_start_per_dataset(expectile_calls, mode, sizes):
     ds, _ = simulated(n=200, p=3, seed=13, beta0=[1.0, 0.0, -1.0])
     bic_sweep(ds, ModelConfig(tau=0.5), 2.5, [0.01, 0.02, 0.04], pilot_mode=mode)
     assert expectile_calls == sizes
+
+
+def test_bic_sweep_warm_multiplier_matches_cold_cells(monkeypatch):
+    # d2 design, about 20% of responses missing, tau = 0.3: each cell's
+    # record equals a cold bic call on that cell's fit, with fewer
+    # multiplier iterations over the grid
+    rng = RngStream(7, 0)
+    n, p = 2000, 8
+    beta0 = np.zeros(p)
+    beta0[[0, 2, 4]] = [1.5, -1.0, 2.0]
+    X = gen_design("d2", n, p, rng)
+    eps = gen_errors("shifted_exp", n, rng)
+    delta = gen_missing("constant", X, rng, 0.8)
+    ds = Dataset(X, np.where(delta == 1, X @ beta0 + eps, np.nan), delta)
+    assert 0.15 < 1.0 - ds.delta.mean() < 0.25
+    cfg = ModelConfig(tau=0.3)
+    grid = [a * n ** (-5.0 / 6.0) for a in range(1, 9)]
+    iterations = []
+    real = inference.solve_lambda_exact
+
+    def counting(*args, **kwargs):
+        state = real(*args, **kwargs)
+        iterations.append(state.iterations)
+        return state
+
+    monkeypatch.setattr(inference, "solve_lambda_exact", counting)
+    _, records = bic_sweep(ds, cfg, 2.5, grid)
+    warm = sum(iterations)
+    iterations.clear()
+    start = expectile_fit(ds, cfg.tau)
+    pilot = pilot_estimate(ds, cfg, mode="same", beta0=start)
+    assert [r.eta for r in records] == grid
+    for rec in records:
+        pen = PenaltyConfig(eta=rec.eta, gamma=2.5, pilot=pilot)
+        cold = bic(ds, cfg, pen, fit_l2(ds, cfg, pen, start))
+        assert rec.eta == cold.eta
+        assert rec.bic == pytest.approx(cold.bic, rel=1e-12)
+        assert np.array_equal(rec.beta, cold.beta)
+        assert np.array_equal(rec.active_set, cold.active_set)
+    assert len(iterations) == len(grid)
+    assert warm < sum(iterations)
 
 
 def test_bic_sweep_rejects_bad_grid():

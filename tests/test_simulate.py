@@ -3,6 +3,7 @@ import pytest
 
 from seel.numkit import RngStream
 from seel.simulate import (
+    SCHEMA_VERSION,
     SimConfig,
     _replicate,
     gen_design,
@@ -156,7 +157,7 @@ def test_report_fields_complete():
     assert report.replications_used == 3
     header, row = report.csv_header(), report.csv_row()
     assert len(header) == len(row)
-    assert report.to_json_dict()["schema_version"] == 1
+    assert report.to_json_dict()["schema_version"] == SCHEMA_VERSION
 
 
 def test_missing_mechanisms_run():
