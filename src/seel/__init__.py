@@ -18,7 +18,6 @@ from .errors import (
     InvalidProbabilityError,
     LogDomainError,
     NoConvergenceError,
-    NonpositiveBandwidthError,
     OneSidedSampleError,
     RankDeficientError,
     SingularMatrixError,
@@ -45,18 +44,7 @@ from .inference import (
     zero_expectile_tau,
 )
 from .kernels import Kernel
-from .model import (
-    Dataset,
-    ModelConfig,
-    PenaltyConfig,
-    expectile_loss,
-    g_raw,
-    g_smooth,
-    g_smooth_hessian_slice,
-    g_smooth_jacobian,
-    moments,
-    psi_h,
-)
+from .model import Dataset, ModelConfig, PenaltyConfig, moments
 from .numkit import RngStream, chi2_quantile, chi2_sf, solve_spd
 from .simulate import SimConfig, SimReport, preset_config, run_monte_carlo
 

@@ -105,10 +105,6 @@ def write_dataset(path, ds):
 # ---------------------------------------------------------------------------
 # shared option plumbing
 
-def _default(cls, name):
-    return next(f.default for f in fields(cls) if f.name == name)
-
-
 def _floats(text):
     return [float(v) for v in text.split(",")]
 
@@ -127,7 +123,7 @@ def _sim_tau(text):
 
 def _add_dataset_flags(sub):
     sub.add_argument("data", help="dataset CSV path")
-    sub.add_argument("--tau", default=str(_default(ModelConfig, "tau")),
+    sub.add_argument("--tau", default=str(ModelConfig.tau),
                      help="expectile level in (0,1), or 'auto' for the "
                           "empirical rule (default %(default)s)")
     sub.add_argument("--standardize", action="store_true",
@@ -138,16 +134,13 @@ def _add_solver_flags(sub, alpha=True):
     sub.add_argument("--h", type=float, default=None,
                      help="bandwidth (default n^(-1/4))")
     sub.add_argument("--kernel", default=Kernel().name, choices=KERNEL_NAMES)
-    sub.add_argument("--nu", type=float, default=_default(ModelConfig, "nu"),
+    sub.add_argument("--nu", type=float, default=ModelConfig.nu,
                      help="outer stopping tolerance")
-    sub.add_argument("--eps-zero", type=float,
-                     default=_default(ModelConfig, "eps_zero"),
+    sub.add_argument("--eps-zero", type=float, default=ModelConfig.eps_zero,
                      help="coefficient-zeroing threshold")
-    sub.add_argument("--max-iter", type=int,
-                     default=_default(ModelConfig, "max_iter"))
+    sub.add_argument("--max-iter", type=int, default=ModelConfig.max_iter)
     if alpha:
-        sub.add_argument("--alpha", type=float,
-                         default=_default(SimConfig, "alpha"))
+        sub.add_argument("--alpha", type=float, default=SimConfig.alpha)
     sub.add_argument("--out", default=None, help="directory for report files")
     sub.add_argument("--config", default=None,
                      help="flat key=value file; flags override its values")
@@ -157,8 +150,7 @@ def _add_penalty_flags(sub, pilot, eta=True):
     if eta:
         sub.add_argument("--eta", type=float, default=None,
                          help="penalty level (default n^(-5/6))")
-    sub.add_argument("--gamma", type=float,
-                     default=_default(PenaltyConfig, "gamma"),
+    sub.add_argument("--gamma", type=float, default=PenaltyConfig.gamma,
                      help="adaptive weight power")
     sub.add_argument("--pilot", dest="pilot_mode", default=pilot,
                      choices=("same", "split"),
@@ -180,13 +172,16 @@ def _parse_args(parser, argv):
                 continue
             if "=" not in line:
                 raise CsvSchemaError(f"config line without '=': {line!r}")
-            key, value = line.split("=", 1)
-            flag = "--" + key.strip().replace("_", "-")
-            value = value.strip()
-            if value.lower() in ("true", "yes"):
-                injected.append(flag)
-            else:
+            key, value = (part.strip() for part in line.split("=", 1))
+            flag = "--" + key.replace("_", "-")
+            # only the store_true switches parse to a bool
+            if not isinstance(getattr(args, key.replace("-", "_"), None), bool):
                 injected.extend([flag, value])
+            elif value.lower() in ("true", "yes"):
+                injected.append(flag)
+            elif value.lower() not in ("false", "no"):
+                raise CsvSchemaError(
+                    f"config key {key!r} takes true/yes or false/no, not {value!r}")
     except OSError as exc:
         raise CsvSchemaError(f"cannot read config {args.config}: {exc}") from None
     at = argv.index(args.command) + 1
@@ -247,7 +242,7 @@ def cmd_fit(args):
         "beta": fit.beta.tolist(),
         "lambda": lambda_approx(ds, cfg, fit.beta).tolist(),
         "iterations": fit.iterations,
-        "converged": fit.converged,
+        "converged": True,  # a fit that does not converge raises
         "ratio_at_beta": el_ratio(ds, cfg, fit.beta),
         "standardized": transform,
     })
@@ -271,7 +266,7 @@ def _test_dict(t, hyp):
 
 def cmd_select(args):
     ds, cfg, report, transform = _prepare(args)
-    eta = args.eta if args.eta is not None else float(ds.n) ** (-5.0 / 6.0)
+    eta = PenaltyConfig.default_eta(ds.n) if args.eta is None else args.eta
     start = expectile_fit(ds, cfg.tau)  # shared by a same-mode pilot and the fit
     pilot = pilot_estimate(ds, cfg, mode=args.pilot_mode, beta0=start)
     pen = PenaltyConfig(eta=eta, gamma=args.gamma, pilot=pilot)
@@ -285,7 +280,7 @@ def cmd_select(args):
         "beta": fit.beta.tolist(),
         "active_set": (active + 1).tolist(),  # 1-based, matching x1..xp
         "iterations": fit.iterations,
-        "converged": fit.converged,
+        "converged": True,  # a fit that does not converge raises
         "standardized": transform,
     })
     if len(active):
@@ -311,13 +306,19 @@ def cmd_sweep(args):
     else:
         a_values = [float(a) for a in np.arange(
             args.a_min, args.a_max + 0.5 * args.a_step, args.a_step)]
-    scale = float(ds.n) ** {"n56": -5.0 / 6.0, "n67": -6.0 / 7.0}[args.grid_form]
+    scale = {"n56": PenaltyConfig.default_eta(ds.n),
+             "n67": float(ds.n) ** (-6.0 / 7.0)}[args.grid_form]
     grid = [a * scale for a in a_values]
     a_of_eta = dict(zip(grid, a_values))
     # failed grid cells are dropped, so each record is labelled by its own eta
-    failures = []
-    best, fitted = bic_sweep(ds, cfg, args.gamma, grid,
-                             pilot_mode=args.pilot_mode, failures=failures)
+    failures, error = [], None
+    try:
+        best, fitted = bic_sweep(ds, cfg, args.gamma, grid,
+                                 pilot_mode=args.pilot_mode, failures=failures)
+    except EstimationError as exc:
+        if len(failures) < len(grid):  # failed before the grid: no report
+            raise
+        best, fitted, error = None, [], exc  # the report lists every cell
     records = [{"a": a_of_eta[rec.eta], **_bic_dict(rec)} for rec in fitted]
     failed_cells = [{"a": a_of_eta[eta], "eta": eta,
                      "error": type(exc).__name__, "message": str(exc)}
@@ -329,7 +330,7 @@ def cmd_sweep(args):
         "gamma": args.gamma,
         "records": records,
         "failed_cells": failed_cells,
-        "best": _bic_dict(best),
+        "best": None if best is None else _bic_dict(best),
     })
     _emit(report, args.out, "sweep_report.json")
     if args.out:
@@ -339,6 +340,8 @@ def cmd_sweep(args):
                     + [" ".join(str(j) for j in r["active_set"]),
                        " ".join(repr(float(v)) for v in r["beta"])]
                     for r in records])
+    if error is not None:
+        raise error
     return EXIT_OK
 
 
@@ -417,7 +420,7 @@ def build_parser():
     p_sim.add_argument("--missing", default=None, choices=MISSING_MECHANISMS)
     p_sim.add_argument("--pi", type=float, default=None)
     p_sim.add_argument("--reps", dest="replications", type=int, default=None)
-    p_sim.add_argument("--seed", type=int, default=_default(SimConfig, "seed"))
+    p_sim.add_argument("--seed", type=int, default=SimConfig.seed)
     p_sim.add_argument("--algorithms", type=lambda text: text.split(","),
                        default=None,
                        help="comma-separated subset of a1,a2,l1,l2")
@@ -427,7 +430,7 @@ def build_parser():
     p_sim.add_argument("--tau", type=_sim_tau, default="default",
                        help="expectile level as a number, or 'default' for "
                             "the error-law rule (no 'auto' here)")
-    _add_penalty_flags(p_sim, pilot=_default(SimConfig, "pilot_mode"))
+    _add_penalty_flags(p_sim, pilot=SimConfig.pilot_mode)
     _add_solver_flags(p_sim)
     p_sim.set_defaults(func=cmd_simulate)
 

@@ -20,12 +20,12 @@ _PROB_SUM_TOL = 1e-6
 
 @dataclass
 class ELState:
-    """Solution of the inner empirical-likelihood problem at a fixed beta."""
+    """Solution of the inner empirical-likelihood problem at a fixed beta
+    (a solve that fails raises instead)."""
 
     lam: np.ndarray
     probs: np.ndarray
     ratio: float
-    converged: bool
     iterations: int
 
 
@@ -101,8 +101,7 @@ def solve_lambda_exact(ds, cfg, beta, tol=_LAMBDA_TOL, max_iter=None,
         raise error
     probs = 1.0 / (n * w)
     ratio = float(2.0 * np.log(w).sum())
-    return ELState(lam=lam, probs=probs, ratio=ratio, converged=True,
-                   iterations=iterations)
+    return ELState(lam=lam, probs=probs, ratio=ratio, iterations=iterations)
 
 
 def _newton(G, Gw, lam, w, tol, max_iter):

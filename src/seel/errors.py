@@ -44,6 +44,3 @@ class CsvSchemaError(EstimationError):
 class InvalidProbabilityError(ValueError):
     """Probability argument outside (0, 1)."""
 
-
-class NonpositiveBandwidthError(ValueError):
-    """Bandwidth must be strictly positive."""

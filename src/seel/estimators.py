@@ -34,12 +34,11 @@ _DIVERGENCE_FACTOR = 1e6
 
 @dataclass
 class FitResult:
-    """Outcome of one fitting run."""
+    """Outcome of one converged fitting run (non-convergence raises)."""
 
     beta: np.ndarray
     lam: np.ndarray
     iterations: int
-    converged: bool
     active_set: np.ndarray = field(default=None)
     trace: list = field(default_factory=list)
 
@@ -145,7 +144,7 @@ def _fit_engine(ds, cfg, beta0, refresh_lambda, pen=None):
         if not active.any():
             zeros = np.zeros(p)
             return FitResult(beta=zeros, lam=np.zeros(p), iterations=0,
-                             converged=True, active_set=np.array([], dtype=int))
+                             active_set=np.array([], dtype=int))
     else:
         active = np.ones(p, dtype=bool)
 
@@ -211,7 +210,7 @@ def _finish(ds, cfg, beta, refresh_lambda, it, trace):
         lam = solve_spd(S, gbar)
     else:
         lam = np.zeros(ds.p)
-    return FitResult(beta=beta, lam=lam, iterations=it, converged=True,
+    return FitResult(beta=beta, lam=lam, iterations=it,
                      active_set=np.flatnonzero(beta), trace=trace)
 
 

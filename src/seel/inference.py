@@ -57,31 +57,24 @@ def el_ratio(ds, cfg, beta):
         return el_ratio_approx(ds, cfg, beta)
 
 
-def wilks_test(ds, cfg, beta_hypothesis, df=None, alpha=0.05, support=None):
+def wilks_test(ds, cfg, beta_hypothesis, alpha=0.05, support=None):
     """Chi-square test of H0: beta = beta_hypothesis.
 
     The statistic is the quadratic approximation of the log-likelihood
     ratio, compared against the (1 - alpha) quantile of chi-square(df).
     When `support` is given, the ratio is evaluated on the submodel spanned
     by those covariate columns (coordinates outside it are fixed at zero)
-    and df defaults to their number; otherwise df defaults to p.
+    and df is their number; otherwise df is p.
     """
     beta_hypothesis = np.asarray(beta_hypothesis, dtype=float)
     if support is not None:
         support = np.asarray(support, dtype=int)
-        stat = el_ratio_approx(ds.select_columns(support), cfg,
-                               beta_hypothesis[support])
-        if df is None:
-            df = len(support)
-    else:
-        stat = el_ratio_approx(ds, cfg, beta_hypothesis)
-        if df is None:
-            df = ds.p
-    if df < 1:
-        raise ValueError("test needs at least one degree of freedom")
+        ds, beta_hypothesis = ds.select_columns(support), beta_hypothesis[support]
+    df = ds.p
+    stat = el_ratio_approx(ds, cfg, beta_hypothesis)
     critical = chi2_quantile(1.0 - alpha, df)
     pvalue = chi2_sf(stat, df)
-    return TestReport(statistic=stat, df=int(df), critical=critical,
+    return TestReport(statistic=stat, df=df, critical=critical,
                       pvalue=pvalue, reject=bool(stat > critical), alpha=alpha)
 
 

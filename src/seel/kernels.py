@@ -1,12 +1,10 @@
-"""Compact-support kernel densities, their CDFs and the scaled smoother.
+"""Compact-support kernel densities and their CDFs.
 
 The CDFs are stored as explicit polynomial antiderivatives rather than
 numeric integrals, which keeps inner loops cheap and bit-reproducible.
 """
 
 import numpy as np
-
-from .errors import NonpositiveBandwidthError
 
 KERNEL_NAMES = ("epanechnikov", "quartic", "triweight")
 
@@ -45,6 +43,8 @@ class Kernel:
         return out if out.ndim else float(out)
 
     def cdf(self, u):
+        """G(u); G(x/h) smooths the indicator of x > 0 (1 for x >= h, 0 for
+        x <= -h)."""
         u = np.asarray(u, dtype=float)
         v = np.clip(u, -1.0, 1.0)
         if self.name == "epanechnikov":
@@ -55,41 +55,3 @@ class Kernel:
             out = 0.5 + (35.0 / 32.0) * (v - v ** 3 + 0.6 * v ** 5 - v ** 7 / 7.0)
         out = np.clip(out, 0.0, 1.0)
         return out if out.ndim else float(out)
-
-    def pdf_prime(self, u):
-        u = np.asarray(u, dtype=float)
-        inside = np.abs(u) < 1.0
-        t = 1.0 - u * u
-        if self.name == "epanechnikov":
-            val = -1.5 * u
-        elif self.name == "quartic":
-            val = -3.75 * u * t
-        else:
-            val = -(105.0 / 16.0) * u * t * t
-        out = np.where(inside, val, 0.0)
-        return out if out.ndim else float(out)
-
-    def smoothed_indicator(self, h, x):
-        """G(x/h): differentiable surrogate for the indicator of x > 0.
-
-        Equals 1 for x >= h and 0 for x <= -h.
-        """
-        if h <= 0.0:
-            raise NonpositiveBandwidthError("bandwidth h must be positive")
-        return self.cdf(np.asarray(x, dtype=float) / h)
-
-
-def kernel_pdf(kernel, u):
-    return kernel.pdf(u)
-
-
-def kernel_cdf(kernel, u):
-    return kernel.cdf(u)
-
-
-def kernel_pdf_derivative(kernel, u):
-    return kernel.pdf_prime(u)
-
-
-def smoothed_indicator(kernel, h, x):
-    return kernel.smoothed_indicator(h, x)

@@ -1,10 +1,9 @@
-"""Data model and the expectile estimating functions.
+"""Data model and the smoothed expectile estimating function.
 
-The raw function g_i applies the asymmetric expectile weight to the residual
-of observation i; the smoothed variant replaces the residual-sign indicator
-with a kernel CDF evaluated at (x'beta - y)/h so that everything becomes
-differentiable in beta.  Missing responses are guarded by the delta flags
-and never read.
+The estimating function of observation i applies the asymmetric expectile
+weight to its residual, with the residual-sign indicator replaced by a
+kernel CDF evaluated at (x'beta - y)/h so that everything is differentiable
+in beta.  Missing responses are guarded by the delta flags and never read.
 """
 
 from dataclasses import dataclass, field
@@ -118,68 +117,10 @@ class PenaltyConfig:
         if self.pilot is not None:
             self.pilot = np.asarray(self.pilot, dtype=float).ravel()
 
-
-def expectile_loss(tau, x):
-    """Asymmetric squared loss |tau - 1{x<0}| x^2."""
-    x = np.asarray(x, dtype=float)
-    out = np.where(x >= 0.0, tau, 1.0 - tau) * x * x
-    return out if out.ndim else float(out)
-
-
-def psi_h(cfg, xrow, yval, beta, h=None):
-    """Smoothed expectile weight tau + (1-2 tau) G((x'beta - y)/h)."""
-    if h is None:
-        h = cfg.h
-        if h is None:
-            raise ValueError("psi_h needs an explicit bandwidth when cfg.h is unset")
-    arg = float(np.dot(xrow, beta) - yval)
-    return cfg.tau + (1.0 - 2.0 * cfg.tau) * cfg.kernel.smoothed_indicator(h, arg)
-
-
-def g_raw(ds, i, tau, beta):
-    """Raw estimating function of row i (indicator version)."""
-    if ds.delta[i] == 0:
-        return np.zeros(ds.p)
-    r = ds.y[i] - float(ds.X[i] @ beta)
-    weight = tau + (1.0 - 2.0 * tau) * (1.0 if r < 0.0 else 0.0)
-    return weight * r * ds.X[i]
-
-
-def g_smooth(ds, i, cfg, beta):
-    """Smoothed estimating function of row i."""
-    if ds.delta[i] == 0:
-        return np.zeros(ds.p)
-    h = cfg.bandwidth(ds.n)
-    r = ds.y[i] - float(ds.X[i] @ beta)
-    w = cfg.tau + (1.0 - 2.0 * cfg.tau) * cfg.kernel.cdf(-r / h)
-    return w * r * ds.X[i]
-
-
-def g_smooth_jacobian(ds, i, cfg, beta):
-    """d g_smooth_i / d beta, a symmetric scaling of x_i x_i'."""
-    if ds.delta[i] == 0:
-        return np.zeros((ds.p, ds.p))
-    h = cfg.bandwidth(ds.n)
-    x = ds.X[i]
-    r = ds.y[i] - float(x @ beta)
-    u = -r / h
-    w = cfg.tau + (1.0 - 2.0 * cfg.tau) * cfg.kernel.cdf(u)
-    scal = (1.0 - 2.0 * cfg.tau) / h * cfg.kernel.pdf(u) * r - w
-    return scal * np.outer(x, x)
-
-
-def g_smooth_hessian_slice(ds, i, j, cfg, beta):
-    """Second derivative in beta of component j of g_smooth_i."""
-    if ds.delta[i] == 0:
-        return np.zeros((ds.p, ds.p))
-    h = cfg.bandwidth(ds.n)
-    x = ds.X[i]
-    r = ds.y[i] - float(x @ beta)
-    u = -r / h
-    one_m2t = 1.0 - 2.0 * cfg.tau
-    scal = one_m2t / h ** 2 * cfg.kernel.pdf_prime(u) * r \
-        - 2.0 * one_m2t / h * cfg.kernel.pdf(u)
-    return x[j] * scal * np.outer(x, x)
+    @staticmethod
+    def default_eta(n):
+        """The default penalty level n**(-5/6)."""
+        return float(n) ** (-5.0 / 6.0)
 
 
 def _row_terms(ds, cfg, beta):

@@ -337,17 +337,3 @@ class RngStream:
     def bernoulli(self, prob, size):
         return (self.uniforms(size) < prob).astype(np.uint8)
 
-
-def draw_normal(rng):
-    """One standard normal draw via the inverse CDF."""
-    return float(rng.normals(1)[0])
-
-
-def draw_exponential(rng, mean):
-    """One exponential draw with the given mean, via -mean*log(U)."""
-    return float(rng.exponentials(mean, 1)[0])
-
-
-def draw_chi2_1(rng):
-    """One chi-square(1) draw as the square of a standard normal."""
-    return float(rng.chi2_1(1)[0])

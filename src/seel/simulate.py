@@ -31,7 +31,7 @@ _EXP_MEAN = 1.5
 _TAU_STREAM = 2 ** 48 + 7  # reserved stream id for the tau calibration draw
 _MAX_FAILURE_SHARE = 0.10
 
-SCHEMA_VERSION = 2  # of every JSON report the package writes
+SCHEMA_VERSION = 3  # of every JSON report the package writes
 
 
 @dataclass
@@ -48,15 +48,15 @@ class SimConfig:
     tau: float | None = None
     h: float | None = None
     eta: float | None = None
-    gamma: float = 2.5
+    gamma: float = PenaltyConfig.gamma
     alpha: float = 0.05
     replications: int = 100
     algorithms: tuple = ("a2", "l2")
     seed: int = 0
-    kernel: str = "epanechnikov"
-    nu: float = 1e-2
-    eps_zero: float = 1e-4
-    max_iter: int = 200
+    kernel: str = Kernel().name
+    nu: float = ModelConfig.nu
+    eps_zero: float = ModelConfig.eps_zero
+    max_iter: int = ModelConfig.max_iter
     pilot_mode: str = "split"
 
     def __post_init__(self):
@@ -81,7 +81,7 @@ class SimConfig:
                 raise ValueError(f"unknown algorithm {a!r}")
 
     def resolved_eta(self):
-        return float(self.n) ** (-5.0 / 6.0) if self.eta is None else self.eta
+        return PenaltyConfig.default_eta(self.n) if self.eta is None else self.eta
 
     def resolved_tau(self):
         """Default tau: 1/2 for normal errors, the zero-expectile level of a

@@ -1,0 +1,87 @@
+"""Per-row reference forms of the smoothed expectile estimating function.
+
+The package computes g_i(beta) = (tau + (1 - 2 tau) G((x_i'beta - y_i)/h))
+(y_i - x_i'beta) x_i for all rows at once (seel.model.moments and g_matrix).
+The functions here evaluate one row at a time, straight from the formula, so
+the tests can check the vectorized path and its derivatives against them.
+"""
+
+import numpy as np
+
+
+def expectile_loss(tau, x):
+    """Asymmetric squared loss |tau - 1{x<0}| x^2."""
+    x = np.asarray(x, dtype=float)
+    out = np.where(x >= 0.0, tau, 1.0 - tau) * x * x
+    return out if out.ndim else float(out)
+
+
+def pdf_prime(kernel, u):
+    """Derivative of the kernel density, zero outside the open support."""
+    u = np.asarray(u, dtype=float)
+    inside = np.abs(u) < 1.0
+    t = 1.0 - u * u
+    if kernel.name == "epanechnikov":
+        val = -1.5 * u
+    elif kernel.name == "quartic":
+        val = -3.75 * u * t
+    else:
+        val = -(105.0 / 16.0) * u * t * t
+    out = np.where(inside, val, 0.0)
+    return out if out.ndim else float(out)
+
+
+def psi_h(cfg, xrow, yval, beta, h=None):
+    """Smoothed expectile weight tau + (1-2 tau) G((x'beta - y)/h)."""
+    if h is None:
+        h = cfg.h
+        if h is None:
+            raise ValueError("psi_h needs an explicit bandwidth when cfg.h is unset")
+    arg = float(np.dot(xrow, beta) - yval)
+    return cfg.tau + (1.0 - 2.0 * cfg.tau) * cfg.kernel.cdf(arg / h)
+
+
+def g_raw(ds, i, tau, beta):
+    """Raw estimating function of row i (indicator version)."""
+    if ds.delta[i] == 0:
+        return np.zeros(ds.p)
+    r = ds.y[i] - float(ds.X[i] @ beta)
+    weight = tau + (1.0 - 2.0 * tau) * (1.0 if r < 0.0 else 0.0)
+    return weight * r * ds.X[i]
+
+
+def g_smooth(ds, i, cfg, beta):
+    """Smoothed estimating function of row i."""
+    if ds.delta[i] == 0:
+        return np.zeros(ds.p)
+    h = cfg.bandwidth(ds.n)
+    r = ds.y[i] - float(ds.X[i] @ beta)
+    w = cfg.tau + (1.0 - 2.0 * cfg.tau) * cfg.kernel.cdf(-r / h)
+    return w * r * ds.X[i]
+
+
+def g_smooth_jacobian(ds, i, cfg, beta):
+    """d g_smooth_i / d beta, a symmetric scaling of x_i x_i'."""
+    if ds.delta[i] == 0:
+        return np.zeros((ds.p, ds.p))
+    h = cfg.bandwidth(ds.n)
+    x = ds.X[i]
+    r = ds.y[i] - float(x @ beta)
+    u = -r / h
+    w = cfg.tau + (1.0 - 2.0 * cfg.tau) * cfg.kernel.cdf(u)
+    scal = (1.0 - 2.0 * cfg.tau) / h * cfg.kernel.pdf(u) * r - w
+    return scal * np.outer(x, x)
+
+
+def g_smooth_hessian_slice(ds, i, j, cfg, beta):
+    """Second derivative in beta of component j of g_smooth_i."""
+    if ds.delta[i] == 0:
+        return np.zeros((ds.p, ds.p))
+    h = cfg.bandwidth(ds.n)
+    x = ds.X[i]
+    r = ds.y[i] - float(x @ beta)
+    u = -r / h
+    one_m2t = 1.0 - 2.0 * cfg.tau
+    scal = one_m2t / h ** 2 * pdf_prime(cfg.kernel, u) * r \
+        - 2.0 * one_m2t / h * cfg.kernel.pdf(u)
+    return x[j] * scal * np.outer(x, x)

@@ -6,20 +6,12 @@ total runtime is well under the ten-minute budget.
 
 import numpy as np
 
+from oracles import g_smooth, g_smooth_hessian_slice, g_smooth_jacobian
 from seel.cli import main
 from seel.el import el_ratio_approx, lambda_approx, solve_lambda_exact
 from seel.errors import HullViolationError
 from seel.estimators import fit_a1, fit_a2, fit_l1, fit_l2, pilot_estimate
-from seel.model import (
-    Dataset,
-    ModelConfig,
-    PenaltyConfig,
-    g_matrix,
-    g_smooth,
-    g_smooth_hessian_slice,
-    g_smooth_jacobian,
-    moments,
-)
+from seel.model import Dataset, ModelConfig, PenaltyConfig, g_matrix, moments
 from seel.numkit import RngStream, chi2_quantile, gamma_p
 from seel.simulate import SimConfig, preset_config, run_monte_carlo
 
@@ -180,7 +172,9 @@ def test_criterion_6_inner_solver_oracle():
 
 def test_criterion_7_derivative_correctness():
     gen = np.random.default_rng(700)
-    jac_err = hess_err = 0.0
+    # oracle: the per-row forms of tests/oracles.py; production: the mean
+    # Jacobian J of seel.model.moments against differences of its gbar
+    jac_err = hess_err = moments_err = 0.0
     for _ in range(120):
         p = int(gen.integers(1, 4))
         x = gen.uniform(-2, 2, size=p)
@@ -191,13 +185,18 @@ def test_criterion_7_derivative_correctness():
         ds = Dataset(x[None, :], np.array([y]), np.ones(1))
         step = 1e-6
         J = g_smooth_jacobian(ds, 0, cfg, beta)
+        Jm = moments(ds, cfg, beta)[2]
         fd = np.empty_like(J)
+        fdm = np.empty_like(Jm)
         for k in range(p):
             e = np.zeros(p)
             e[k] = step
             fd[:, k] = (g_smooth(ds, 0, cfg, beta + e)
                         - g_smooth(ds, 0, cfg, beta - e)) / (2 * step)
+            fdm[:, k] = (moments(ds, cfg, beta + e)[0]
+                         - moments(ds, cfg, beta - e)[0]) / (2 * step)
         jac_err = max(jac_err, float(np.max(np.abs(J - fd))))
+        moments_err = max(moments_err, float(np.max(np.abs(Jm - fdm))))
         j = int(gen.integers(0, p))
         H = g_smooth_hessian_slice(ds, 0, j, cfg, beta)
         step = 1e-5
@@ -209,8 +208,9 @@ def test_criterion_7_derivative_correctness():
                          - g_smooth_jacobian(ds, 0, cfg, beta - e)[j]) / (2 * step)
         hess_err = max(hess_err, float(np.max(np.abs(H - fdh))))
     report(7, "derivatives match finite differences",
-           jac_err < 1e-5 and hess_err < 1e-4,
-           f"max jacobian err {jac_err:.2e}, max hessian err {hess_err:.2e}")
+           jac_err < 1e-5 and hess_err < 1e-4 and moments_err < 1e-5,
+           f"max jacobian err {jac_err:.2e}, max hessian err {hess_err:.2e}, "
+           f"max moments J err {moments_err:.2e}")
 
 
 def test_criterion_8_deterministic_reproducibility(tmp_path, capsys):

@@ -1,0 +1,67 @@
+"""The public surface of the package: seel.__all__ is pinned, and helpers
+that only the tests need live in tests/oracles.py, not in seel."""
+
+import importlib
+import inspect
+import pkgutil
+from dataclasses import fields
+
+import pytest
+
+import seel
+from seel.el import ELState
+from seel.estimators import FitResult
+from seel.inference import wilks_test
+from seel.kernels import Kernel
+
+PUBLIC = {
+    # classes
+    "BicRecord", "Dataset", "ELState", "FitResult", "Kernel", "ModelConfig",
+    "PenaltyConfig", "RngStream", "SimConfig", "SimReport", "TestReport",
+    # exceptions
+    "CsvSchemaError", "DegenerateSampleError", "EstimationError",
+    "HullViolationError", "InsufficientCompleteCasesError",
+    "InvalidProbabilityError", "LogDomainError", "NoConvergenceError",
+    "OneSidedSampleError", "RankDeficientError", "SingularMatrixError",
+    # functions
+    "adaptive_weights", "bic", "bic_sweep", "chi2_quantile", "chi2_sf",
+    "el_ratio", "el_ratio_approx", "el_ratio_exact", "empirical_tau",
+    "expectile_fit", "fit_a1", "fit_a2", "fit_l1", "fit_l2", "lambda_approx",
+    "moments", "penalized_ratio", "pilot_estimate", "preset_config",
+    "run_monte_carlo", "solve_lambda_exact", "solve_spd", "wilks_test",
+    "zero_expectile_tau",
+    # submodules bound by the imports above
+    "el", "errors", "estimators", "inference", "kernels", "model", "numkit",
+    "simulate",
+}
+
+# names that only tests called; the per-row forms are in tests/oracles.py
+REMOVED = (
+    "g_raw", "g_smooth", "g_smooth_jacobian", "g_smooth_hessian_slice",
+    "psi_h", "expectile_loss", "kernel_pdf", "kernel_cdf",
+    "kernel_pdf_derivative", "smoothed_indicator", "NonpositiveBandwidthError",
+    "draw_normal", "draw_exponential", "draw_chi2_1",
+)
+
+
+def test_public_names_pinned():
+    assert sorted(seel.__all__) == sorted(PUBLIC)
+
+
+@pytest.mark.parametrize("name", REMOVED)
+def test_removed_name_not_importable(name):
+    with pytest.raises(ImportError):
+        exec(f"from seel import {name}", {})
+    for info in pkgutil.iter_modules(seel.__path__):
+        module = importlib.import_module(f"seel.{info.name}")
+        assert not hasattr(module, name), f"seel.{info.name}.{name}"
+
+
+def test_removed_members_stay_removed():
+    assert not hasattr(Kernel, "pdf_prime")
+    assert not hasattr(Kernel, "smoothed_indicator")
+    # non-convergence raises, so no result carries a converged flag
+    assert "converged" not in {f.name for f in fields(FitResult)}
+    assert "converged" not in {f.name for f in fields(ELState)}
+    # the degrees of freedom follow from the (sub)model
+    assert "df" not in inspect.signature(wilks_test).parameters

@@ -6,7 +6,7 @@ import pytest
 
 from seel import inference
 from seel.cli import main, read_dataset, write_dataset
-from seel.errors import CsvSchemaError, NoConvergenceError
+from seel.errors import CsvSchemaError, NoConvergenceError, RankDeficientError
 from seel.estimators import fit_a2
 from seel.inference import empirical_tau
 from seel.model import Dataset, ModelConfig
@@ -220,6 +220,47 @@ def test_sweep_failed_cell_keeps_labels(sparse_csv, capsys, monkeypatch):
                                     "message": "forced failure"}]
 
 
+def test_sweep_every_cell_failed_still_reports(sparse_csv, tmp_path, capsys,
+                                               monkeypatch):
+    path, _ = sparse_csv
+
+    def fit_l2(ds, cfg, pen, beta0=None):
+        raise NoConvergenceError("forced failure")
+
+    monkeypatch.setattr(inference, "fit_l2", fit_l2)
+    out = tmp_path / "sweep"
+    with pytest.warns(UserWarning, match="forced failure"):
+        code = main(["sweep", str(path), "--a-values", "1,2", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert "numerical failure: forced failure" in captured.err
+    rep = json.loads((out / "sweep_report.json").read_text())
+    assert rep == json.loads(captured.out)
+    assert rep["schema_version"] == SCHEMA_VERSION
+    assert rep["records"] == [] and rep["best"] is None
+    eta1 = rep["n"] ** (-5.0 / 6.0)
+    assert rep["failed_cells"] == [
+        {"a": a, "eta": a * eta1, "error": "NoConvergenceError",
+         "message": "forced failure"} for a in (1.0, 2.0)]
+    with open(out / "sweep_records.csv", newline="") as fh:
+        assert list(csv.reader(fh)) == [["a", "eta", "bic", "active_set", "beta"]]
+
+
+def test_sweep_failure_before_the_grid_writes_no_report(sparse_csv, tmp_path,
+                                                        capsys, monkeypatch):
+    path, _ = sparse_csv
+
+    def expectile_fit(ds, tau):
+        raise RankDeficientError("forced failure")
+
+    monkeypatch.setattr(inference, "expectile_fit", expectile_fit)
+    out = tmp_path / "sweep"
+    code = main(["sweep", str(path), "--a-values", "1,2", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flags", [["--a-step", "0"], ["--eta", "99"],
                                    ["--alpha", "0.9"]])
 def test_sweep_rejects_bad_flags(sparse_csv, flags):
@@ -328,6 +369,40 @@ def test_config_file_defaults_and_flag_override(tmp_path, capsys):
                         "--n", "110")
     assert code == 0
     assert rep["n"] == 110
+
+
+@pytest.mark.parametrize("off", ["false", "no", "No"])
+def test_config_switch_turned_off(sparse_csv, tmp_path, capsys, off):
+    path, _ = sparse_csv
+    cfg_file = tmp_path / "run.cfg"
+    for value, standardized in ((off, False), ("yes", True)):
+        cfg_file.write_text(f"standardize = {value}\n")
+        code, rep = run_cli(capsys, "fit", str(path), "--config", str(cfg_file))
+        assert code == 0
+        assert (rep["standardized"] is not None) == standardized
+    for value, dumped in ((off, False), ("true", True)):
+        out = tmp_path / f"sim-{value}"
+        cfg_file.write_text(f"preset = table1\nn = 90\nreps = 2\ndump = {value}\n")
+        code, _ = run_cli(capsys, "simulate", "--config", str(cfg_file),
+                          "--out", str(out))
+        assert code == 0
+        assert (out / "sim_report.json").exists()
+        assert (out / "sim_dump.csv").exists() == dumped
+
+
+def test_config_bad_values_rejected(sparse_csv, tmp_path, capsys):
+    path, _ = sparse_csv
+    cfg_file = tmp_path / "run.cfg"
+    # a flag that takes a value gets 'no' as its value, never its default
+    cfg_file.write_text("pilot = no\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["select", str(path), "--config", str(cfg_file)])
+    assert exc.value.code == 2
+    assert "--pilot" in capsys.readouterr().err
+    cfg_file.write_text("standardize = maybe\n")
+    assert main(["fit", str(path), "--config", str(cfg_file)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "'standardize'" in captured.err
 
 
 def test_numerical_failure_exit_code(tmp_path, capsys):

@@ -33,7 +33,6 @@ def test_lambda_exact_hand_example():
     st = solve_lambda_exact(hand_ds(), CFG, np.zeros(1))
     assert st.lam[0] == pytest.approx(0.25, abs=1e-9)
     assert st.ratio == pytest.approx(2 * (np.log(0.75) + np.log(1.5)), abs=1e-9)
-    assert st.converged
 
 
 def test_hull_violation_when_all_positive():

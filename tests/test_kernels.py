@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from seel.errors import NonpositiveBandwidthError
+from oracles import pdf_prime
 from seel.kernels import KERNEL_NAMES, Kernel
+from seel.model import ModelConfig
 
 
 def _gauss_legendre_integral(f, a, b, nodes=40):
@@ -66,56 +67,45 @@ def test_cdf_nondecreasing_and_matches_pdf(kernel):
 
 def test_pdf_prime_values():
     k = Kernel("epanechnikov")
-    assert k.pdf_prime(0.0) == 0.0
-    assert k.pdf_prime(0.5) == pytest.approx(-0.75, abs=1e-12)
-    assert k.pdf_prime(2.0) == 0.0
+    assert pdf_prime(k, 0.0) == 0.0
+    assert pdf_prime(k, 0.5) == pytest.approx(-0.75, abs=1e-12)
+    assert pdf_prime(k, 2.0) == 0.0
 
 
 def test_pdf_prime_matches_finite_differences(kernel):
     grid = np.linspace(-0.95, 0.95, 39)
     step = 1e-6
     fd = (kernel.pdf(grid + step) - kernel.pdf(grid - step)) / (2 * step)
-    assert np.max(np.abs(fd - kernel.pdf_prime(grid))) < 1e-5
+    assert np.max(np.abs(fd - pdf_prime(kernel, grid))) < 1e-5
 
+
+# the smoothed indicator G(x/h) is kernel.cdf(x / h), as seel.model uses it
 
 def test_smoothed_indicator_values(kernel):
-    assert kernel.smoothed_indicator(0.3, 0.0) == pytest.approx(0.5)
-    assert kernel.smoothed_indicator(0.3, 0.6) == 1.0
-    assert kernel.smoothed_indicator(0.3, -0.6) == 0.0
+    assert kernel.cdf(0.0 / 0.3) == pytest.approx(0.5)
+    assert kernel.cdf(0.6 / 0.3) == 1.0
+    assert kernel.cdf(-0.6 / 0.3) == 0.0
 
 
 def test_smoothed_indicator_epanechnikov_half():
-    assert Kernel("epanechnikov").smoothed_indicator(0.1, 0.05) \
+    assert Kernel("epanechnikov").cdf(0.05 / 0.1) \
         == pytest.approx(0.84375, abs=1e-12)
 
 
 def test_smoothed_indicator_pointwise_limit(kernel):
     # G(x/h) -> 1{x > 0} as h -> 0
     for x in (-1.0, -1e-3, 1e-3, 1.0):
-        val = kernel.smoothed_indicator(1e-6, x)
+        val = kernel.cdf(x / 1e-6)
         assert val == (1.0 if x > 0 else 0.0)
 
 
 def test_smoothed_indicator_rejects_bad_bandwidth(kernel):
     for h in (0.0, -0.5):
-        with pytest.raises(NonpositiveBandwidthError):
-            kernel.smoothed_indicator(h, 0.3)
+        with pytest.raises(ValueError, match="bandwidth"):
+            ModelConfig(tau=0.5, h=h, kernel=kernel)
 
 
 def test_unknown_kernel_rejected():
     with pytest.raises(ValueError):
         Kernel("gaussian")
 
-
-def test_function_aliases(kernel):
-    from seel.kernels import (
-        kernel_cdf,
-        kernel_pdf,
-        kernel_pdf_derivative,
-        smoothed_indicator,
-    )
-
-    assert kernel_pdf(kernel, 0.3) == kernel.pdf(0.3)
-    assert kernel_cdf(kernel, 0.3) == kernel.cdf(0.3)
-    assert kernel_pdf_derivative(kernel, 0.3) == kernel.pdf_prime(0.3)
-    assert smoothed_indicator(kernel, 0.2, 0.1) == kernel.smoothed_indicator(0.2, 0.1)

@@ -1,17 +1,15 @@
 import numpy as np
 import pytest
 
-from seel.model import (
-    Dataset,
-    ModelConfig,
+from oracles import (
     expectile_loss,
     g_raw,
     g_smooth,
     g_smooth_hessian_slice,
     g_smooth_jacobian,
-    moments,
     psi_h,
 )
+from seel.model import Dataset, ModelConfig, moments
 
 
 def make_ds(X, y, delta=None):
@@ -201,6 +199,28 @@ def test_moments_single_row():
     ds = make_ds([[1.2, -0.5]], [0.8])
     gbar, _, _ = moments(ds, cfg, np.zeros(2))
     assert np.allclose(gbar, g_smooth(ds, 0, cfg, np.zeros(2)))
+
+
+def test_moments_match_oracle_row_means():
+    # gbar, S and J average over the full n at the default bandwidth; rows
+    # with a missing response contribute zero to each
+    rng = np.random.default_rng(7)
+    n, p = 40, 3
+    X = rng.uniform(-2, 2, size=(n, p))
+    beta = rng.uniform(-1.5, 1.5, size=p)
+    delta = (rng.uniform(size=n) > 0.3).astype(np.uint8)
+    y = np.where(delta == 1, X @ beta + rng.uniform(-1.0, 1.0, size=n), np.nan)
+    ds = Dataset(X, y, delta)
+    cfg = ModelConfig(tau=0.3)
+    h = cfg.bandwidth(n)
+    inside = np.abs(ds.y_safe() - X @ beta) < h
+    assert 0 < ds.n_complete < n and 0 < np.sum(inside & (delta == 1)) < ds.n_complete
+    gbar, S, J = moments(ds, cfg, beta)
+    g = np.array([g_smooth(ds, i, cfg, beta) for i in range(n)])
+    jac = np.array([g_smooth_jacobian(ds, i, cfg, beta) for i in range(n)])
+    assert np.allclose(gbar, g.mean(axis=0), rtol=1e-12, atol=1e-14)
+    assert np.allclose(S, np.einsum("ij,ik->jk", g, g) / n, rtol=1e-12, atol=1e-14)
+    assert np.allclose(J, jac.mean(axis=0), rtol=1e-12, atol=1e-14)
 
 
 def test_moments_hand_example():

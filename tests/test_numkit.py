@@ -10,9 +10,6 @@ from seel.numkit import (
     RngStream,
     chi2_quantile,
     chi2_sf,
-    draw_chi2_1,
-    draw_exponential,
-    draw_normal,
     gamma_p,
     normal_quantile,
     solve_spd,
@@ -198,11 +195,3 @@ def test_chi2_1_variance():
     assert c.var() == pytest.approx(2.0, abs=0.1)
     assert c.mean() == pytest.approx(1.0, abs=0.02)
 
-
-def test_scalar_draw_wrappers():
-    rng = RngStream(11, 4)
-    vals = [draw_normal(rng), draw_exponential(rng, 2.0), draw_chi2_1(rng)]
-    rng2 = RngStream(11, 4)
-    vals2 = [draw_normal(rng2), draw_exponential(rng2, 2.0), draw_chi2_1(rng2)]
-    assert vals == vals2
-    assert vals[1] > 0 and vals[2] >= 0
