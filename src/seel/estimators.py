@@ -14,6 +14,14 @@ per outer iteration while the "2" variants keep lam = 0.  Penalized runs
 freeze any coordinate whose magnitude falls below eps_zero at zero for all
 later steps, and convergence is not declared while a coordinate below the
 stopping resolution is still collapsing toward the freeze threshold.
+
+Since d g_i / d beta = c_i x_i x_i', M is the weighted Gram matrix
+X' diag(c * t) X / n with t_i = lam'g_i - 1.  Each fit forms it through one
+model.WeightedGram, which corrects the previous product on the rows whose
+weight changed.  At lam = 0 (t = -1) these are the rows in or crossing the
+kernel band |r_i| < h, a small share; when lam is refreshed every used row
+changes and each product is computed in full.  The expectile fit's
+reweighted Gram matrix is formed the same way.
 """
 
 from dataclasses import dataclass, field
@@ -26,7 +34,7 @@ from .errors import (
     RankDeficientError,
     SingularMatrixError,
 )
-from .model import _row_terms
+from .model import WeightedGram, _row_terms
 from .numkit import solve_linear, solve_spd
 
 _DIVERGENCE_FACTOR = 1e6
@@ -73,12 +81,12 @@ def expectile_fit(ds, tau, tol=1e-8, max_iter=500):
         beta = solve_spd(Xc.T @ Xc, Xc.T @ yc)
     except SingularMatrixError:
         raise RankDeficientError("complete-case design is rank deficient") from None
+    gram = WeightedGram(Xc)
     for _ in range(max_iter):
         r = yc - Xc @ beta
         w = np.where(r >= 0.0, tau, 1.0 - tau)
-        Xw = Xc * w[:, None]
         try:
-            beta_new = solve_spd(Xc.T @ Xw, Xw.T @ yc)
+            beta_new = solve_spd(gram(w), Xc.T @ (w * yc))
         except SingularMatrixError:
             raise RankDeficientError("weighted design is rank deficient") from None
         step = np.linalg.norm(beta_new - beta)
@@ -149,6 +157,7 @@ def _fit_engine(ds, cfg, beta0, refresh_lambda, pen=None):
         active = np.ones(p, dtype=bool)
 
     guard = _DIVERGENCE_FACTOR * (1.0 + np.linalg.norm(beta))
+    gram = WeightedGram(ds.X)
     trace = []
     for it in range(1, cfg.max_iter + 1):
         a, c = _row_terms(ds, cfg, beta)
@@ -159,7 +168,7 @@ def _fit_engine(ds, cfg, beta0, refresh_lambda, pen=None):
             t = a * (ds.X @ lam) - 1.0
         else:
             t = -1.0
-        M = ds.X.T @ (ds.X * (c * t)[:, None]) / n
+        M = gram(c * t) / n
 
         idx = np.flatnonzero(active)
         rhs = gbar[idx]

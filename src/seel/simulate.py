@@ -30,6 +30,7 @@ ALGORITHMS = ("a1", "a2", "l1", "l2")
 _EXP_MEAN = 1.5
 _TAU_STREAM = 2 ** 48 + 7  # reserved stream id for the tau calibration draw
 _MAX_FAILURE_SHARE = 0.10
+_DRAW_BATCH = 2 ** 16  # design draws per batch, see gen_design
 
 SCHEMA_VERSION = 3  # of every JSON report the package writes
 
@@ -171,12 +172,18 @@ def gen_design(design, n, p, rng):
     chi-square(1) + j^2/n except column 3, which stays standard normal."""
     if design == "d1":
         return rng.normals(n * p).reshape(n, p)
+    # column j takes the j-th block of n consecutive draws, as p calls of
+    # normals(n) would; whole columns are drawn together, at most
+    # _DRAW_BATCH numbers (or one column) at a time, which bounds the
+    # temporaries of the draw and of the squaring
     X = np.empty((n, p))
-    for j in range(p):
-        if j == 2:
-            X[:, j] = rng.normals(n)
-        else:
-            X[:, j] = rng.chi2_1(n) + (j + 1) ** 2 / n
+    width = max(1, _DRAW_BATCH // n)
+    for j0 in range(0, p, width):
+        cols = np.arange(j0, min(p, j0 + width))
+        Z = rng.normals(n * cols.size).reshape(cols.size, n).T
+        chi2 = cols != 2
+        Z[:, chi2] = Z[:, chi2] ** 2 + (cols[chi2] + 1) ** 2 / n
+        X[:, j0:j0 + cols.size] = Z
     return X
 
 

@@ -1,9 +1,13 @@
-"""Per-row reference forms of the smoothed expectile estimating function.
+"""Reference forms that the tests check the package's faster paths against.
 
 The package computes g_i(beta) = (tau + (1 - 2 tau) G((x_i'beta - y_i)/h))
 (y_i - x_i'beta) x_i for all rows at once (seel.model.moments and g_matrix).
-The functions here evaluate one row at a time, straight from the formula, so
-the tests can check the vectorized path and its derivatives against them.
+The per-row functions here evaluate one row at a time, straight from the
+formula, so the tests can check the vectorized path and its derivatives
+against them.  FullGram computes every weighted Gram matrix in full, where
+seel.model.WeightedGram corrects a reference product, and design_d2_loop
+draws the d2 design one column at a time, where seel.simulate.gen_design
+draws all columns at once.
 """
 
 import numpy as np
@@ -85,3 +89,25 @@ def g_smooth_hessian_slice(ds, i, j, cfg, beta):
     scal = one_m2t / h ** 2 * pdf_prime(cfg.kernel, u) * r \
         - 2.0 * one_m2t / h * cfg.kernel.pdf(u)
     return x[j] * scal * np.outer(x, x)
+
+
+class FullGram:
+    """Stand-in for seel.model.WeightedGram: X' diag(v) X in full each call."""
+
+    def __init__(self, X):
+        self.X = X
+
+    def __call__(self, v):
+        return self.X.T @ (self.X * np.asarray(v, dtype=float)[:, None])
+
+
+def design_d2_loop(n, p, rng):
+    """The d2 design drawn column by column: chi-square(1) + j^2/n for every
+    1-based column j except column 3, which is standard normal."""
+    X = np.empty((n, p))
+    for j in range(p):
+        if j == 2:
+            X[:, j] = rng.normals(n)
+        else:
+            X[:, j] = rng.chi2_1(n) + (j + 1) ** 2 / n
+    return X

@@ -44,6 +44,16 @@ def test_dataset_validation():
     assert ds.y_safe()[1] == 0.0
 
 
+def test_dataset_responses_with_zeros_are_computed_once_read_only():
+    y = np.array([1.5, np.nan, -2.0, np.inf])
+    ds = Dataset(np.ones((4, 2)), y, np.array([1, 0, 1, 0]))
+    safe = ds.y_safe()
+    assert safe is ds.y_safe()
+    assert safe.tobytes() == np.array([1.5, 0.0, -2.0, 0.0]).tobytes()
+    with pytest.raises(ValueError):
+        safe[0] = 0.0
+
+
 def test_dataset_column_selection():
     ds = make_ds([[1.0, 2.0, 3.0]], [4.0])
     sub = ds.select_columns([0, 2])

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from oracles import design_d2_loop
+from seel import simulate
 from seel.numkit import RngStream
 from seel.simulate import (
     SCHEMA_VERSION,
@@ -42,6 +44,24 @@ def test_design_d2_column_moments():
     assert X[:, 2].var() == pytest.approx(1.0, abs=0.05)
     # chi-square columns are nonnegative up to the shift
     assert X[:, 0].min() >= 1.0 / n - 1e-12
+
+
+@pytest.mark.parametrize("batch", [None, 600, 100])
+@pytest.mark.parametrize("p", [1, 2, 3, 10])
+def test_design_d2_equals_the_column_loop(p, batch, monkeypatch):
+    # batched draws give the same bytes as one draw per column, and leave
+    # the stream at the same counter: all columns at once (default batch),
+    # two columns per batch (600) and one (100, fewer than n)
+    if batch is not None:
+        monkeypatch.setattr(simulate, "_DRAW_BATCH", batch)
+    n = 257
+    batched, looped = RngStream(9, 4), RngStream(9, 4)
+    X = gen_design("d2", n, p, batched)
+    expected = design_d2_loop(n, p, looped)
+    assert X.flags.c_contiguous
+    assert X.shape == (n, p) and X.tobytes() == expected.tobytes()
+    assert batched._counter == looped._counter == n * p
+    assert batched.uniforms(3).tobytes() == looped.uniforms(3).tobytes()
 
 
 def test_errors_normal_and_shifted_exp():

@@ -1,0 +1,147 @@
+"""The weighted Gram matrix X' diag(v) X that the fits form through
+seel.model.WeightedGram: equal to the full product along any sequence of
+weights, and the same fits as with every product computed in full."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from oracles import FullGram
+from seel import estimators
+from seel.estimators import expectile_fit, fit_a1, fit_a2, fit_l1, fit_l2
+from seel.model import Dataset, ModelConfig, PenaltyConfig, WeightedGram
+from seel.numkit import RngStream
+from seel.simulate import gen_design, gen_errors, gen_missing
+
+CHANGES = ("none", "one", "half", "more", "all")
+
+
+class CountingGram(WeightedGram):
+    """WeightedGram that counts its calls and its full products."""
+
+    made = []
+
+    def __init__(self, X):
+        super().__init__(X)
+        self.calls = 0
+        self.full = 0
+        CountingGram.made.append(self)
+
+    def __call__(self, v):
+        self.calls += 1
+        return super().__call__(v)
+
+    def _rebuild(self, v):
+        self.full += 1
+        super()._rebuild(v)
+
+
+@pytest.fixture
+def counting_gram(monkeypatch):
+    CountingGram.made = []
+    monkeypatch.setattr(estimators, "WeightedGram", CountingGram)
+    return CountingGram.made
+
+
+def _changed_rows(rng, n, change):
+    size = {"none": 0, "one": 1, "half": n // 2, "all": n}.get(change)
+    if size is None:  # more than half
+        size = int(rng.integers(n // 2 + 1, n + 1))
+    return rng.choice(n, size=size, replace=False)
+
+
+@settings(max_examples=40, deadline=None)
+@given(half_n=st.integers(1, 30), p=st.integers(1, 6),
+       seed=st.integers(0, 2 ** 32 - 1),
+       changes=st.lists(st.sampled_from(CHANGES), min_size=1, max_size=8))
+def test_every_result_equals_the_full_product(half_n, p, seed, changes):
+    # each vector differs from the reference, the last vector the class
+    # multiplied in full, in the rows the change names; more than half
+    # changed rows make that vector the new reference
+    n = 2 * half_n
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(n, p))
+    gram = CountingGram(X)
+    results = []
+
+    def call(v):
+        buffer = v.copy()
+        got = gram(buffer)
+        results.append((v, got.copy()))
+        # a caller editing its result or reusing its weight buffer must not
+        # reach later results
+        got[...] = np.nan
+        buffer[...] = np.nan
+
+    v_ref = rng.uniform(-2.0, 2.0, size=n)
+    call(v_ref)
+    full = 1
+    for change in changes:
+        v = v_ref.copy()
+        rows = _changed_rows(rng, n, change)
+        v[rows] += rng.choice((-1.0, 1.0), rows.size) * rng.uniform(0.1, 1.0, rows.size)
+        call(v)
+        if 2 * rows.size > n:
+            v_ref, full = v, full + 1
+    assert gram.full == full
+    for v, got in results:
+        expected = X.T @ (X * v[:, None])
+        # rounding of a sum of n products, scaled by its absolute terms
+        bound = np.abs(X).T @ (np.abs(X) * np.abs(v)[:, None])
+        assert np.all(np.abs(got - expected) <= 1e-12 * bound)
+
+
+def _missing_d2(n=2000, p=6, seed=31):
+    """Design d2, shifted-exponential errors, about 20% missing responses."""
+    rng = RngStream(seed, 0)
+    X = gen_design("d2", n, p, rng)
+    beta0 = np.zeros(p)
+    beta0[[2, 4]] = (1.0, 2.0)
+    eps = gen_errors("shifted_exp", n, rng)
+    delta = gen_missing("constant", X, rng, 0.8)
+    return Dataset(X, np.where(delta == 1, X @ beta0 + eps, np.nan), delta)
+
+
+def _fits(ds, cfg, pen):
+    start = expectile_fit(ds, cfg.tau)
+    return start, [fit_a2(ds, cfg, np.zeros(ds.p)), fit_l1(ds, cfg, pen, start),
+                   fit_l2(ds, cfg, pen, start)]
+
+
+def test_fits_equal_those_with_every_product_in_full(monkeypatch):
+    ds = _missing_d2()
+    cfg = ModelConfig(tau=0.25)
+    pen = PenaltyConfig(eta=PenaltyConfig.default_eta(ds.n),
+                        pilot=fit_a2(ds, cfg).beta)
+    start, fits = _fits(ds, cfg, pen)
+    monkeypatch.setattr(estimators, "WeightedGram", FullGram)
+    full_start, full_fits = _fits(ds, cfg, pen)
+    np.testing.assert_allclose(start, full_start, rtol=1e-12, atol=1e-12)
+    for fit, ref in zip(fits, full_fits):
+        assert fit.iterations == ref.iterations > 1
+        np.testing.assert_array_equal(fit.active_set, ref.active_set)
+        np.testing.assert_allclose(fit.beta, ref.beta, rtol=1e-12, atol=1e-12)
+    assert fits[2].active_set.size < ds.p  # the penalty froze a coordinate
+
+
+def test_penalized_fit_from_the_expectile_start_makes_one_full_product(
+        counting_gram):
+    ds = _missing_d2()
+    cfg = ModelConfig(tau=0.25)
+    start = expectile_fit(ds, cfg.tau)
+    pen = PenaltyConfig(eta=PenaltyConfig.default_eta(ds.n),
+                        pilot=fit_a2(ds, cfg, start).beta)
+    del counting_gram[:]
+    fit = fit_l2(ds, cfg, pen, start)
+    (gram,) = counting_gram
+    assert gram.calls == fit.iterations > 1
+    assert gram.full == 1
+
+
+def test_refreshed_multiplier_changes_every_row(counting_gram):
+    # fit_a1 weighs row i by c_i (lam'g_i - 1), which moves with lam on
+    # every used row, so each product is computed in full
+    ds = _missing_d2()
+    fit = fit_a1(ds, ModelConfig(tau=0.25))
+    assert counting_gram[-1].calls == counting_gram[-1].full == fit.iterations
