@@ -4,6 +4,12 @@ the exact and approximate log-likelihood ratios.
 The exact multiplier maximizes the concave dual sum(log(1 + lambda'g_i))
 over the region where every factor stays positive; the approximate one is
 the closed form S^{-1} gbar that the iterative algorithms use.
+
+A row with a missing response has g_i = 0: it adds log(1) = 0 to the dual
+and nothing to its gradient or Hessian.  The solver and the ratio therefore
+run on the observed rows of model.g_matrix, while every mean, the
+probability floor 1/n and the implied probabilities keep the full sample
+size n.
 """
 
 from dataclasses import dataclass
@@ -16,12 +22,14 @@ from .numkit import solve_spd
 
 _LAMBDA_TOL = 1e-8
 _PROB_SUM_TOL = 1e-6
+_HESSIAN_BLOCK_ROWS = 4096  # rows per block of the multiplier Hessian
 
 
 @dataclass
 class ELState:
     """Solution of the inner empirical-likelihood problem at a fixed beta
-    (a solve that fails raises instead)."""
+    (a solve that fails raises instead).  probs has one entry per row of
+    the dataset, 1/n on the rows with a missing response."""
 
     lam: np.ndarray
     probs: np.ndarray
@@ -38,7 +46,8 @@ def lambda_approx(ds, cfg, beta):
 def el_ratio_exact(ds, cfg, beta, lam):
     """Log-likelihood ratio 2 sum(log(1 + lambda'g_i)) over all n rows.
 
-    Rows with missing responses have g_i = 0 and contribute log(1) = 0.
+    Rows with missing responses have g_i = 0 and contribute log(1) = 0, so
+    the sum runs over the observed rows.
     Raises LogDomainError when any factor is nonpositive.
     """
     G = g_matrix(ds, cfg, beta)
@@ -60,10 +69,11 @@ def solve_lambda_exact(ds, cfg, beta, tol=_LAMBDA_TOL, max_iter=None,
     """Solve the multiplier equation mean(g_i / (1 + lambda'g_i)) = 0.
 
     Damped Newton steps on the dual, halved until every factor satisfies
-    1 + lambda'g_i > 1/n on the used rows.  The returned probabilities are
-    p_i = 1 / (n (1 + lambda'g_i)); their total over the full sample equals
-    one exactly at an interior solution, which is also how an exterior
-    (hull-violating) pseudo-solution is recognised.
+    1 + lambda'g_i > 1/n on the observed rows.  The returned probabilities
+    are p_i = 1 / (n (1 + lambda'g_i)), which is 1/n on a row with a missing
+    response; their total over the full sample equals one exactly at an
+    interior solution, which is also how an exterior (hull-violating)
+    pseudo-solution is recognised.
 
     lam0 is an optional starting multiplier, typically the solution at a
     nearby beta.  It is used only when every factor 1 + lam0'g_i exceeds
@@ -82,10 +92,11 @@ def solve_lambda_exact(ds, cfg, beta, tol=_LAMBDA_TOL, max_iter=None,
     if max_iter is None:
         max_iter = max(cfg.max_iter, 200)
     G = g_matrix(ds, cfg, beta)
-    n, p = G.shape
-    # rows scaled by 1/w, written in place: one n x p buffer per call
-    Gw = np.empty_like(G)
-    starts = [(np.zeros(p), np.ones(n))]
+    n = ds.n
+    m, p = G.shape
+    # rows of G scaled by 1/w, one block at a time, for the Hessian
+    block = np.empty((max(1, min(m, _HESSIAN_BLOCK_ROWS)), p))
+    starts = [(np.zeros(p), np.ones(m))]
     if lam0 is not None and np.any(lam0):
         lam0 = np.array(lam0, dtype=float)
         w0 = 1.0 + G @ lam0
@@ -93,24 +104,36 @@ def solve_lambda_exact(ds, cfg, beta, tol=_LAMBDA_TOL, max_iter=None,
             starts.insert(0, (lam0, w0))
     iterations = 0
     for lam, w in starts:
-        lam, w, it, error = _newton(G, Gw, lam, w, tol, max_iter)
+        lam, w, it, error = _newton(G, n, block, lam, w, tol, max_iter)
         iterations += it
         if error is None:
             break
     else:
         raise error
-    probs = 1.0 / (n * w)
+    probs = np.full(n, 1.0 / n)
+    probs[ds.delta == 1] = 1.0 / (n * w)
     ratio = float(2.0 * np.log(w).sum())
     return ELState(lam=lam, probs=probs, ratio=ratio, iterations=iterations)
 
 
-def _newton(G, Gw, lam, w, tol, max_iter):
-    """Newton iteration of solve_lambda_exact from lam, with w = 1 + G lam.
+def _scaled_gram(G, winv, block):
+    """(G / w)'(G / w), summed over row blocks scaled in place in block."""
+    H = np.zeros((G.shape[1], G.shape[1]))
+    for start in range(0, G.shape[0], block.shape[0]):
+        stop = min(start + block.shape[0], G.shape[0])
+        B = block[:stop - start]
+        np.multiply(G[start:stop], winv[start:stop, None], out=B)
+        H += B.T @ B
+    return H
+
+
+def _newton(G, n, block, lam, w, tol, max_iter):
+    """Newton iteration of solve_lambda_exact from lam, with w = 1 + G lam
+    over the observed rows G of a sample of size n.
 
     Returns (lam, w, iterations, error): error is None at a solution, else
     the HullViolationError or NoConvergenceError that ended the attempt.
     """
-    n = G.shape[0]
     floor = 1.0 / n
     it = 0
     for it in range(1, max_iter + 1):
@@ -118,8 +141,7 @@ def _newton(G, Gw, lam, w, tol, max_iter):
         grad = winv @ G / n
         if np.linalg.norm(grad) <= tol:
             break
-        np.multiply(G, winv[:, None], out=Gw)
-        H = Gw.T @ Gw / n
+        H = _scaled_gram(G, winv, block) / n
         step = solve_spd(H, grad)
         size = 1.0
         for _ in range(60):
@@ -140,7 +162,9 @@ def _newton(G, Gw, lam, w, tol, max_iter):
         return lam, w, it, NoConvergenceError(
             f"multiplier equation not solved to {tol:g} in {max_iter} iterations"
         )
-    if abs((1.0 / (n * w)).sum() - 1.0) > _PROB_SUM_TOL:
+    # each row with a missing response holds probability 1/n
+    total = (n - G.shape[0]) / n + (1.0 / (n * w)).sum()
+    if abs(total - 1.0) > _PROB_SUM_TOL:
         # residual vanished only because lambda ran off to infinity
         return lam, w, it, HullViolationError(
             "zero lies outside the convex hull of the g_i")

@@ -15,13 +15,18 @@ freeze any coordinate whose magnitude falls below eps_zero at zero for all
 later steps, and convergence is not declared while a coordinate below the
 stopping resolution is still collapsing toward the freeze threshold.
 
-Since d g_i / d beta = c_i x_i x_i', M is the weighted Gram matrix
-X' diag(c * t) X / n with t_i = lam'g_i - 1.  Each fit forms it through one
-model.WeightedGram, which corrects the previous product on the rows whose
-weight changed.  At lam = 0 (t = -1) these are the rows in or crossing the
-kernel band |r_i| < h, a small share; when lam is refreshed every used row
-changes and each product is computed in full.  The expectile fit's
-reweighted Gram matrix is formed the same way.
+Every row pass runs on the observed rows (Dataset.Xo, yo) and divides by
+the full sample size n; rows with a missing response add nothing to gbar,
+S or M.  Since d g_i / d beta = c_i x_i x_i', M is the weighted Gram matrix
+Xo' diag(c * t) Xo / n with t_i = lam'g_i - 1.  Every fit on a dataset forms
+it through the one model.WeightedGram the dataset owns (Dataset.gram), which
+corrects its reference product on the rows whose weight changed.  At
+lam = 0 (t = -1) these are the rows in or crossing the kernel band
+|r_i| < h, a small share, and fits that start at the same beta (the pilot
+and the cells of a BIC sweep) find their first product already there; when
+lam is refreshed every row changes and each product is computed in full.
+The expectile fit's reweighted Gram matrix is formed through a
+WeightedGram of its own.
 """
 
 from dataclasses import dataclass, field
@@ -157,18 +162,18 @@ def _fit_engine(ds, cfg, beta0, refresh_lambda, pen=None):
         active = np.ones(p, dtype=bool)
 
     guard = _DIVERGENCE_FACTOR * (1.0 + np.linalg.norm(beta))
-    gram = WeightedGram(ds.X)
+    Xo = ds.Xo
     trace = []
     for it in range(1, cfg.max_iter + 1):
         a, c = _row_terms(ds, cfg, beta)
-        gbar = ds.X.T @ a / n
+        gbar = Xo.T @ a / n
         if refresh_lambda:
-            S = ds.X.T @ (ds.X * (a * a)[:, None]) / n
+            S = Xo.T @ (Xo * (a * a)[:, None]) / n
             lam = solve_spd(S, gbar)
-            t = a * (ds.X @ lam) - 1.0
+            t = a * (Xo @ lam) - 1.0
         else:
             t = -1.0
-        M = gram(c * t) / n
+        M = ds.gram(c * t) / n
 
         idx = np.flatnonzero(active)
         rhs = gbar[idx]
@@ -214,8 +219,9 @@ def _fit_engine(ds, cfg, beta0, refresh_lambda, pen=None):
 def _finish(ds, cfg, beta, refresh_lambda, it, trace):
     if refresh_lambda:
         a, _ = _row_terms(ds, cfg, beta)
-        gbar = ds.X.T @ a / ds.n
-        S = ds.X.T @ (ds.X * (a * a)[:, None]) / ds.n
+        Xo = ds.Xo
+        gbar = Xo.T @ a / ds.n
+        S = Xo.T @ (Xo * (a * a)[:, None]) / ds.n
         lam = solve_spd(S, gbar)
     else:
         lam = np.zeros(ds.p)

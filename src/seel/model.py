@@ -3,7 +3,10 @@
 The estimating function of observation i applies the asymmetric expectile
 weight to its residual, with the residual-sign indicator replaced by a
 kernel CDF evaluated at (x'beta - y)/h so that everything is differentiable
-in beta.  Missing responses are guarded by the delta flags and never read.
+in beta.  A row whose response is missing (delta_i = 0) has g_i = 0, so
+every row pass runs on the observed rows only: each Dataset keeps their
+design and responses as Xo/yo, and every mean still divides by the full
+sample size n.
 """
 
 from dataclasses import dataclass, field
@@ -23,6 +26,12 @@ class Dataset:
     y : (n,) array of responses; entries with delta = 0 may be NaN and are
         never used.
     delta : (n,) array of 0/1 missingness flags (1 = response observed).
+
+    The dataset keeps read-only copies of X, y and delta, so editing the
+    arrays passed in changes nothing here.  Xo and yo hold the rows with an
+    observed response, contiguous and read-only (Xo is X itself when no
+    response is missing), and gram is the WeightedGram over Xo that every
+    fit on this dataset shares.
     """
 
     X: np.ndarray
@@ -30,12 +39,9 @@ class Dataset:
     delta: np.ndarray
 
     def __post_init__(self):
-        X = np.atleast_2d(np.asarray(self.X, dtype=float))
-        y = np.asarray(self.y, dtype=float).ravel()
+        X = np.atleast_2d(np.array(self.X, dtype=float))
+        y = np.array(self.y, dtype=float).ravel()
         delta = np.asarray(self.delta).ravel().astype(np.uint8)
-        object.__setattr__(self, "X", X)
-        object.__setattr__(self, "y", y)
-        object.__setattr__(self, "delta", delta)
         n, p = X.shape
         if n < 1 or p < 1:
             raise ValueError("dataset needs at least one row and one column")
@@ -45,11 +51,18 @@ class Dataset:
             raise ValueError("covariates must be finite")
         if not np.all((delta == 0) | (delta == 1)):
             raise ValueError("delta entries must be 0 or 1")
-        if not np.all(np.isfinite(y[delta == 1])):
+        observed = delta == 1
+        if observed.all():
+            Xo, yo = X, y
+        else:
+            Xo, yo = X[observed], y[observed]
+        if not np.all(np.isfinite(yo)):
             raise ValueError("observed responses (delta = 1) must be finite")
-        y_safe = np.where(delta == 1, np.where(np.isfinite(y), y, 0.0), 0.0)
-        y_safe.flags.writeable = False
-        object.__setattr__(self, "_y_safe", y_safe)
+        for name, value in (("X", X), ("y", y), ("delta", delta),
+                            ("Xo", Xo), ("yo", yo)):
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "gram", WeightedGram(Xo))
 
     @property
     def n(self):
@@ -61,17 +74,11 @@ class Dataset:
 
     @property
     def n_complete(self):
-        return int(self.delta.sum())
-
-    def y_safe(self):
-        """Responses with unobserved entries replaced by 0 (never used bare);
-        computed once per dataset and read-only."""
-        return self._y_safe
+        return self.Xo.shape[0]
 
     def complete_cases(self):
-        """(X, y) restricted to rows with observed responses."""
-        mask = self.delta == 1
-        return self.X[mask], self.y[mask]
+        """(Xo, yo): the rows with observed responses, read-only."""
+        return self.Xo, self.yo
 
     def select_columns(self, idx):
         """Dataset using only the covariate columns in idx (submodel view)."""
@@ -147,41 +154,50 @@ class WeightedGram:
 
     Smoothed expectile weights are constant outside the kernel band, so
     between nearby iterates only the rows in or crossing the band change.
+    Fits that start at the same beta share the reference through the one
+    instance their Dataset owns, and the first product of each later fit is
+    a correction over no rows.  The reference is one (v_ref, K_ref) tuple,
+    read once per call and replaced whole, so two threads sharing an
+    instance can cause an extra rebuild but never mix two references.
     """
 
     def __init__(self, X):
         self.X = X
-        self._v_ref = None
-        self._K_ref = None
+        self._ref = None
 
     def __call__(self, v):
         v = np.asarray(v, dtype=float)
-        if self._v_ref is not None:
-            rows = np.flatnonzero(v != self._v_ref)
+        ref = self._ref
+        if ref is not None:
+            v_ref, K_ref = ref
+            rows = np.flatnonzero(v != v_ref)
             if 2 * rows.size <= v.size:
                 X_D = self.X[rows]
-                dv = v[rows] - self._v_ref[rows]
-                return self._K_ref + X_D.T @ (X_D * dv[:, None])
-        self._rebuild(v)
-        return self._K_ref.copy()
+                dv = v[rows] - v_ref[rows]
+                return K_ref + X_D.T @ (X_D * dv[:, None])
+        return self._rebuild(v).copy()
 
     def _rebuild(self, v):
-        self._v_ref = v.copy()
-        self._K_ref = self.X.T @ (self.X * v[:, None])
+        """Compute X' diag(v) X in full, store it as the reference, return it."""
+        K = self.X.T @ (self.X * v[:, None])
+        self._ref = (v.copy(), K)
+        return K
 
 
 def _row_terms(ds, cfg, beta):
-    """Per-row scalars shared by the sample moments and the fit updates.
+    """Per-row scalars of the observed rows, shared by the sample moments
+    and the fit updates.
 
-    Returns (a, c) with g_i = a_i x_i and d g_i / d beta = c_i x_i x_i'.
+    Returns (a, c), each of length n_complete, with g_i = a_i x_i and
+    d g_i / d beta = c_i x_i x_i' for the observed rows (ds.Xo, ds.yo); the
+    bandwidth is set by the full sample size n.
     """
     h = cfg.bandwidth(ds.n)
-    used = ds.delta == 1
-    r = np.where(used, ds.y_safe() - ds.X @ beta, 0.0)
+    r = ds.yo - ds.Xo @ beta
     u = -r / h
     w = cfg.tau + (1.0 - 2.0 * cfg.tau) * cfg.kernel.cdf(u)
-    a = np.where(used, w * r, 0.0)
-    c = np.where(used, (1.0 - 2.0 * cfg.tau) / h * cfg.kernel.pdf(u) * r - w, 0.0)
+    a = w * r
+    c = (1.0 - 2.0 * cfg.tau) / h * cfg.kernel.pdf(u) * r - w
     return a, c
 
 
@@ -189,18 +205,20 @@ def moments(ds, cfg, beta):
     """Sample moments (gbar, S, J) of the smoothed estimating functions.
 
     gbar is the mean of g_i, S the mean of g_i g_i' (second-moment matrix)
-    and J the mean Jacobian; all averages run over the full sample size n,
-    rows with missing responses contributing zero.
+    and J the mean Jacobian.  The sums run over the observed rows and every
+    average divides by the full sample size n: rows with missing responses
+    contribute zero.
     """
     a, c = _row_terms(ds, cfg, beta)
-    n = ds.n
-    gbar = ds.X.T @ a / n
-    S = ds.X.T @ (ds.X * (a * a)[:, None]) / n
-    J = ds.X.T @ (ds.X * c[:, None]) / n
+    Xo, n = ds.Xo, ds.n
+    gbar = Xo.T @ a / n
+    S = Xo.T @ (Xo * (a * a)[:, None]) / n
+    J = Xo.T @ (Xo * c[:, None]) / n
     return gbar, S, J
 
 
 def g_matrix(ds, cfg, beta):
-    """All smoothed estimating functions stacked as an (n, p) matrix."""
+    """The smoothed estimating functions of the observed rows, stacked as an
+    (n_complete, p) matrix in row order; every row left out has g_i = 0."""
     a, _ = _row_terms(ds, cfg, beta)
-    return ds.X * a[:, None]
+    return ds.Xo * a[:, None]

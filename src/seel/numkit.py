@@ -26,7 +26,8 @@ def solve_spd(A, b):
 
     A Cholesky factorization is attempted first; on failure the system is
     retried with an escalating ridge A + kappa*I, kappa running from
-    1e-8*trace(A)/p up to 1e-4*trace(A)/p in powers of ten.
+    1e-8*trace(A)/p up to 1e-4*trace(A)/p in powers of ten.  The first
+    matrix whose factorization succeeds is solved by LAPACK (np.linalg.solve).
 
     Raises
     ------
@@ -45,7 +46,7 @@ def solve_spd(A, b):
     while True:
         try:
             M = A if kappa == 0.0 else A + kappa * np.eye(p)
-            L = np.linalg.cholesky(M)
+            np.linalg.cholesky(M)
         except np.linalg.LinAlgError:
             kappa = _JITTER_FIRST * scale if kappa == 0.0 else 10.0 * kappa
             if kappa > _JITTER_LAST * scale * (1.0 + 1e-12):
@@ -53,19 +54,7 @@ def solve_spd(A, b):
                     "matrix not positive definite at any jitter level"
                 ) from None
             continue
-        return _cho_solve(L, b)
-
-
-def _cho_solve(L, b):
-    # forward then back substitution on the Cholesky factor
-    p = L.shape[0]
-    y = np.empty(p)
-    for i in range(p):
-        y[i] = (b[i] - L[i, :i] @ y[:i]) / L[i, i]
-    x = np.empty(p)
-    for i in range(p - 1, -1, -1):
-        x[i] = (y[i] - L[i + 1:, i] @ x[i + 1:]) / L[i, i]
-    return x
+        return np.linalg.solve(M, b)
 
 
 def solve_linear(A, b):

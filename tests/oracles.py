@@ -5,9 +5,9 @@ The package computes g_i(beta) = (tau + (1 - 2 tau) G((x_i'beta - y_i)/h))
 The per-row functions here evaluate one row at a time, straight from the
 formula, so the tests can check the vectorized path and its derivatives
 against them.  FullGram computes every weighted Gram matrix in full, where
-seel.model.WeightedGram corrects a reference product, and design_d2_loop
-draws the d2 design one column at a time, where seel.simulate.gen_design
-draws all columns at once.
+seel.model.WeightedGram corrects a reference product.  design_d1_one_draw
+draws the d1 design in one call and design_d2_loop draws the d2 design one
+column at a time, where seel.simulate.gen_design draws both in batches.
 """
 
 import numpy as np
@@ -99,6 +99,11 @@ class FullGram:
 
     def __call__(self, v):
         return self.X.T @ (self.X * np.asarray(v, dtype=float)[:, None])
+
+
+def design_d1_one_draw(n, p, rng):
+    """The d1 design drawn at once: n * p standard normals in row order."""
+    return rng.normals(n * p).reshape(n, p)
 
 
 def design_d2_loop(n, p, rng):

@@ -13,6 +13,7 @@ from seel.el import ELState
 from seel.estimators import FitResult
 from seel.inference import wilks_test
 from seel.kernels import Kernel
+from seel.model import Dataset
 
 PUBLIC = {
     # classes
@@ -40,7 +41,7 @@ REMOVED = (
     "g_raw", "g_smooth", "g_smooth_jacobian", "g_smooth_hessian_slice",
     "psi_h", "expectile_loss", "kernel_pdf", "kernel_cdf",
     "kernel_pdf_derivative", "smoothed_indicator", "NonpositiveBandwidthError",
-    "draw_normal", "draw_exponential", "draw_chi2_1",
+    "draw_normal", "draw_exponential", "draw_chi2_1", "y_safe",
 )
 
 
@@ -60,6 +61,9 @@ def test_removed_name_not_importable(name):
 def test_removed_members_stay_removed():
     assert not hasattr(Kernel, "pdf_prime")
     assert not hasattr(Kernel, "smoothed_indicator")
+    # the observed rows are Dataset.complete_cases(); no row pass reads a
+    # zero-filled response vector
+    assert not hasattr(Dataset, "y_safe")
     # non-convergence raises, so no result carries a converged flag
     assert "converged" not in {f.name for f in fields(FitResult)}
     assert "converged" not in {f.name for f in fields(ELState)}

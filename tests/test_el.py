@@ -61,6 +61,36 @@ def test_probabilities_with_missing_rows_sum_over_full_sample():
     assert np.allclose(st.probs[2:], 0.25)
 
 
+def test_probabilities_follow_their_rows():
+    # missing rows between observed ones: each probability stays on its row
+    y = np.array([np.nan, -2.0, np.nan, np.nan, 4.0])
+    ds = Dataset(np.ones((5, 1)), y, np.array([0, 1, 0, 0, 1]))
+    st = solve_lambda_exact(ds, CFG, np.zeros(1))
+    complete = solve_lambda_exact(hand_ds(), CFG, np.zeros(1))
+    assert st.probs.shape == (5,)
+    np.testing.assert_allclose(st.probs[[0, 2, 3]], 0.2, rtol=1e-15)
+    # 1/(n w_i) on the observed rows, w_i the complete-case factors
+    np.testing.assert_allclose(st.probs[[1, 4]], complete.probs * 2 / 5,
+                               rtol=1e-12)
+    assert st.probs.sum() == pytest.approx(1.0, abs=1e-8)
+
+
+@pytest.mark.parametrize("lam0", [None, 0.5, -0.1])
+def test_hull_violation_with_missing_rows(lam0):
+    # both observed g_i are positive, so zero lies outside their hull; the
+    # missing rows, 1/n of probability each, must not hide that, from a
+    # cold or a warm start
+    y = np.array([np.nan, 2.0, np.nan, 4.0])
+    ds = Dataset(np.ones((4, 1)), y, np.array([0, 1, 0, 1]))
+    G = g_matrix(ds, CFG, np.zeros(1))
+    assert G.shape == (2, 1) and np.all(G > 0.0)
+    start = None if lam0 is None else np.array([lam0])
+    if start is not None:
+        assert np.all(1.0 + G @ start > 1.0 / ds.n)
+    with pytest.raises(HullViolationError):
+        solve_lambda_exact(ds, CFG, np.zeros(1), lam0=start)
+
+
 def test_lambda_approx_values():
     assert np.allclose(lambda_approx(hand_ds(), CFG, np.zeros(1)), [0.2])
     ds_sym = Dataset(np.ones((2, 1)), np.array([-2.0, 2.0]), np.ones(2))
@@ -175,13 +205,14 @@ def missing_d2_ds(seed, n, p, beta0):
 
 def reference_lambda(ds, cfg, beta, tol=1e-8, max_iter=200):
     # the solver written out with a mean-based gradient and the G / w^2
-    # Hessian, recomputing w from lambda after each accepted step
+    # Hessian, recomputing w from lambda after each accepted step; G holds
+    # the observed rows, and the means and the floor 1/n use the full n
     G = g_matrix(ds, cfg, beta)
-    n, p = G.shape
-    lam, w = np.zeros(p), np.ones(n)
+    n, p = ds.n, G.shape[1]
+    lam, w = np.zeros(p), np.ones(G.shape[0])
     halvings = 0
     for it in range(1, max_iter + 1):
-        grad = (G / w[:, None]).mean(axis=0)
+        grad = (G / w[:, None]).sum(axis=0) / n
         if np.linalg.norm(grad) <= tol:
             break
         H = G.T @ (G / (w * w)[:, None]) / n

@@ -9,7 +9,8 @@ from oracles import (
     g_smooth_jacobian,
     psi_h,
 )
-from seel.model import Dataset, ModelConfig, moments
+from seel.estimators import fit_a2
+from seel.model import Dataset, ModelConfig, g_matrix, moments
 
 
 def make_ds(X, y, delta=None):
@@ -41,17 +42,67 @@ def test_dataset_validation():
         Dataset(np.array([[np.inf], [1.0]]), np.array([1.0, 2.0]), np.array([1, 1]))
     ds = Dataset(np.ones((2, 1)), np.array([1.0, np.nan]), np.array([1, 0]))
     assert ds.n == 2 and ds.p == 1 and ds.n_complete == 1
-    assert ds.y_safe()[1] == 0.0
+    Xo, yo = ds.complete_cases()
+    assert Xo.tolist() == [[1.0]] and yo.tolist() == [1.0]
 
 
-def test_dataset_responses_with_zeros_are_computed_once_read_only():
+def test_dataset_complete_cases_are_computed_once_read_only():
+    X = np.arange(8.0).reshape(4, 2)
     y = np.array([1.5, np.nan, -2.0, np.inf])
-    ds = Dataset(np.ones((4, 2)), y, np.array([1, 0, 1, 0]))
-    safe = ds.y_safe()
-    assert safe is ds.y_safe()
-    assert safe.tobytes() == np.array([1.5, 0.0, -2.0, 0.0]).tobytes()
-    with pytest.raises(ValueError):
-        safe[0] = 0.0
+    ds = Dataset(X, y, np.array([1, 0, 1, 0]))
+    Xo, yo = ds.complete_cases()
+    assert Xo is ds.complete_cases()[0] and yo is ds.complete_cases()[1]
+    assert Xo.flags.c_contiguous and yo.flags.c_contiguous
+    assert Xo.tobytes() == X[[0, 2]].tobytes()
+    assert yo.tobytes() == np.array([1.5, -2.0]).tobytes()
+    for a in (Xo, yo, ds.X, ds.y, ds.delta):
+        with pytest.raises(ValueError):
+            a[0] = 0.0
+    # with every response observed the design is not copied again
+    full = Dataset(X, np.ones(4), np.ones(4))
+    assert full.complete_cases()[0] is full.X
+
+
+def test_editing_the_callers_arrays_changes_no_fit():
+    rng = np.random.default_rng(11)
+    n, p = 60, 3
+    X = rng.normal(size=(n, p))
+    delta = (rng.uniform(size=n) > 0.25).astype(np.uint8)
+    y = np.where(delta == 1, X @ np.array([1.0, 0.0, -1.0])
+                 + rng.normal(size=n), np.nan)
+    cfg = ModelConfig(tau=0.3)
+    ref = Dataset(X.copy(), y.copy(), delta.copy())
+    expected = [fit_a2(ref, cfg).beta, fit_a2(ref, cfg).beta]
+    ds = Dataset(X, y, delta)
+    first = fit_a2(ds, cfg).beta
+    # the caller reuses its buffers after the first fit
+    X *= 3.0
+    y[:] = 1.0
+    delta[:] = 1
+    second = fit_a2(ds, cfg).beta
+    assert ds.X.tobytes() == ref.X.tobytes()
+    assert ds.y.tobytes() == ref.y.tobytes()
+    assert ds.delta.tobytes() == ref.delta.tobytes()
+    assert first.tobytes() == expected[0].tobytes()
+    assert second.tobytes() == expected[1].tobytes()
+
+
+def test_g_matrix_has_the_rows_of_the_complete_case_dataset():
+    # rows with a missing response have g_i = 0 and are left out; at the
+    # same h the rows kept are those of the complete-case dataset
+    rng = np.random.default_rng(12)
+    n, p = 50, 4
+    X = rng.normal(size=(n, p))
+    delta = (rng.uniform(size=n) > 0.3).astype(np.uint8)
+    y = np.where(delta == 1, X.sum(axis=1) + rng.normal(size=n), np.nan)
+    ds = Dataset(X, y, delta)
+    assert 0 < ds.n_complete < n
+    complete = Dataset(X[delta == 1], y[delta == 1], np.ones(ds.n_complete))
+    cfg = ModelConfig(tau=0.3, h=0.4)
+    beta = rng.normal(size=p)
+    G = g_matrix(ds, cfg, beta)
+    assert G.shape == (ds.n_complete, p)
+    assert G.tobytes() == g_matrix(complete, cfg, beta).tobytes()
 
 
 def test_dataset_column_selection():
@@ -223,8 +274,8 @@ def test_moments_match_oracle_row_means():
     ds = Dataset(X, y, delta)
     cfg = ModelConfig(tau=0.3)
     h = cfg.bandwidth(n)
-    inside = np.abs(ds.y_safe() - X @ beta) < h
-    assert 0 < ds.n_complete < n and 0 < np.sum(inside & (delta == 1)) < ds.n_complete
+    inside = np.abs(ds.yo - ds.Xo @ beta) < h
+    assert 0 < ds.n_complete < n and 0 < np.sum(inside) < ds.n_complete
     gbar, S, J = moments(ds, cfg, beta)
     g = np.array([g_smooth(ds, i, cfg, beta) for i in range(n)])
     jac = np.array([g_smooth_jacobian(ds, i, cfg, beta) for i in range(n)])

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oracles import design_d2_loop
+from oracles import design_d1_one_draw, design_d2_loop
 from seel import simulate
 from seel.numkit import RngStream
 from seel.simulate import (
@@ -62,6 +62,35 @@ def test_design_d2_equals_the_column_loop(p, batch, monkeypatch):
     assert X.shape == (n, p) and X.tobytes() == expected.tobytes()
     assert batched._counter == looped._counter == n * p
     assert batched.uniforms(3).tobytes() == looped.uniforms(3).tobytes()
+
+
+@pytest.mark.parametrize("n, rows", [(257, None), (256, 64), (257, 64), (7, 0)])
+@pytest.mark.parametrize("p", [1, 5, 50])
+def test_design_d1_equals_the_one_shot_draw(p, n, rows, monkeypatch):
+    # one batch (the default), four full batches of 64 rows, four and a
+    # one-row remainder, and a batch of fewer numbers than one row (one row
+    # per draw); every draw stays within the batch or one row
+    if rows is not None:
+        monkeypatch.setattr(simulate, "_DRAW_BATCH", max(rows * p, p - 1))
+    sizes = []
+    normals = RngStream.normals
+
+    def counted(self, size):
+        sizes.append(size)
+        return normals(self, size)
+
+    batched, one = RngStream(9, 4), RngStream(9, 4)
+    monkeypatch.setattr(RngStream, "normals", counted)
+    X = gen_design("d1", n, p, batched)
+    monkeypatch.setattr(RngStream, "normals", normals)
+    expected = design_d1_one_draw(n, p, one)
+    assert X.flags.c_contiguous
+    assert X.shape == (n, p) and X.tobytes() == expected.tobytes()
+    assert batched._counter == one._counter == n * p
+    assert batched.uniforms(3).tobytes() == one.uniforms(3).tobytes()
+    assert sum(sizes) == n * p
+    assert max(sizes) <= max(simulate._DRAW_BATCH, p)
+    assert len(sizes) == -(-n // max(1, simulate._DRAW_BATCH // p))
 
 
 def test_errors_normal_and_shifted_exp():

@@ -1,6 +1,10 @@
 """The weighted Gram matrix X' diag(v) X that the fits form through
 seel.model.WeightedGram: equal to the full product along any sequence of
-weights, and the same fits as with every product computed in full."""
+weights, the same fits as with every product computed in full, and one
+reference per dataset (Dataset.gram) shared by the fits on it."""
+
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -8,8 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import FullGram
-from seel import estimators
+from seel import estimators, model
 from seel.estimators import expectile_fit, fit_a1, fit_a2, fit_l1, fit_l2
+from seel.inference import bic_sweep
 from seel.model import Dataset, ModelConfig, PenaltyConfig, WeightedGram
 from seel.numkit import RngStream
 from seel.simulate import gen_design, gen_errors, gen_missing
@@ -34,12 +39,15 @@ class CountingGram(WeightedGram):
 
     def _rebuild(self, v):
         self.full += 1
-        super()._rebuild(v)
+        return super()._rebuild(v)
 
 
 @pytest.fixture
 def counting_gram(monkeypatch):
+    # every WeightedGram the package makes: the one each Dataset owns and
+    # the expectile fit's own
     CountingGram.made = []
+    monkeypatch.setattr(model, "WeightedGram", CountingGram)
     monkeypatch.setattr(estimators, "WeightedGram", CountingGram)
     return CountingGram.made
 
@@ -92,6 +100,47 @@ def test_every_result_equals_the_full_product(half_n, p, seed, changes):
         assert np.all(np.abs(got - expected) <= 1e-12 * bound)
 
 
+def test_threads_sharing_one_gram_get_full_products():
+    # two fits on one dataset share its Gram; a thread may rebuild the
+    # reference while another corrects it, and every result must still be
+    # one correction from a full product of its own weights
+    rng = np.random.default_rng(5)
+    n, p = 64, 3
+    X = rng.normal(size=(n, p))
+    base = rng.uniform(-2.0, 2.0, size=n)
+    weights = [base]
+    for size in (1, 8, 40, n):  # a few rows, more than half, every row
+        v = base.copy()
+        v[rng.choice(n, size=size, replace=False)] += 1.0
+        weights.append(v)
+    gram = WeightedGram(X)
+    wrong = []
+
+    def work(seed):
+        order = np.random.default_rng(seed).integers(len(weights), size=1500)
+        for k in order:
+            v = weights[k]
+            got = gram(v)
+            expected = X.T @ (X * v[:, None])
+            bound = np.abs(X).T @ (np.abs(X) * np.abs(v)[:, None])
+            if not np.all(np.abs(got - expected) <= 1e-12 * bound):
+                wrong.append(int(k))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(seed,))
+                   for seed in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert wrong == []
+
+
 def _missing_d2(n=2000, p=6, seed=31):
     """Design d2, shifted-exponential errors, about 20% missing responses."""
     rng = RngStream(seed, 0)
@@ -115,8 +164,11 @@ def test_fits_equal_those_with_every_product_in_full(monkeypatch):
     pen = PenaltyConfig(eta=PenaltyConfig.default_eta(ds.n),
                         pilot=fit_a2(ds, cfg).beta)
     start, fits = _fits(ds, cfg, pen)
+    monkeypatch.setattr(model, "WeightedGram", FullGram)
     monkeypatch.setattr(estimators, "WeightedGram", FullGram)
-    full_start, full_fits = _fits(ds, cfg, pen)
+    full_ds = _missing_d2()
+    assert isinstance(full_ds.gram, FullGram)
+    full_start, full_fits = _fits(full_ds, cfg, pen)
     np.testing.assert_allclose(start, full_start, rtol=1e-12, atol=1e-12)
     for fit, ref in zip(fits, full_fits):
         assert fit.iterations == ref.iterations > 1
@@ -127,14 +179,18 @@ def test_fits_equal_those_with_every_product_in_full(monkeypatch):
 
 def test_penalized_fit_from_the_expectile_start_makes_one_full_product(
         counting_gram):
-    ds = _missing_d2()
+    # the pilot comes from an equal dataset, so the fit meets a Gram with
+    # no reference yet
     cfg = ModelConfig(tau=0.25)
-    start = expectile_fit(ds, cfg.tau)
-    pen = PenaltyConfig(eta=PenaltyConfig.default_eta(ds.n),
-                        pilot=fit_a2(ds, cfg, start).beta)
+    pilot_ds = _missing_d2()
+    start = expectile_fit(pilot_ds, cfg.tau)
+    pen = PenaltyConfig(eta=PenaltyConfig.default_eta(pilot_ds.n),
+                        pilot=fit_a2(pilot_ds, cfg, start).beta)
+    ds = _missing_d2()
     del counting_gram[:]
     fit = fit_l2(ds, cfg, pen, start)
-    (gram,) = counting_gram
+    assert counting_gram == []  # the fit made no Gram of its own
+    gram = ds.gram
     assert gram.calls == fit.iterations > 1
     assert gram.full == 1
 
@@ -144,4 +200,23 @@ def test_refreshed_multiplier_changes_every_row(counting_gram):
     # every used row, so each product is computed in full
     ds = _missing_d2()
     fit = fit_a1(ds, ModelConfig(tau=0.25))
-    assert counting_gram[-1].calls == counting_gram[-1].full == fit.iterations
+    assert ds.gram.calls == ds.gram.full == fit.iterations
+
+
+def test_bic_sweep_makes_one_full_engine_product(counting_gram):
+    # the pilot and the 8 cells all start at the expectile fit, so the
+    # first product of the pilot is the only full one; the expectile fit's
+    # own products are counted on an equal dataset and taken off
+    cfg = ModelConfig(tau=0.25)
+    expectile_fit(_missing_d2(p=8), cfg.tau)
+    expectile_full = sum(gram.full for gram in counting_gram)
+    del counting_gram[:]
+    ds = _missing_d2(p=8)
+    assert 0.15 < 1.0 - ds.n_complete / ds.n < 0.25
+    grid = [a * PenaltyConfig.default_eta(ds.n) for a in range(1, 9)]
+    failures = []
+    _, records = bic_sweep(ds, cfg, PenaltyConfig.gamma, grid,
+                           failures=failures)
+    assert len(records) == 8 and failures == []
+    assert sum(gram.full for gram in counting_gram) - expectile_full == 1
+    assert ds.gram.full == 1
