@@ -363,8 +363,8 @@ def cmd_simulate(args):
     _emit(report.to_json_dict(), args.out, "sim_report.json")
     if args.out:
         out = Path(args.out)
-        _write_csv(out / "sim_cells.csv", report.csv_header(),
-                   [report.csv_row()])
+        header, row = report.csv_record()
+        _write_csv(out / "sim_cells.csv", header, [row])
         if args.dump:
             write_dataset(out / "sim_dump.csv", _generate_dataset(sc, 0))
     return EXIT_OK

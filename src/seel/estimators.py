@@ -12,8 +12,10 @@ fixpoint is the soft-thresholded ridge solution.  The unpenalized algorithms
 use D = 0; the "1" variants refresh lam from the closed form S^{-1} gbar once
 per outer iteration while the "2" variants keep lam = 0.  Penalized runs
 freeze any coordinate whose magnitude falls below eps_zero at zero for all
-later steps, and convergence is not declared while a coordinate below the
-stopping resolution is still collapsing toward the freeze threshold.
+later steps and stop once every coordinate is frozen; convergence is not
+declared while a coordinate below the stopping resolution is still
+collapsing toward the freeze threshold.  A fit returns beta, its iteration
+count and the norm of each iteration's step; non-convergence raises.
 
 Every row pass runs on the observed rows (Dataset.Xo, yo) and divides by
 the full sample size n; rows with a missing response add nothing to gbar,
@@ -39,7 +41,7 @@ from .errors import (
     RankDeficientError,
     SingularMatrixError,
 )
-from .model import WeightedGram, _row_terms
+from .model import Dataset, WeightedGram, _row_terms
 from .numkit import solve_linear, solve_spd
 
 _DIVERGENCE_FACTOR = 1e6
@@ -47,17 +49,18 @@ _DIVERGENCE_FACTOR = 1e6
 
 @dataclass
 class FitResult:
-    """Outcome of one converged fitting run (non-convergence raises)."""
+    """Outcome of one converged fitting run (non-convergence raises): the
+    coefficients, the number of Newton iterations and the norm of each
+    iteration's step, one trace entry per iteration."""
 
     beta: np.ndarray
-    lam: np.ndarray
     iterations: int
-    active_set: np.ndarray = field(default=None)
     trace: list = field(default_factory=list)
 
-    def __post_init__(self):
-        if self.active_set is None:
-            self.active_set = np.flatnonzero(self.beta)
+    @property
+    def active_set(self):
+        """Indices of the nonzero coefficients."""
+        return np.flatnonzero(self.beta)
 
 
 def expectile_fit(ds, tau, tol=1e-8, max_iter=500):
@@ -124,47 +127,38 @@ def pilot_estimate(ds, cfg, mode="same", beta0=None):
     if mode == "same":
         return fit_a2(ds, cfg, beta0).beta
     if mode == "split":
-        from .model import Dataset
-
         half = max(ds.n // 2, ds.p + 1)
         pilot_ds = Dataset(ds.X[:half], ds.y[:half], ds.delta[:half])
         return fit_a2(pilot_ds, cfg).beta
     raise ValueError("pilot mode must be 'same' or 'split'")
 
 
-def _check_fittable(ds):
+def _fit_engine(ds, cfg, beta0, refresh_lambda, pen=None):
     if ds.n_complete < ds.p:
         raise InsufficientCompleteCasesError(
             f"{ds.n_complete} complete rows but {ds.p} parameters"
         )
-
-
-def _fit_engine(ds, cfg, beta0, refresh_lambda, pen=None):
-    _check_fittable(ds)
     n, p = ds.n, ds.p
     beta = np.array(expectile_fit(ds, cfg.tau) if beta0 is None else beta0,
-                    dtype=float).ravel().copy()
+                    dtype=float).ravel()
     if beta.shape != (p,):
         raise ValueError("starting point has wrong dimension")
 
     penalized = pen is not None and pen.eta > 0.0
+    active = np.ones(p, dtype=bool)
     if penalized:
         weights = adaptive_weights(pen.pilot, pen.gamma, cfg.eps_zero)
         # a start at exactly zero would give the penalty eta w_j / 0 = inf;
         # such coordinates begin frozen, as the steps below freeze them
         active = np.isfinite(weights) & (beta != 0.0)
         beta[~active] = 0.0
-        if not active.any():
-            zeros = np.zeros(p)
-            return FitResult(beta=zeros, lam=np.zeros(p), iterations=0,
-                             active_set=np.array([], dtype=int))
-    else:
-        active = np.ones(p, dtype=bool)
 
     guard = _DIVERGENCE_FACTOR * (1.0 + np.linalg.norm(beta))
     Xo = ds.Xo
     trace = []
-    for it in range(1, cfg.max_iter + 1):
+    while active.any():
+        if len(trace) == cfg.max_iter:
+            raise NoConvergenceError(f"no convergence in {cfg.max_iter} iterations")
         a, c = _row_terms(ds, cfg, beta)
         gbar = Xo.T @ a / n
         if refresh_lambda:
@@ -176,15 +170,14 @@ def _fit_engine(ds, cfg, beta0, refresh_lambda, pen=None):
         M = ds.gram(c * t) / n
 
         idx = np.flatnonzero(active)
+        M_act = M[np.ix_(idx, idx)]
         rhs = gbar[idx]
         if penalized:
             # penalty gradient enters the score equation with the sign that
             # makes the tau = 1/2 fixpoint the soft-thresholded ridge solve
             d = pen.eta * weights[idx] / np.abs(beta[idx])
-            M_act = M[np.ix_(idx, idx)] + np.diag(d)
-            rhs = rhs - d * beta[idx]
-        else:
-            M_act = M[np.ix_(idx, idx)]
+            M_act += np.diag(d)
+            rhs -= d * beta[idx]
 
         beta_new = beta.copy()
         beta_new[idx] = beta[idx] + solve_linear(M_act, rhs)
@@ -208,25 +201,8 @@ def _fit_engine(ds, cfg, beta0, refresh_lambda, pen=None):
         if np.linalg.norm(beta) > guard or not np.all(np.isfinite(beta)):
             raise NoConvergenceError("iterates diverged")
         if step < cfg.nu and not collapsing:
-            return _finish(ds, cfg, beta, refresh_lambda, it, trace)
-        if penalized and not active.any():
-            # everything frozen; the remaining iterates cannot move
-            trace.append(0.0)
-            return _finish(ds, cfg, beta, refresh_lambda, it, trace)
-    raise NoConvergenceError(f"no convergence in {cfg.max_iter} iterations")
-
-
-def _finish(ds, cfg, beta, refresh_lambda, it, trace):
-    if refresh_lambda:
-        a, _ = _row_terms(ds, cfg, beta)
-        Xo = ds.Xo
-        gbar = Xo.T @ a / ds.n
-        S = Xo.T @ (Xo * (a * a)[:, None]) / ds.n
-        lam = solve_spd(S, gbar)
-    else:
-        lam = np.zeros(ds.p)
-    return FitResult(beta=beta, lam=lam, iterations=it,
-                     active_set=np.flatnonzero(beta), trace=trace)
+            break
+    return FitResult(beta, len(trace), trace)
 
 
 def fit_a1(ds, cfg, beta0=None):

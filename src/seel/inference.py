@@ -119,8 +119,7 @@ def bic(ds, cfg, pen, fit, lam=None):
                      beta=np.asarray(fit.beta, dtype=float))
 
 
-def bic_sweep(ds, cfg, gamma, eta_grid, pilot=None, pilot_mode="same",
-              failures=None):
+def bic_sweep(ds, cfg, gamma, eta_grid, pilot_mode="same", failures=None):
     """Fit the penalized estimator on each eta and rank by BIC.
 
     One pilot is shared across the grid, and so is one starting point: the
@@ -143,8 +142,7 @@ def bic_sweep(ds, cfg, gamma, eta_grid, pilot=None, pilot_mode="same",
     if not etas or any(e < 0 for e in etas):
         raise ValueError("eta grid must be nonempty and nonnegative")
     start = expectile_fit(ds, cfg.tau)
-    if pilot is None:
-        pilot = pilot_estimate(ds, cfg, mode=pilot_mode, beta0=start)
+    pilot = pilot_estimate(ds, cfg, mode=pilot_mode, beta0=start)
     lam = np.zeros(ds.p)
     records = []
     failed = [] if failures is None else failures

@@ -137,31 +137,26 @@ class SimReport:
             "support_recovery": self.support_recovery,
         }
 
-    def csv_header(self):
-        cols = ["n", "p", "design", "errors", "missing", "tau", "eta", "seed",
-                "replications_used", "replications_failed", "cp", "cp_cr0"]
-        for alg in self.config.algorithms:
-            cols.append(f"norm_{alg}")
-            cols.append(f"coverage_{alg}")
-            if alg in ("l1", "l2"):
-                cols.append(f"zero_selection_{alg}")
-                cols.append(f"support_recovery_{alg}")
-        return cols
-
-    def csv_row(self):
+    def csv_record(self):
+        """Header and row of the sim_cells.csv line, from one column list."""
         sc = self.config
-        row = [sc.n, sc.p, sc.design, sc.errors, sc.missing,
-               repr(self.tau_used), repr(sc.resolved_eta()), sc.seed,
-               self.replications_used, self.replications_failed,
-               repr(self.cp), repr(self.cp_cr0)]
+        cells = [("n", sc.n), ("p", sc.p), ("design", sc.design),
+                 ("errors", sc.errors), ("missing", sc.missing),
+                 ("tau", repr(self.tau_used)), ("eta", repr(sc.resolved_eta())),
+                 ("seed", sc.seed), ("replications_used", self.replications_used),
+                 ("replications_failed", self.replications_failed),
+                 ("cp", repr(self.cp)), ("cp_cr0", repr(self.cp_cr0))]
         for alg in sc.algorithms:
-            row.append(repr(self.mean_norm[alg]))
-            row.append(repr(self.coverage[alg]))
+            cells.append((f"norm_{alg}", repr(self.mean_norm[alg])))
+            cells.append((f"coverage_{alg}", repr(self.coverage[alg])))
             if alg in ("l1", "l2"):
                 zs = self.zero_selection[alg]
-                row.append("NaN" if zs is None else repr(zs))
-                row.append(repr(self.support_recovery[alg]))
-        return row
+                cells.append((f"zero_selection_{alg}",
+                              "NaN" if zs is None else repr(zs)))
+                cells.append((f"support_recovery_{alg}",
+                              repr(self.support_recovery[alg])))
+        header, row = zip(*cells)
+        return list(header), list(row)
 
     def to_json(self, indent=2):
         return json.dumps(self.to_json_dict(), indent=indent)

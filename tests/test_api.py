@@ -6,14 +6,16 @@ import inspect
 import pkgutil
 from dataclasses import fields
 
+import numpy as np
 import pytest
 
 import seel
 from seel.el import ELState
 from seel.estimators import FitResult
-from seel.inference import wilks_test
+from seel.inference import bic_sweep, wilks_test
 from seel.kernels import Kernel
 from seel.model import Dataset
+from seel.simulate import SimReport
 
 PUBLIC = {
     # classes
@@ -69,3 +71,18 @@ def test_removed_members_stay_removed():
     assert "converged" not in {f.name for f in fields(ELState)}
     # the degrees of freedom follow from the (sub)model
     assert "df" not in inspect.signature(wilks_test).parameters
+    # the sweep always fits its own pilot
+    assert "pilot" not in inspect.signature(bic_sweep).parameters
+    # one method gives the CSV header and row from one column list
+    assert not hasattr(SimReport, "csv_header")
+    assert not hasattr(SimReport, "csv_row")
+
+
+def test_fit_result_holds_beta_iterations_and_trace():
+    # the multiplier at a fit is el.lambda_approx(ds, cfg, fit.beta), and
+    # the active set follows from beta
+    assert [f.name for f in fields(FitResult)] == ["beta", "iterations", "trace"]
+    fit = FitResult(beta=np.array([0.0, 1.5, 0.0, -2.0]), iterations=3)
+    np.testing.assert_array_equal(fit.active_set, np.flatnonzero(fit.beta))
+    with pytest.raises(AttributeError):
+        fit.active_set = np.array([0])

@@ -229,6 +229,33 @@ def test_all_frozen_pilot_returns_zero():
     assert len(res.active_set) == 0
 
 
+@pytest.mark.parametrize("fit", [fit_l1, fit_l2])
+def test_freezing_on_the_last_allowed_iteration_returns(fit):
+    # eta = 50 freezes every coordinate at iteration 2, whose step is above
+    # nu: the fit ends by freezing, not by convergence
+    ds, _ = simulated(n=200, p=3, seed=23)
+    pen = PenaltyConfig(eta=50.0, pilot=np.ones(3))
+    res = fit(ds, ModelConfig(tau=0.5, max_iter=2), pen)
+    assert res.iterations == 2 and not res.beta.any()
+    assert res.trace[1] > ModelConfig.nu
+    with pytest.raises(NoConvergenceError):
+        fit(ds, ModelConfig(tau=0.5, max_iter=1), pen)
+
+
+def test_one_trace_entry_per_iteration():
+    ds, _ = simulated(n=200, p=3, seed=23)
+    cfg = ModelConfig(tau=0.5)
+    converged = [fit_a1(ds, cfg), fit_a2(ds, cfg, np.zeros(3)),
+                 fit_l2(ds, cfg, PenaltyConfig(eta=0.01, pilot=np.ones(3)))]
+    frozen_at_start = fit_l2(ds, cfg, PenaltyConfig(eta=0.01, pilot=np.full(3, 1e-6)))
+    frozen_mid_run = fit_l1(ds, cfg, PenaltyConfig(eta=50.0, pilot=np.ones(3)))
+    assert [frozen_at_start.iterations, frozen_mid_run.iterations] == [0, 2]
+    for res in converged + [frozen_at_start, frozen_mid_run]:
+        assert len(res.trace) == res.iterations
+    for res in converged:
+        assert res.trace[-1] < cfg.nu
+
+
 def test_frozen_coordinates_stay_zero():
     ds, _ = simulated(n=400, p=4, seed=37, beta0=[1.5, 0.0, -1.0, 0.0])
     cfg = ModelConfig(tau=0.5)

@@ -144,8 +144,7 @@ def test_bic_formula(monkeypatch):
     # empty active set: bic equals the bare ratio
     from seel.estimators import FitResult
 
-    empty = FitResult(beta=np.zeros(3), lam=np.zeros(3), iterations=1,
-                      active_set=np.array([], dtype=int))
+    empty = FitResult(beta=np.zeros(3), iterations=1)
     assert bic(ds, cfg, pen, empty).bic == pytest.approx(10.0)
 
 
@@ -160,7 +159,7 @@ def test_bic_increasing_in_active_set(monkeypatch):
     for k in range(4):
         beta = np.zeros(3)
         beta[:k] = 1.0
-        fit = FitResult(beta=beta, lam=np.zeros(3), iterations=1)
+        fit = FitResult(beta=beta, iterations=1)
         vals.append(bic(ds, cfg, pen, fit).bic)
     assert all(b > a for a, b in zip(vals, vals[1:]))
 

@@ -2,13 +2,13 @@
 
 Each property transforms a simulated dataset in a way that maps the
 smoothed estimating equations onto themselves and checks that the fit moves
-with it: beta and the multiplier lam to rounding, in the same number of
-iterations, or, when the fit on the original data raises an EstimationError,
-by raising the same type.  The unpenalized fits start from the expectile fit
-(the default) or from zero, which takes more iterations and fails more
-often.  The penalized fits start from the expectile fit and are given the
-pilot, which moves with the data as the fit does, so that the adaptive
-weights stay the same.
+with it: beta and the closed-form multiplier S^{-1} gbar at beta to
+rounding, in the same number of iterations, or, when the fit on the original
+data raises an EstimationError, by raising the same type.  The unpenalized
+fits start from the expectile fit (the default) or from zero, which takes
+more iterations and fails more often.  The penalized fits start from the
+expectile fit and are given the pilot, which moves with the data as the fit
+does, so that the adaptive weights stay the same.
 
 Column scaling is checked for the unpenalized fits only.  A penalized fit
 freezes a coordinate once its magnitude falls below eps_zero and stops when
@@ -21,6 +21,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from seel.el import lambda_approx
 from seel.errors import EstimationError
 from seel.estimators import expectile_fit, fit_a1, fit_a2, fit_l1, fit_l2
 from seel.model import Dataset, ModelConfig, PenaltyConfig
@@ -49,10 +50,12 @@ def simulated(seed):
     return Dataset(X, np.where(delta == 1, X @ BETA0 + eps, np.nan), delta)
 
 
-def attempt(fit, *args):
-    """The fit's result, or the type of the EstimationError it raised."""
+def attempt(fit, ds, cfg, *args):
+    """The fit's result and the closed-form multiplier at its beta, or the
+    type of the EstimationError either raised."""
     try:
-        return fit(*args)
+        result = fit(ds, cfg, *args)
+        return result, lambda_approx(ds, cfg, result.beta)
     except EstimationError as exc:
         return type(exc)
 
@@ -68,10 +71,11 @@ def assert_moves_with(base, other, transform, atol=1e-12, rtol=0.0):
         assert other is base
         return
     assert not isinstance(other, type), other
-    assert other.iterations == base.iterations
-    np.testing.assert_array_equal(other.active_set, base.active_set)
-    np.testing.assert_allclose(other.beta, transform(base.beta), rtol=rtol, atol=atol)
-    np.testing.assert_allclose(other.lam, transform(base.lam), rtol=rtol, atol=atol)
+    (base_fit, base_lam), (fit, lam) = base, other
+    assert fit.iterations == base_fit.iterations
+    np.testing.assert_array_equal(fit.active_set, base_fit.active_set)
+    np.testing.assert_allclose(fit.beta, transform(base_fit.beta), rtol=rtol, atol=atol)
+    np.testing.assert_allclose(lam, transform(base_lam), rtol=rtol, atol=atol)
 
 
 def penalized_outcome(alg, ds, cfg, eta, pilot, start):

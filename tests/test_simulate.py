@@ -191,8 +191,8 @@ def test_all_nonzero_truth_gives_undefined_selection_rate():
     sc = base_config(beta0=[1.0, 1.0, 2.0, 1.0, 1.0], replications=3)
     report = run_monte_carlo(sc)
     assert report.zero_selection["l2"] is None
-    row = report.csv_row()
-    assert "NaN" in row
+    header, row = report.csv_record()
+    assert row[header.index("zero_selection_l2")] == "NaN"
 
 
 def test_report_fields_complete():
@@ -204,8 +204,10 @@ def test_report_fields_complete():
     assert 0.0 <= report.cp <= 1.0
     assert 0.0 <= report.cp_cr0 <= 1.0
     assert report.replications_used == 3
-    header, row = report.csv_header(), report.csv_row()
-    assert len(header) == len(row)
+    header, row = report.csv_record()
+    assert len(header) == len(row) == 12 + 4 * 2 + 2 * 2
+    assert header[-4:] == ["norm_l2", "coverage_l2", "zero_selection_l2",
+                           "support_recovery_l2"]
     assert report.to_json_dict()["schema_version"] == SCHEMA_VERSION
 
 
