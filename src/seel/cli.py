@@ -243,7 +243,7 @@ def cmd_fit(args):
         "lambda": lambda_approx(ds, cfg, fit.beta).tolist(),
         "iterations": fit.iterations,
         "converged": True,  # a fit that does not converge raises
-        "ratio_at_beta": el_ratio(ds, cfg, fit.beta),
+        "ratio_at_beta": el_ratio(ds, cfg, fit.beta)[0],
         "standardized": transform,
     })
     if args.test_beta is not None:
@@ -294,7 +294,9 @@ def cmd_select(args):
 def _bic_dict(rec):
     return {"eta": rec.eta, "bic": rec.bic,
             "active_set": (rec.active_set + 1).tolist(),
-            "beta": rec.beta.tolist()}
+            "beta": rec.beta.tolist(),
+            "ratio_method": rec.ratio_method,
+            "multiplier_iterations": rec.multiplier_iterations}
 
 
 def cmd_sweep(args):
@@ -335,10 +337,12 @@ def cmd_sweep(args):
     _emit(report, args.out, "sweep_report.json")
     if args.out:
         _write_csv(Path(args.out) / "sweep_records.csv",
-                   ["a", "eta", "bic", "active_set", "beta"],
+                   ["a", "eta", "bic", "active_set", "beta", "ratio_method",
+                    "multiplier_iterations"],
                    [[repr(float(r[k])) for k in ("a", "eta", "bic")]
                     + [" ".join(str(j) for j in r["active_set"]),
-                       " ".join(repr(float(v)) for v in r["beta"])]
+                       " ".join(repr(float(v)) for v in r["beta"]),
+                       r["ratio_method"], str(r["multiplier_iterations"])]
                     for r in records])
     if error is not None:
         raise error

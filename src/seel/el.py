@@ -10,6 +10,15 @@ and nothing to its gradient or Hessian.  The solver and the ratio therefore
 run on the observed rows of model.g_matrix, while every mean, the
 probability floor 1/n and the implied probabilities keep the full sample
 size n.
+
+The solver is Newton's method on the dual (Owen, Empirical Likelihood,
+2001, section 3.14).  Its Hessian, the mean of g_i g_i' / w_i^2, is the one
+O(n p^2) cost of a step; it changes on every row with lambda, so no rows of
+it can be reused.  A sequence of solves at nearby betas (the cells of a BIC
+sweep) can hand each solve the last Hessian of the one before together with
+its multiplier: that Hessian then serves the first step, and every later
+step forms its own, so only the first step of such a warm solve is inexact
+and the stopping rule on the gradient is unchanged.
 """
 
 from dataclasses import dataclass
@@ -29,12 +38,17 @@ _HESSIAN_BLOCK_ROWS = 4096  # rows per block of the multiplier Hessian
 class ELState:
     """Solution of the inner empirical-likelihood problem at a fixed beta
     (a solve that fails raises instead).  probs has one entry per row of
-    the dataset, 1/n on the rows with a missing response."""
+    the dataset, 1/n on the rows with a missing response.  hessian is the
+    last Hessian the solve formed, or the carried one it was given when it
+    formed none (None when a cold solve took no step); hessians counts the
+    Hessians it formed."""
 
     lam: np.ndarray
     probs: np.ndarray
     ratio: float
     iterations: int
+    hessian: np.ndarray | None
+    hessians: int
 
 
 def lambda_approx(ds, cfg, beta):
@@ -65,7 +79,7 @@ def el_ratio_approx(ds, cfg, beta):
 
 
 def solve_lambda_exact(ds, cfg, beta, tol=_LAMBDA_TOL, max_iter=None,
-                       lam0=None):
+                       lam0=None, hessian0=None):
     """Solve the multiplier equation mean(g_i / (1 + lambda'g_i)) = 0.
 
     Damped Newton steps on the dual, halved until every factor satisfies
@@ -82,6 +96,13 @@ def solve_lambda_exact(ds, cfg, beta, tol=_LAMBDA_TOL, max_iter=None,
     raises only where a cold one does; `iterations` then counts both
     attempts.  max_iter bounds each attempt.
 
+    hessian0 is an optional p x p Hessian that goes with lam0, typically
+    ELState.hessian of the solve at the nearby beta.  When the solve starts
+    from lam0, its first Newton step uses hessian0 in place of a fresh
+    Hessian; every later step, and every step of a start from zero (the
+    retry included), forms its own.  A cold solve is therefore the same
+    computation whether hessian0 is given or not.
+
     Raises
     ------
     HullViolationError
@@ -96,16 +117,18 @@ def solve_lambda_exact(ds, cfg, beta, tol=_LAMBDA_TOL, max_iter=None,
     m, p = G.shape
     # rows of G scaled by 1/w, one block at a time, for the Hessian
     block = np.empty((max(1, min(m, _HESSIAN_BLOCK_ROWS)), p))
-    starts = [(np.zeros(p), np.ones(m))]
+    starts = [(np.zeros(p), np.ones(m), None)]
     if lam0 is not None and np.any(lam0):
         lam0 = np.array(lam0, dtype=float)
         w0 = 1.0 + G @ lam0
         if np.all(w0 > 1.0 / n):
-            starts.insert(0, (lam0, w0))
-    iterations = 0
-    for lam, w in starts:
-        lam, w, it, error = _newton(G, n, block, lam, w, tol, max_iter)
+            starts.insert(0, (lam0, w0, hessian0))
+    iterations = hessians = 0
+    for lam, w, H in starts:
+        lam, w, H, it, formed, error = _newton(G, n, block, lam, w, H, tol,
+                                               max_iter)
         iterations += it
+        hessians += formed
         if error is None:
             break
     else:
@@ -113,7 +136,8 @@ def solve_lambda_exact(ds, cfg, beta, tol=_LAMBDA_TOL, max_iter=None,
     probs = np.full(n, 1.0 / n)
     probs[ds.delta == 1] = 1.0 / (n * w)
     ratio = float(2.0 * np.log(w).sum())
-    return ELState(lam=lam, probs=probs, ratio=ratio, iterations=iterations)
+    return ELState(lam=lam, probs=probs, ratio=ratio, iterations=iterations,
+                   hessian=H, hessians=hessians)
 
 
 def _scaled_gram(G, winv, block):
@@ -127,21 +151,26 @@ def _scaled_gram(G, winv, block):
     return H
 
 
-def _newton(G, n, block, lam, w, tol, max_iter):
+def _newton(G, n, block, lam, w, H, tol, max_iter):
     """Newton iteration of solve_lambda_exact from lam, with w = 1 + G lam
-    over the observed rows G of a sample of size n.
+    over the observed rows G of a sample of size n.  H, when not None, is a
+    carried Hessian for the first step; every other step forms its own.
 
-    Returns (lam, w, iterations, error): error is None at a solution, else
-    the HullViolationError or NoConvergenceError that ended the attempt.
+    Returns (lam, w, H, iterations, hessians, error): H is the Hessian of
+    the last step (the one given when no step formed one), hessians the
+    number formed, and error is None at a solution, else the
+    HullViolationError or NoConvergenceError that ended the attempt.
     """
     floor = 1.0 / n
-    it = 0
+    it = formed = 0
     for it in range(1, max_iter + 1):
         winv = 1.0 / w
         grad = winv @ G / n
         if np.linalg.norm(grad) <= tol:
             break
-        H = _scaled_gram(G, winv, block) / n
+        if it > 1 or H is None:
+            H = _scaled_gram(G, winv, block) / n
+            formed += 1
         step = solve_spd(H, grad)
         size = 1.0
         for _ in range(60):
@@ -151,21 +180,21 @@ def _newton(G, n, block, lam, w, tol, max_iter):
                 break
             size *= 0.5
         else:
-            return lam, w, it, HullViolationError(
+            return lam, w, H, it, formed, HullViolationError(
                 "no multiplier step keeps all probabilities positive"
             )
         lam, w = cand, w_cand
         if not np.all(np.isfinite(lam)):
-            return lam, w, it, NoConvergenceError(
+            return lam, w, H, it, formed, NoConvergenceError(
                 "multiplier iteration produced non-finite values")
     else:
-        return lam, w, it, NoConvergenceError(
+        return lam, w, H, it, formed, NoConvergenceError(
             f"multiplier equation not solved to {tol:g} in {max_iter} iterations"
         )
     # each row with a missing response holds probability 1/n
     total = (n - G.shape[0]) / n + (1.0 / (n * w)).sum()
     if abs(total - 1.0) > _PROB_SUM_TOL:
         # residual vanished only because lambda ran off to infinity
-        return lam, w, it, HullViolationError(
+        return lam, w, H, it, formed, HullViolationError(
             "zero lies outside the convex hull of the g_i")
-    return lam, w, it, None
+    return lam, w, H, it, formed, None

@@ -28,7 +28,10 @@ lam = 0 (t = -1) these are the rows in or crossing the kernel band
 and the cells of a BIC sweep) find their first product already there; when
 lam is refreshed every row changes and each product is computed in full.
 The expectile fit's reweighted Gram matrix is formed through a
-WeightedGram of its own.
+WeightedGram of its own.  Its rank check reads the eigenvalues of the Gram
+matrix Xc'Xc that its first solve uses, and runs the SVD of
+np.linalg.matrix_rank only when they do not prove full rank, so its verdict
+is always matrix_rank's (see _full_rank).
 """
 
 from dataclasses import dataclass, field
@@ -45,6 +48,7 @@ from .model import Dataset, WeightedGram, _row_terms
 from .numkit import solve_linear, solve_spd
 
 _DIVERGENCE_FACTOR = 1e6
+_RANK_CERTIFICATE = 4.0  # Gram eigenvalue ratio bound, in units of m p eps
 
 
 @dataclass
@@ -83,10 +87,11 @@ def expectile_fit(ds, tau, tol=1e-8, max_iter=500):
         raise InsufficientCompleteCasesError(
             f"{Xc.shape[0]} complete rows but {ds.p} parameters"
         )
-    if np.linalg.matrix_rank(Xc) < ds.p:
+    K = Xc.T @ Xc
+    if not _full_rank(Xc, K):
         raise RankDeficientError("complete-case design is rank deficient")
     try:
-        beta = solve_spd(Xc.T @ Xc, Xc.T @ yc)
+        beta = solve_spd(K, Xc.T @ yc)
     except SingularMatrixError:
         raise RankDeficientError("complete-case design is rank deficient") from None
     gram = WeightedGram(Xc)
@@ -103,6 +108,35 @@ def expectile_fit(ds, tau, tol=1e-8, max_iter=500):
             return beta
     raise NoConvergenceError(
         f"expectile fit not converged to {tol:g} in {max_iter} iterations")
+
+
+def _full_rank(Xc, K):
+    """Whether the m x p design Xc (m >= p) has full column rank as
+    np.linalg.matrix_rank decides it, given its Gram matrix K = Xc'Xc.
+
+    matrix_rank computes the singular values s of Xc (a full SVD) and counts
+    those above m eps s_max.  The eigenvalues e of K are s^2 and cost a
+    p x p eigen-solve, but rounding blurs the small ones, so they are used
+    only to prove full rank, when e_min > _RANK_CERTIFICATE m p eps e_max;
+    otherwise matrix_rank decides, and the answer is always its answer.
+
+    Why the bound is safe: forming K adds an error E with
+    |E| <= gamma_m |Xc|'|Xc| entrywise for any summation order
+    (gamma_m = m eps / (1 - m eps)), so ||E|| <= gamma_m p s_max^2; eigvalsh
+    is backward stable and adds at most c p eps ||K|| per eigenvalue, with
+    c a small constant (c <= m is all that is needed).  Together they move
+    each e by at most about 2 m p eps s_max^2, so the certificate leaves
+    s_min^2 > (4 - 2 - rounding) m p eps s_max^2 > m p eps s_max^2, that is
+    s_min > sqrt(m p eps) s_max.  That is a factor sqrt(p / (m eps)) above
+    matrix_rank's m eps s_max threshold, more than 10^5 for any m below
+    10^5 p (the SVD's own rounding, a few m eps s_max, is far inside it),
+    so matrix_rank would also report full rank.
+    """
+    m, p = Xc.shape
+    e = np.linalg.eigvalsh(K)
+    if e[0] > _RANK_CERTIFICATE * m * p * np.finfo(float).eps * e[-1]:
+        return True
+    return np.linalg.matrix_rank(Xc) == p
 
 
 def adaptive_weights(pilot, gamma, eps_zero=1e-4):

@@ -35,26 +35,52 @@ class TestReport:
 
 @dataclass
 class BicRecord:
-    """One cell of a tuning-parameter sweep."""
+    """One cell of a tuning-parameter sweep.  ratio_method says how its
+    ratio was obtained ("exact", "closed_form" or "quadratic", see
+    penalized_ratio) and multiplier_iterations how many multiplier Newton
+    iterations the exact solve took (0 for the other two methods)."""
 
     eta: float
     bic: float
     active_set: np.ndarray
     beta: np.ndarray
+    ratio_method: str
+    multiplier_iterations: int
+
+
+@dataclass
+class CarriedMultiplier:
+    """Exact-multiplier state that ratios at nearby betas share, and how the
+    last ratio was obtained.
+
+    lam and hessian are the multiplier of the last exact solve that
+    succeeded and the last Hessian that solve formed (both None before one
+    has); penalized_ratio starts its exact solve from them (lam0 and
+    hessian0 of solve_lambda_exact) and replaces them with its own.  method
+    ("exact", "closed_form" or "quadratic") and iterations (the multiplier
+    Newton iterations of an exact solve, else 0) describe the last ratio.
+    """
+
+    lam: np.ndarray | None = None
+    hessian: np.ndarray | None = None
+    method: str | None = None
+    iterations: int = 0
 
 
 def el_ratio(ds, cfg, beta):
-    """Log-likelihood ratio at beta with the closed-form multiplier.
+    """Log-likelihood ratio at beta with the closed-form multiplier, and the
+    method that gave it.
 
-    Evaluates 2 sum(log(1 + lambda'g_i)) at lambda = S^{-1} gbar, falling
-    back to the quadratic form when a log factor leaves its domain.  This is
-    the statistic the Monte Carlo coverage probabilities are built on.
+    Evaluates 2 sum(log(1 + lambda'g_i)) at lambda = S^{-1} gbar (method
+    "closed_form"), falling back to the quadratic form ("quadratic") when a
+    log factor leaves its domain.  This is the statistic the Monte Carlo
+    coverage probabilities are built on.  Returns (ratio, method).
     """
     lam = lambda_approx(ds, cfg, beta)
     try:
-        return el_ratio_exact(ds, cfg, beta, lam)
+        return el_ratio_exact(ds, cfg, beta, lam), "closed_form"
     except LogDomainError:
-        return el_ratio_approx(ds, cfg, beta)
+        return el_ratio_approx(ds, cfg, beta), "quadratic"
 
 
 def wilks_test(ds, cfg, beta_hypothesis, alpha=0.05, support=None):
@@ -78,28 +104,32 @@ def wilks_test(ds, cfg, beta_hypothesis, alpha=0.05, support=None):
                       pvalue=pvalue, reject=bool(stat > critical), alpha=alpha)
 
 
-def penalized_ratio(ds, cfg, pen, beta, lam=None):
+def penalized_ratio(ds, cfg, pen, beta, carry=None):
     """Ratio plus the adaptive-LASSO penalty n eta sum(w_j |beta_j|).
 
     The ratio part prefers the exact multiplier; when the multiplier
     equation is not solvable it falls back to the closed-form multiplier and
-    finally to the quadratic approximation.  Coordinates at exactly zero
-    contribute nothing, so frozen coordinates (infinite weight, zero
-    coefficient) are well defined.
+    finally to the quadratic approximation (see el_ratio).  Coordinates at
+    exactly zero contribute nothing, so frozen coordinates (infinite weight,
+    zero coefficient) are well defined.
 
-    lam is an optional multiplier array of length p that calls at nearby
-    betas share: the exact solve starts from it (see solve_lambda_exact)
-    and writes its solution back into it; a fallback leaves it unchanged.
+    carry is an optional CarriedMultiplier that calls at nearby betas
+    share: the exact solve starts from its multiplier and Hessian and
+    writes its own back; a fallback leaves them unchanged.  Either way the
+    call records its ratio method and multiplier iterations in it.
     """
     beta = np.asarray(beta, dtype=float)
+    carry = CarriedMultiplier() if carry is None else carry
     try:
-        state = solve_lambda_exact(ds, cfg, beta, lam0=lam)
+        state = solve_lambda_exact(ds, cfg, beta, lam0=carry.lam,
+                                   hessian0=carry.hessian)
     except (HullViolationError, NoConvergenceError, SingularMatrixError):
-        ratio = el_ratio(ds, cfg, beta)
+        ratio, carry.method = el_ratio(ds, cfg, beta)
+        carry.iterations = 0
     else:
         ratio = state.ratio
-        if lam is not None:
-            lam[:] = state.lam
+        carry.lam, carry.hessian = state.lam, state.hessian
+        carry.method, carry.iterations = "exact", state.iterations
     if pen.eta == 0.0:
         return ratio
     w = adaptive_weights(pen.pilot, pen.gamma, cfg.eps_zero)
@@ -108,15 +138,19 @@ def penalized_ratio(ds, cfg, pen, beta, lam=None):
     return ratio + penalty
 
 
-def bic(ds, cfg, pen, fit, lam=None):
+def bic(ds, cfg, pen, fit, carry=None):
     """Schwarz-type criterion: penalized ratio + log(n) * |active set|.
 
-    lam is passed to penalized_ratio as its shared multiplier array."""
-    value = penalized_ratio(ds, cfg, pen, fit.beta, lam=lam) \
+    carry is passed to penalized_ratio as its CarriedMultiplier (a fresh one
+    when omitted); the record takes its ratio method and iterations."""
+    carry = CarriedMultiplier() if carry is None else carry
+    value = penalized_ratio(ds, cfg, pen, fit.beta, carry=carry) \
         + np.log(ds.n) * len(fit.active_set)
     return BicRecord(eta=pen.eta, bic=float(value),
                      active_set=np.asarray(fit.active_set, dtype=int),
-                     beta=np.asarray(fit.beta, dtype=float))
+                     beta=np.asarray(fit.beta, dtype=float),
+                     ratio_method=carry.method,
+                     multiplier_iterations=carry.iterations)
 
 
 def bic_sweep(ds, cfg, gamma, eta_grid, pilot_mode="same", failures=None):
@@ -126,8 +160,9 @@ def bic_sweep(ds, cfg, gamma, eta_grid, pilot_mode="same", failures=None):
     expectile fit of the dataset, computed once and passed as beta0 to the
     "same"-mode pilot and to the fit of every cell.  Neighbouring cells have
     nearly the same fit, so the exact multiplier of each cell's ratio starts
-    from the last one solved along the grid (zero for the first cell); the
-    start changes the multiplier only within the solver's tolerance.  Ties
+    from the last one solved along the grid, with that solve's last Hessian
+    for its first Newton step (the first cell starts from zero); the start
+    changes the multiplier only within the solver's tolerance.  Ties
     in the criterion break toward the larger eta (the sparser model).  Grid
     cells whose fit raises an EstimationError are reported through a
     warning, appended as (eta, exception) to the `failures` list when one is
@@ -143,14 +178,14 @@ def bic_sweep(ds, cfg, gamma, eta_grid, pilot_mode="same", failures=None):
         raise ValueError("eta grid must be nonempty and nonnegative")
     start = expectile_fit(ds, cfg.tau)
     pilot = pilot_estimate(ds, cfg, mode=pilot_mode, beta0=start)
-    lam = np.zeros(ds.p)
+    carry = CarriedMultiplier()
     records = []
     failed = [] if failures is None else failures
     for eta in etas:
         pen = PenaltyConfig(eta=float(eta), gamma=gamma, pilot=pilot)
         try:
             fit = fit_l2(ds, cfg, pen, start)
-            records.append(bic(ds, cfg, pen, fit, lam=lam))
+            records.append(bic(ds, cfg, pen, fit, carry=carry))
         except EstimationError as exc:
             failed.append((eta, exc))
             warnings.warn(f"BIC sweep cell eta={eta:g} failed: {exc}")

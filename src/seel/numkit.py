@@ -27,12 +27,15 @@ def solve_spd(A, b):
     A Cholesky factorization is attempted first; on failure the system is
     retried with an escalating ridge A + kappa*I, kappa running from
     1e-8*trace(A)/p up to 1e-4*trace(A)/p in powers of ten.  The first
-    matrix whose factorization succeeds is solved by LAPACK (np.linalg.solve).
+    matrix whose factorization succeeds is solved by LAPACK (np.linalg.solve);
+    a nearly singular matrix can pass the Cholesky test and still stop that
+    LU solve at a zero pivot, and then the ladder goes on as if the
+    factorization had failed.
 
     Raises
     ------
     SingularMatrixError
-        If the factorization fails at every jitter level.
+        If the factorization or the solve fails at every jitter level.
     """
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -47,14 +50,13 @@ def solve_spd(A, b):
         try:
             M = A if kappa == 0.0 else A + kappa * np.eye(p)
             np.linalg.cholesky(M)
+            return np.linalg.solve(M, b)
         except np.linalg.LinAlgError:
             kappa = _JITTER_FIRST * scale if kappa == 0.0 else 10.0 * kappa
             if kappa > _JITTER_LAST * scale * (1.0 + 1e-12):
                 raise SingularMatrixError(
                     "matrix not positive definite at any jitter level"
                 ) from None
-            continue
-        return np.linalg.solve(M, b)
 
 
 def solve_linear(A, b):

@@ -32,7 +32,7 @@ _TAU_STREAM = 2 ** 48 + 7  # reserved stream id for the tau calibration draw
 _MAX_FAILURE_SHARE = 0.10
 _DRAW_BATCH = 2 ** 16  # design draws per batch, see gen_design
 
-SCHEMA_VERSION = 3  # of every JSON report the package writes
+SCHEMA_VERSION = 4  # of every JSON report the package writes
 
 
 @dataclass
@@ -237,7 +237,7 @@ def _replicate(sc, tau, m):
     crit_p = chi2_quantile(1.0 - sc.alpha, sc.p)
     out = {}
     try:
-        out["cp"] = el_ratio(ds, cfg, sc.beta0) <= crit_p
+        out["cp"] = el_ratio(ds, cfg, sc.beta0)[0] <= crit_p
         out["cp_cr0"] = el_ratio_approx(ds, cfg, sc.beta0) <= crit_p
 
         needs_pilot = any(a in ("l1", "l2") for a in sc.algorithms)
@@ -264,12 +264,12 @@ def _replicate(sc, tau, m):
             fit = fits[alg]
             out[f"norm_{alg}"] = float(np.linalg.norm(fit.beta - sc.beta0))
             if alg in ("a1", "a2"):
-                out[f"cov_{alg}"] = el_ratio(ds, cfg, fit.beta) <= crit_p
+                out[f"cov_{alg}"] = el_ratio(ds, cfg, fit.beta)[0] <= crit_p
             else:
                 active = fit.active_set
                 if len(active):
                     sub = ds.select_columns(active)
-                    stat = el_ratio(sub, cfg, fit.beta[active])
+                    stat, _ = el_ratio(sub, cfg, fit.beta[active])
                     covered = stat <= chi2_quantile(1.0 - sc.alpha, len(active))
                 else:
                     covered = True

@@ -195,6 +195,9 @@ def test_sweep_csv_matches_report(sparse_csv, tmp_path, capsys):
             assert float(row[key]) == rec[key]
         assert [float(v) for v in row["beta"].split()] == rec["beta"]
         assert [int(j) for j in row["active_set"].split()] == rec["active_set"]
+        assert row["ratio_method"] == rec["ratio_method"] == "exact"
+        assert int(row["multiplier_iterations"]) == rec["multiplier_iterations"]
+        assert rec["multiplier_iterations"] > 0
 
 
 def test_sweep_failed_cell_keeps_labels(sparse_csv, capsys, monkeypatch):
@@ -243,7 +246,8 @@ def test_sweep_every_cell_failed_still_reports(sparse_csv, tmp_path, capsys,
         {"a": a, "eta": a * eta1, "error": "NoConvergenceError",
          "message": "forced failure"} for a in (1.0, 2.0)]
     with open(out / "sweep_records.csv", newline="") as fh:
-        assert list(csv.reader(fh)) == [["a", "eta", "bic", "active_set", "beta"]]
+        assert list(csv.reader(fh)) == [["a", "eta", "bic", "active_set", "beta",
+                                         "ratio_method", "multiplier_iterations"]]
 
 
 def test_sweep_failure_before_the_grid_writes_no_report(sparse_csv, tmp_path,

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from seel import el
 from seel.el import (
     el_ratio_approx,
     el_ratio_exact,
@@ -8,6 +9,7 @@ from seel.el import (
     solve_lambda_exact,
 )
 from seel.errors import HullViolationError, LogDomainError
+from seel.inference import bic_sweep
 from seel.model import Dataset, ModelConfig, g_matrix, moments
 from seel.numkit import RngStream, solve_spd
 from seel.simulate import gen_design, gen_errors, gen_missing
@@ -75,8 +77,14 @@ def test_probabilities_follow_their_rows():
     assert st.probs.sum() == pytest.approx(1.0, abs=1e-8)
 
 
-@pytest.mark.parametrize("lam0", [None, 0.5, -0.1])
-def test_hull_violation_with_missing_rows(lam0):
+@pytest.mark.parametrize("lam0, hessian0", [
+    pytest.param(None, None, id="None"),
+    pytest.param(0.5, None, id="0.5"),
+    pytest.param(-0.1, None, id="-0.1"),
+    pytest.param(0.5, np.eye(1), id="0.5-hessian"),
+    pytest.param(-0.1, np.eye(1), id="-0.1-hessian"),
+])
+def test_hull_violation_with_missing_rows(lam0, hessian0):
     # both observed g_i are positive, so zero lies outside their hull; the
     # missing rows, 1/n of probability each, must not hide that, from a
     # cold or a warm start
@@ -88,7 +96,7 @@ def test_hull_violation_with_missing_rows(lam0):
     if start is not None:
         assert np.all(1.0 + G @ start > 1.0 / ds.n)
     with pytest.raises(HullViolationError):
-        solve_lambda_exact(ds, CFG, np.zeros(1), lam0=start)
+        solve_lambda_exact(ds, CFG, np.zeros(1), lam0=start, hessian0=hessian0)
 
 
 def test_lambda_approx_values():
@@ -238,6 +246,10 @@ def test_lambda_exact_matches_reference_loop():
     np.testing.assert_allclose(st.lam, lam, rtol=1e-12)
     assert st.ratio == pytest.approx(ratio, rel=1e-12)
     assert st.iterations == iterations
+    # one Hessian per step; the last iteration only tests the gradient
+    assert st.hessians == iterations - 1
+    # without a warm start a carried Hessian is never used
+    assert_same_state(solve_lambda_exact(ds, cfg, beta, hessian0=np.eye(4)), st)
 
 
 def test_lambda_exact_memory_stays_near_two_matrices():
@@ -272,9 +284,19 @@ def warm_instance():
 
 def test_lambda_exact_warm_start_matches_cold():
     # the multiplier at a nearby beta, as a sweep along a grid carries it
+    check_warm_start_matches_cold(carry_hessian=False)
+
+
+def test_lambda_exact_warm_start_with_hessian_matches_cold():
+    # the same, with the last Hessian of that solve for the first step
+    check_warm_start_matches_cold(carry_hessian=True)
+
+
+def check_warm_start_matches_cold(carry_hessian):
     ds, cfg, beta, cold = warm_instance()
-    lam0 = solve_lambda_exact(ds, cfg, beta + 0.01).lam
-    st = solve_lambda_exact(ds, cfg, beta, lam0=lam0)
+    near = solve_lambda_exact(ds, cfg, beta + 0.01)
+    hessian0 = near.hessian if carry_hessian else None
+    st = solve_lambda_exact(ds, cfg, beta, lam0=near.lam, hessian0=hessian0)
     assert st.ratio == pytest.approx(cold.ratio, rel=1e-12)
     # at the default tolerance the cold multiplier is itself about 1e-10
     # from the root, which a tightly solved reference locates
@@ -283,23 +305,33 @@ def test_lambda_exact_warm_start_matches_cold():
     np.testing.assert_allclose(st.lam, cold.lam, rtol=0, atol=1e-9)
     np.testing.assert_allclose(st.lam, root, rtol=0, atol=1e-10)
     assert st.iterations <= cold.iterations
+    assert st.hessians == st.iterations - 1 - carry_hessian
     assert st.probs.sum() == pytest.approx(1.0, abs=1e-8)
 
 
 def assert_same_state(st, cold):
     np.testing.assert_array_equal(st.lam, cold.lam)
     np.testing.assert_array_equal(st.probs, cold.probs)
+    np.testing.assert_array_equal(st.hessian, cold.hessian)
     assert st.ratio == cold.ratio
 
 
-@pytest.mark.parametrize("scale", [-20.0, 5.0])
-def test_lambda_exact_infeasible_start_is_cold(scale):
+@pytest.mark.parametrize("scale, carry_hessian", [
+    pytest.param(-20.0, False, id="-20.0"),
+    pytest.param(5.0, False, id="5.0"),
+    pytest.param(-20.0, True, id="-20.0-hessian"),
+    pytest.param(5.0, True, id="5.0-hessian"),
+])
+def test_lambda_exact_infeasible_start_is_cold(scale, carry_hessian):
+    # an infeasible start is dropped, and the Hessian that goes with it
     ds, cfg, beta, cold = warm_instance()
     lam0 = scale * cold.lam
     assert np.min(1.0 + g_matrix(ds, cfg, beta) @ lam0) <= 1.0 / ds.n
-    st = solve_lambda_exact(ds, cfg, beta, lam0=lam0)
+    hessian0 = 3.0 * cold.hessian if carry_hessian else None
+    st = solve_lambda_exact(ds, cfg, beta, lam0=lam0, hessian0=hessian0)
     assert_same_state(st, cold)
     assert st.iterations == cold.iterations
+    assert st.hessians == cold.hessians
 
 
 def test_lambda_exact_failed_warm_start_retries_from_zero():
@@ -316,10 +348,51 @@ def test_lambda_exact_failed_warm_start_retries_from_zero():
     assert st.iterations == 2 * cold.iterations
 
 
-@pytest.mark.parametrize("lam0", [0.5, -0.1])
-def test_hull_violation_with_warm_start(lam0):
+@pytest.mark.parametrize("lam0, hessian0", [
+    pytest.param(0.5, None, id="0.5"),
+    pytest.param(-0.1, None, id="-0.1"),
+    pytest.param(0.5, np.eye(1), id="0.5-hessian"),
+    pytest.param(-0.1, np.eye(1), id="-0.1-hessian"),
+    pytest.param(0.5, np.array([[1e-3]]), id="0.5-small-hessian"),
+    pytest.param(-0.1, np.array([[1e-3]]), id="-0.1-small-hessian"),
+])
+def test_hull_violation_with_warm_start(lam0, hessian0):
+    # a carried positive definite Hessian serves only the first step, so
+    # the hull test still sees the multiplier run off
     ds = Dataset(np.ones((2, 1)), np.array([2.0, 4.0]), np.ones(2))
     G = g_matrix(ds, CFG, np.zeros(1))
     assert np.all(1.0 + G @ np.array([lam0]) > 0.5)
     with pytest.raises(HullViolationError):
-        solve_lambda_exact(ds, CFG, np.zeros(1), lam0=np.array([lam0]))
+        solve_lambda_exact(ds, CFG, np.zeros(1), lam0=np.array([lam0]),
+                           hessian0=hessian0)
+
+
+def test_sweep_carried_hessian_saves_one_per_cell(monkeypatch):
+    # d2 design, 2000 x 10, about 20% missing: an 8-cell sweep that carries
+    # the Hessian forms at least cells - 1 fewer Hessians than solving each
+    # cell's ratio from the previous multiplier alone
+    beta0 = np.zeros(10)
+    beta0[[2, 4, 6]] = [1.0, 2.0, -1.0]
+    ds = missing_d2_ds(5, 2000, 10, beta0)
+    cfg = ModelConfig(tau=0.25)
+    grid = [a * ds.n ** (-5.0 / 6.0) for a in range(1, 9)]
+    formed = []
+    real = el._scaled_gram
+
+    def counting(*args):
+        formed.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(el, "_scaled_gram", counting)
+    _, records = bic_sweep(ds, cfg, 2.5, grid)
+    carried = len(formed)
+    assert len(records) == len(grid)
+    assert all(r.ratio_method == "exact" for r in records)
+    formed.clear()
+    lam, iterations = None, 0
+    for rec in records:
+        st = solve_lambda_exact(ds, cfg, rec.beta, lam0=lam)
+        lam, iterations = st.lam, iterations + st.iterations
+        assert st.hessians == st.iterations - 1
+    assert len(formed) - carried >= len(grid) - 1
+    assert sum(r.multiplier_iterations for r in records) <= iterations

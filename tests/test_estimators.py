@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import expectile_loss
 from seel.errors import (
@@ -18,6 +20,7 @@ from seel.estimators import (
 )
 from seel.model import Dataset, ModelConfig, PenaltyConfig, moments
 from seel.numkit import RngStream
+from seel.simulate import gen_design
 
 
 def simulated(n=300, p=4, seed=13, beta0=None, sigma=1.0, missing=0.0):
@@ -78,6 +81,69 @@ def test_expectile_errors():
     ds = Dataset(X, np.array([1.0, 2.0, 3.0]), np.ones(3))
     with pytest.raises(RankDeficientError):
         expectile_fit(ds, 0.5)
+
+
+@settings(deadline=None, max_examples=200)
+@given(m=st.integers(8, 80), p=st.integers(2, 6), col=st.integers(0, 5),
+       k=st.integers(0, 15),
+       log_scales=st.lists(st.floats(-6.0, 6.0), min_size=6, max_size=6),
+       seed=st.integers(0, 2 ** 16))
+def test_expectile_rank_error_matches_matrix_rank(m, p, col, k, log_scales,
+                                                  seed):
+    # column j is a combination of the others plus noise of relative size
+    # 10^-k, and every column is rescaled by up to 1e+-6; the Gram
+    # eigenvalue certificate may only skip the SVD where it agrees with it
+    gen = np.random.default_rng(seed)
+    X = gen.standard_normal((m, p))
+    j = col % p
+    coef = gen.standard_normal(p)
+    coef[j] = 0.0
+    combo = X @ coef
+    X[:, j] = combo + 10.0 ** -k * np.linalg.norm(combo) / np.sqrt(m) \
+        * gen.standard_normal(m)
+    X *= 10.0 ** np.array(log_scales[:p])
+    ds = Dataset(X, gen.standard_normal(m), np.ones(m))
+    deficient = np.linalg.matrix_rank(ds.Xo) < p
+    try:
+        expectile_fit(ds, 0.5)
+    except RankDeficientError:
+        raised = True
+    else:
+        raised = False
+    assert raised == deficient
+
+
+def count_matrix_rank(monkeypatch):
+    calls = []
+    real = np.linalg.matrix_rank
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "matrix_rank", counting)
+    return calls
+
+
+def test_rank_certificate_skips_the_svd_only_when_it_proves_full_rank(
+        monkeypatch):
+    rng = RngStream(3, 0)
+    n, p = 2000, 10
+    X = gen_design("d2", n, p, rng)
+    y = X @ np.linspace(1.0, -1.0, p) + rng.normals(n)
+    calls = count_matrix_rank(monkeypatch)
+    expectile_fit(Dataset(X, y, np.ones(n)), 0.3)
+    assert calls == []
+    # column 3 is nearly a combination of columns 1 and 2: full rank for
+    # matrix_rank, but no certificate from the Gram eigenvalues
+    X[:, 3] = X[:, 1] - X[:, 2] + 1e-9 * rng.normals(n)
+    assert np.linalg.matrix_rank(X) == p
+    calls.clear()
+    expectile_fit(Dataset(X, y, np.ones(n)), 0.5)
+    assert calls == [1]
+    X[:, 3] = X[:, 1] - X[:, 2]
+    with pytest.raises(RankDeficientError):
+        expectile_fit(Dataset(X, y, np.ones(n)), 0.5)
 
 
 def test_expectile_raises_when_iterations_run_out():

@@ -7,6 +7,7 @@ from seel import inference
 from seel.errors import DegenerateSampleError, OneSidedSampleError
 from seel.estimators import expectile_fit, fit_a2, fit_l2, pilot_estimate
 from seel.inference import (
+    CarriedMultiplier,
     bic,
     bic_sweep,
     empirical_tau,
@@ -114,14 +115,20 @@ def test_penalized_ratio_eta_zero_and_zero_beta():
 def test_penalized_ratio_carries_the_exact_multiplier():
     cfg = ModelConfig(tau=0.5, h=0.1)
     pen = PenaltyConfig(eta=0.0, gamma=1.0, pilot=np.array([0.5]))
-    lam = np.array([0.1])
-    val = penalized_ratio(hand_ds_at_one(), cfg, pen, np.array([1.0]), lam=lam)
+    carry = CarriedMultiplier(lam=np.array([0.1]))
+    val = penalized_ratio(hand_ds_at_one(), cfg, pen, np.array([1.0]),
+                          carry=carry)
     assert val == pytest.approx(0.23556607131276697, abs=1e-6)
-    assert lam[0] == pytest.approx(0.25, abs=1e-9)
+    assert carry.lam[0] == pytest.approx(0.25, abs=1e-9)
+    assert carry.method == "exact" and carry.iterations > 0
+    hessian = carry.hessian
+    assert hessian.shape == (1, 1) and hessian[0, 0] > 0.0
     # zero outside the hull: the fallback ratio leaves the multiplier alone
     ds = Dataset(np.ones((2, 1)), np.array([2.0, 4.0]), np.ones(2))
-    assert np.isfinite(penalized_ratio(ds, cfg, pen, np.zeros(1), lam=lam))
-    assert lam[0] == pytest.approx(0.25, abs=1e-9)
+    assert np.isfinite(penalized_ratio(ds, cfg, pen, np.zeros(1), carry=carry))
+    assert carry.lam[0] == pytest.approx(0.25, abs=1e-9)
+    assert carry.hessian is hessian
+    assert carry.method == "closed_form" and carry.iterations == 0
 
 
 def test_penalized_ratio_frozen_coordinate_contributes_nothing():
@@ -255,8 +262,10 @@ def test_bic_sweep_warm_multiplier_matches_cold_cells(monkeypatch):
         assert rec.bic == pytest.approx(cold.bic, rel=1e-12)
         assert np.array_equal(rec.beta, cold.beta)
         assert np.array_equal(rec.active_set, cold.active_set)
+        assert rec.ratio_method == cold.ratio_method == "exact"
     assert len(iterations) == len(grid)
     assert warm < sum(iterations)
+    assert sum(r.multiplier_iterations for r in records) == warm
 
 
 def test_bic_sweep_rejects_bad_grid():

@@ -66,6 +66,20 @@ def test_solve_jitter_rescues_semidefinite():
     assert np.linalg.norm(A @ x - np.array([2.0, 2.0])) < 1e-4
 
 
+def test_solve_jitter_rescues_a_zero_pivot_after_cholesky():
+    # the Gram matrix of an 8 x 2 design whose singular values are 1.9 and
+    # 3.6e-10: the Cholesky test passes, the LU solve meets a zero pivot
+    A = np.array([[0.3244738719255133, -1.0258416428582717],
+                  [-1.0258416428582717, 3.2432536708648683]])
+    b = A @ np.array([1.0, 1.0])
+    np.linalg.cholesky(A)
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(A, b)
+    x = solve_spd(A, b)
+    assert np.all(np.isfinite(x))
+    assert np.linalg.norm(A @ x - b) < 1e-4
+
+
 def test_solve_signals_indefinite():
     with pytest.raises(SingularMatrixError):
         solve_spd(np.array([[1.0, 2.0], [2.0, 1.0]]), np.array([1.0, 1.0]))
