@@ -6,7 +6,9 @@ reports are JSON on stdout; --out additionally writes files.  Exit codes:
 0 success, 2 input or schema error, 3 numerical failure.
 
 Dataset CSV schema: header row "y,delta,x1,...,xp"; a missing response is an
-empty y cell with delta = 0; UTF-8, '.' decimal, comma separator.
+empty y cell with delta = 0; UTF-8, '.' decimal, comma separator.  Blank
+lines are skipped, cells may be padded or double-quoted, and covariates are
+parsed by numpy, which takes no digit underscores.
 """
 
 import argparse
@@ -38,57 +40,93 @@ EXIT_NUMERIC = 3
 # dataset CSV
 
 def read_dataset(path):
-    """Parse a dataset CSV; raises CsvSchemaError on any schema violation."""
+    """Parse a dataset CSV; raises CsvSchemaError on any schema violation.
+
+    The header is checked with csv.  Blank and whitespace-only lines are
+    skipped.  delta and x1..xp of every other line are parsed in one
+    np.loadtxt call; the y cells stay text, so an empty cell and a literal
+    "nan" differ, and only those with delta = 1 are converted.  An error
+    about a row names its line in the file.
+    """
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            rows = list(csv.reader(fh))
-    except OSError as exc:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().split("\n")
+    except (OSError, UnicodeDecodeError) as exc:
         raise CsvSchemaError(f"cannot read {path}: {exc}") from None
-    if not rows:
+    if lines == [""]:
         raise CsvSchemaError("empty file")
-    header = [c.strip() for c in rows[0]]
+    header = [c.strip() for c in next(csv.reader(lines[:1]), [])]
     if len(header) < 3 or header[0] != "y" or header[1] != "delta":
         raise CsvSchemaError("header must be y,delta,x1,...,xp")
     p = len(header) - 2
     expected = [f"x{j}" for j in range(1, p + 1)]
     if header[2:] != expected:
         raise CsvSchemaError("covariate columns must be named x1..xp in order")
-    ys, deltas, xs = [], [], []
-    for lineno, row in enumerate(rows[1:], start=2):
-        if not row or (len(row) == 1 and not row[0].strip()):
-            continue
-        if len(row) != p + 2:
-            raise CsvSchemaError(f"line {lineno}: expected {p + 2} fields")
-        y_cell = row[0].strip()
-        try:
-            delta = int(row[1])
-            x = [float(v) for v in row[2:]]
-        except ValueError:
-            raise CsvSchemaError(f"line {lineno}: malformed number") from None
-        if delta not in (0, 1):
-            raise CsvSchemaError(f"line {lineno}: delta must be 0 or 1")
-        if delta == 1:
-            if not y_cell:
-                raise CsvSchemaError(f"line {lineno}: delta=1 needs a y value")
-            try:
-                y = float(y_cell)
-            except ValueError:
-                raise CsvSchemaError(f"line {lineno}: malformed y") from None
-            if not np.isfinite(y):
-                raise CsvSchemaError(f"line {lineno}: y must be finite")
-        else:
-            if y_cell:
-                raise CsvSchemaError(f"line {lineno}: delta=0 needs an empty y")
-            y = np.nan
-        ys.append(y)
-        deltas.append(delta)
-        xs.append(x)
-    if not xs:
+    linenos = [k for k in range(2, len(lines) + 1) if lines[k - 1].strip()]
+    if not linenos:
         raise CsvSchemaError("no data rows")
+    body = [lines[k - 1] for k in linenos]
+
+    def check(bad, message):
+        if bad.any():
+            raise CsvSchemaError(f"line {linenos[bad.argmax()]}: {message}")
+
+    check(np.array([ln.count(",") for ln in body]) != p + 1,
+          f"expected {p + 2} fields")
     try:
-        return Dataset(np.array(xs), np.array(ys), np.array(deltas))
-    except ValueError as exc:
-        raise CsvSchemaError(str(exc)) from None
+        numbers = _parse_numbers(body, p)
+    except ValueError:
+        row = _first_rejected(body, p)
+        raise CsvSchemaError(f"line {linenos[row]}: malformed number") from None
+    delta, X = numbers[:, 0], numbers[:, 1:]
+    check((delta != 0) & (delta != 1), "delta must be 0 or 1")
+    check(~np.isfinite(X).all(axis=1), "covariates must be finite")
+    # a quoted y cell is unquoted by csv, as in the header
+    y_cells = [(next(csv.reader([ln]))[0] if ln.startswith('"')
+                else ln.partition(",")[0]).strip() for ln in body]
+    empty = np.array([not c for c in y_cells])
+    observed = delta == 1
+    check(observed & empty, "delta=1 needs a y value")
+    check(~observed & ~empty, "delta=0 needs an empty y")
+    rows = np.flatnonzero(observed)
+    y = np.full(len(body), np.nan)
+    try:
+        y[rows] = [float(y_cells[i]) for i in rows]
+    except ValueError:
+        row = next(i for i in rows if not _is_float(y_cells[i]))
+        raise CsvSchemaError(f"line {linenos[row]}: malformed y") from None
+    check(observed & ~np.isfinite(y), "y must be finite")
+    return Dataset(X, y, delta)
+
+
+def _parse_numbers(lines, p):
+    """delta and x1..xp of data lines as an (n, p + 1) float array; delta
+    goes through int, so "1.0" is rejected."""
+    return np.loadtxt(lines, delimiter=",", quotechar='"', comments=None,
+                      ndmin=2, usecols=range(1, p + 2), converters={1: int})
+
+
+def _first_rejected(lines, p):
+    """Index of the first line _parse_numbers rejects, given that it rejects
+    the whole list: the rows parse independently, so bisect."""
+    lo, hi = 0, len(lines)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        try:
+            _parse_numbers(lines[lo:mid], p)
+        except ValueError:
+            hi = mid
+        else:
+            lo = mid
+    return lo
+
+
+def _is_float(text):
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
 
 
 def write_dataset(path, ds):

@@ -8,9 +8,16 @@ against them.  FullGram computes every weighted Gram matrix in full, where
 seel.model.WeightedGram corrects a reference product.  design_d1_one_draw
 draws the d1 design in one call and design_d2_loop draws the d2 design one
 column at a time, where seel.simulate.gen_design draws both in batches.
+read_dataset_rows parses a dataset CSV one row at a time with csv and
+float()/int(), where seel.cli.read_dataset parses it in bulk.
 """
 
+import csv
+
 import numpy as np
+
+from seel.errors import CsvSchemaError
+from seel.model import Dataset
 
 
 def expectile_loss(tau, x):
@@ -116,3 +123,57 @@ def design_d2_loop(n, p, rng):
         else:
             X[:, j] = rng.chi2_1(n) + (j + 1) ** 2 / n
     return X
+
+
+def read_dataset_rows(path):
+    """Parse a dataset CSV; raises CsvSchemaError on any schema violation."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+    except OSError as exc:
+        raise CsvSchemaError(f"cannot read {path}: {exc}") from None
+    if not rows:
+        raise CsvSchemaError("empty file")
+    header = [c.strip() for c in rows[0]]
+    if len(header) < 3 or header[0] != "y" or header[1] != "delta":
+        raise CsvSchemaError("header must be y,delta,x1,...,xp")
+    p = len(header) - 2
+    expected = [f"x{j}" for j in range(1, p + 1)]
+    if header[2:] != expected:
+        raise CsvSchemaError("covariate columns must be named x1..xp in order")
+    ys, deltas, xs = [], [], []
+    for lineno, row in enumerate(rows[1:], start=2):
+        if not row or (len(row) == 1 and not row[0].strip()):
+            continue
+        if len(row) != p + 2:
+            raise CsvSchemaError(f"line {lineno}: expected {p + 2} fields")
+        y_cell = row[0].strip()
+        try:
+            delta = int(row[1])
+            x = [float(v) for v in row[2:]]
+        except ValueError:
+            raise CsvSchemaError(f"line {lineno}: malformed number") from None
+        if delta not in (0, 1):
+            raise CsvSchemaError(f"line {lineno}: delta must be 0 or 1")
+        if delta == 1:
+            if not y_cell:
+                raise CsvSchemaError(f"line {lineno}: delta=1 needs a y value")
+            try:
+                y = float(y_cell)
+            except ValueError:
+                raise CsvSchemaError(f"line {lineno}: malformed y") from None
+            if not np.isfinite(y):
+                raise CsvSchemaError(f"line {lineno}: y must be finite")
+        else:
+            if y_cell:
+                raise CsvSchemaError(f"line {lineno}: delta=0 needs an empty y")
+            y = np.nan
+        ys.append(y)
+        deltas.append(delta)
+        xs.append(x)
+    if not xs:
+        raise CsvSchemaError("no data rows")
+    try:
+        return Dataset(np.array(xs), np.array(ys), np.array(deltas))
+    except ValueError as exc:
+        raise CsvSchemaError(str(exc)) from None

@@ -1,8 +1,12 @@
 import csv
 import json
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import read_dataset_rows
 
 from seel import inference
 from seel.cli import main, read_dataset, write_dataset
@@ -51,20 +55,150 @@ def test_roundtrip_preserves_bits(tmp_path):
 
 
 def test_schema_errors(tmp_path):
+    # (text, the start of the error message)
     cases = {
-        "empty_y.csv": "y,delta,x1\n,1,2.0\n",
-        "bad_header.csv": "resp,delta,x1\n1.0,1,2.0\n",
-        "bad_delta.csv": "y,delta,x1\n1.0,2,2.0\n",
-        "y_on_missing.csv": "y,delta,x1\n1.0,0,2.0\n",
-        "short_row.csv": "y,delta,x1,x2\n1.0,1,2.0\n",
-        "bad_number.csv": "y,delta,x1\nfoo,1,2.0\n",
-        "wrong_order.csv": "y,delta,x2,x1\n1.0,1,2.0,3.0\n",
+        "empty_y.csv": ("y,delta,x1\n,1,2.0\n", "line 2:"),
+        "bad_header.csv": ("resp,delta,x1\n1.0,1,2.0\n", "header"),
+        "bad_delta.csv": ("y,delta,x1\n1.0,2,2.0\n", "line 2:"),
+        "y_on_missing.csv": ("y,delta,x1\n1.0,0,2.0\n", "line 2:"),
+        "short_row.csv": ("y,delta,x1,x2\n1.0,1,2.0\n", "line 2:"),
+        "bad_number.csv": ("y,delta,x1\nfoo,1,2.0\n", "line 2:"),
+        "wrong_order.csv": ("y,delta,x2,x1\n1.0,1,2.0,3.0\n", "covariate"),
+        "after_blank.csv": ("y,delta,x1\n1.0,1,2.0\n\n1.0,1,x\n", "line 4:"),
+        "infinite_x.csv": ("y,delta,x1\n1.0,1,2.0\n,0,-inf\n", "line 3:"),
     }
-    for name, text in cases.items():
+    for name, (text, start) in cases.items():
         path = tmp_path / name
         path.write_text(text)
-        with pytest.raises(CsvSchemaError):
+        with pytest.raises(CsvSchemaError, match=f"^{start}"):
             read_dataset(path)
+
+
+# file text: the bulk reader and the row-by-row reference must agree on it
+# (same arrays, or both raise naming the same line)
+READER_CORPUS = {
+    "lf": "y,delta,x1,x2\n1.5,1,2.0,3.0\n,0,1.0,-2.0\n",
+    "crlf": "y,delta,x1,x2\r\n1.5,1,2.0,3.0\r\n,0,1.0,-2.0\r\n",
+    "cr": "y,delta,x1,x2\r1.5,1,2.0,3.0\r,0,1.0,-2.0\r",
+    "no_final_newline": "y,delta,x1,x2\n1.5,1,2.0,3.0\n,0,1.0,-2.0",
+    "blank_lines": "y,delta,x1,x2\n\n1.5,1,2.0,3.0\n\n\n,0,1.0,-2.0\n\n",
+    "whitespace_lines": "y,delta,x1,x2\n   \n1.5,1,2.0,3.0\n\t\r\n,0,1,2\n \n",
+    "padded_cells": "y,delta,x1,x2\n 2.5 , 1 , 2.0 ,\t3.0\n  ,0, -1 ,4\n",
+    "padded_header": " y , delta , x1 , x2 \n1,1,2,3\n",
+    "quoted_cells": 'y,delta,x1,x2\n"1.5","1","2.0","3.0"\n"",0,"1",2\n',
+    "quoted_padded": 'y,delta,x1,x2\n"1.5" ,1,"2.0" ,3\n',
+    "quote_after_space": 'y,delta,x1,x2\n1.5,1, "2.0",3\n',
+    "quoted_comma": 'y,delta,x1,x2\n1.5,1,"2,0",3\n',
+    "delta_space": "y,delta,x1,x2\n1.5, 1,2.0,3.0\n",
+    "delta_plus": "y,delta,x1,x2\n1.5,+1,2.0,3.0\n,+0,1,1\n",
+    "delta_float": "y,delta,x1,x2\n1.5,1.0,2.0,3.0\n",
+    "delta_two": "y,delta,x1,x2\n1.5,1,2,3\n1.5,2,2.0,3.0\n",
+    "delta_huge": "y,delta,x1,x2\n1.5,1" + "0" * 400 + ",2.0,3.0\n",
+    "delta_empty": "y,delta,x1,x2\n1.5,,2.0,3.0\n",
+    "number_forms": ("y,delta,x1,x2\n+.5,1,5.,-0.0\n1e308,1,4.9e-324,"
+                     "2.2250738585072014e-308\n"
+                     "0.1000000000000000055511151231257827021181583404541015625"
+                     ",1,1E-5,-123456789012345678901234567890\n"),
+    "nan_y": "y,delta,x1,x2\n1,1,2,3\nnan,1,2.0,3.0\n",
+    "inf_y": "y,delta,x1,x2\n-inf,1,2.0,3.0\n",
+    "nan_y_missing": "y,delta,x1,x2\n1,1,2,3\nnan,0,2.0,3.0\n",
+    "nan_x": "y,delta,x1,x2\n1.5,1,nan,3.0\n",
+    "inf_x": "y,delta,x1,x2\n1.5,1,2.0,inf\n",
+    "malformed_x": "y,delta,x1,x2\n1,1,2,3\n1,1,2,3\n1.5,1,2.0,abc\n",
+    "malformed_y": "y,delta,x1,x2\n1,1,2,3\n1.5.1,1,2.0,3\n",
+    "empty_x": "y,delta,x1,x2\n1.5,1,,3\n",
+    "empty_y_observed": "y,delta,x1,x2\n1,1,2,3\n ,1,2.0,3.0\n",
+    "short_row": "y,delta,x1,x2\n1,1,2,3\n1.5,1,2.0\n",
+    "long_row": "y,delta,x1,x2\n1.5,1,2.0,3.0,4.0\n",
+    "blank_then_bad": "y,delta,x1,x2\n1,1,2,3\n\n  \n1,1,2,oops\n",
+    "header_only": "y,delta,x1,x2\n",
+    "header_and_blanks": "y,delta,x1,x2\n\n \n",
+    "empty": "",
+    "blank_first_line": "\ny,delta,x1,x2\n1,1,2,3\n",
+    "bad_header": "y,d,x1\n1,1,2\n",
+}
+
+
+def _read_both(path):
+    """Each reader's Dataset, or its error message."""
+    out = []
+    for reader in (read_dataset, read_dataset_rows):
+        try:
+            out.append(reader(path))
+        except CsvSchemaError as exc:
+            out.append(str(exc))
+    return out
+
+
+def _assert_same_dataset(new, ref):
+    assert new.X.tobytes() == ref.X.tobytes()
+    assert new.delta.dtype == ref.delta.dtype
+    assert np.array_equal(new.delta, ref.delta)
+    seen = ref.delta == 1
+    assert new.y[seen].tobytes() == ref.y[seen].tobytes()
+    assert np.isnan(new.y[~seen]).all() and np.isnan(ref.y[~seen]).all()
+
+
+@pytest.mark.parametrize("name", sorted(READER_CORPUS))
+def test_bulk_reader_matches_row_reference(tmp_path, name):
+    path = tmp_path / "data.csv"
+    path.write_bytes(READER_CORPUS[name].encode("utf-8"))
+    new, ref = _read_both(path)
+    if isinstance(ref, str):
+        assert isinstance(new, str), f"reference raised {ref!r}"
+        line = re.match(r"line \d+:", ref)
+        if line:
+            assert new.startswith(line.group())
+    else:
+        assert not isinstance(new, str), new
+        _assert_same_dataset(new, ref)
+
+
+# inputs the row-by-row reference accepts and the bulk reader rejects at
+# line 3: numpy parses covariates without digit underscores or non-ASCII
+# digits, and a line holding only a quoted empty cell is not blank text
+DECLARED_DIFFERENCES = {
+    "digit_underscores": "y,delta,x1\n1.5,1,2.0\n1.5,1,1_0\n",
+    "non_ascii_digit": "y,delta,x1\n1.5,1,2.0\n1.5,1,\uff11\n",
+    "quoted_blank_line": 'y,delta,x1\n1.5,1,2.0\n""\n',
+}
+
+
+@pytest.mark.parametrize("name", sorted(DECLARED_DIFFERENCES))
+def test_bulk_reader_declared_differences(tmp_path, name):
+    path = tmp_path / "data.csv"
+    path.write_bytes(DECLARED_DIFFERENCES[name].encode("utf-8"))
+    read_dataset_rows(path)
+    with pytest.raises(CsvSchemaError, match="^line 3: "):
+        read_dataset(path)
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(deadline=None, max_examples=60)
+@given(data=st.data(), n=st.integers(1, 12), p=st.integers(1, 4))
+def test_written_datasets_round_trip_through_both_readers(tmp_path_factory,
+                                                          data, n, p):
+    X = np.array(data.draw(st.lists(_finite, min_size=n * p,
+                                    max_size=n * p))).reshape(n, p)
+    delta = np.array(data.draw(st.lists(st.integers(0, 1), min_size=n,
+                                        max_size=n)))
+    y = np.where(delta == 1, data.draw(st.lists(_finite, min_size=n,
+                                                max_size=n)), np.nan)
+    ds = Dataset(X, y, delta)
+    path = tmp_path_factory.mktemp("round_trip") / "data.csv"
+    write_dataset(path, ds)
+    new, ref = _read_both(path)
+    _assert_same_dataset(ref, ds)
+    _assert_same_dataset(new, ref)
+
+
+def test_undecodable_file_is_a_schema_error(tmp_path):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes("y,delta,x1\n1.0,1,2.0\n\u00e9,0,1.0\n".encode("latin-1"))
+    with pytest.raises(CsvSchemaError, match="^cannot read"):
+        read_dataset(path)
 
 
 def test_schema_error_exit_code(tmp_path, capsys):
