@@ -134,10 +134,11 @@ def write_dataset(path, ds):
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["y", "delta"] + [f"x{j}" for j in range(1, ds.p + 1)])
+        X = ds.X
         for i in range(ds.n):
             y_cell = repr(float(ds.y[i])) if ds.delta[i] == 1 else ""
             writer.writerow([y_cell, int(ds.delta[i])]
-                            + [repr(float(v)) for v in ds.X[i]])
+                            + [repr(float(v)) for v in X[i]])
 
 
 # ---------------------------------------------------------------------------
@@ -232,10 +233,11 @@ def _prepare(args):
     ds = read_dataset(args.data)
     transform = None
     if args.standardize:
-        center, scale = ds.X.mean(axis=0), ds.X.std(axis=0)
+        X = ds.X
+        center, scale = X.mean(axis=0), X.std(axis=0)
         if np.any(scale == 0.0):
             raise CsvSchemaError("constant covariate cannot be standardized")
-        ds = Dataset((ds.X - center) / scale, ds.y, ds.delta)
+        ds = Dataset((X - center) / scale, ds.y, ds.delta)
         transform = {"center": center.tolist(), "scale": scale.tolist()}
     tau_auto = args.tau.lower() == "auto"
     tau = float(empirical_tau(ds.y[ds.delta == 1]) if tau_auto else args.tau)

@@ -9,14 +9,13 @@ design and responses as Xo/yo, and every mean still divides by the full
 sample size n.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass, field
 
 import numpy as np
 
 from .kernels import Kernel
 
 
-@dataclass(frozen=True)
 class Dataset:
     """Observations (y_i, x_i, delta_i); y_i is undefined where delta_i = 0.
 
@@ -27,21 +26,19 @@ class Dataset:
         never used.
     delta : (n,) array of 0/1 missingness flags (1 = response observed).
 
-    The dataset keeps read-only copies of X, y and delta, so editing the
-    arrays passed in changes nothing here.  Xo and yo hold the rows with an
-    observed response, contiguous and read-only (Xo is X itself when no
-    response is missing), and gram is the WeightedGram over Xo that every
-    fit on this dataset shares.
+    The dataset keeps read-only copies of y and delta and stores the design
+    once, read-only, observed rows first, so editing the arrays passed in
+    changes nothing here.  Xo and yo are the observed rows, contiguous (Xo
+    is the whole design when no response is missing), and gram is the
+    WeightedGram over Xo that every fit on this dataset shares.  X is the
+    design in the original row order, assembled on every read as a new
+    read-only array when a response is missing: a loop should bind it once.
     """
 
-    X: np.ndarray
-    y: np.ndarray
-    delta: np.ndarray
-
-    def __post_init__(self):
-        X = np.atleast_2d(np.array(self.X, dtype=float))
-        y = np.array(self.y, dtype=float).ravel()
-        delta = np.asarray(self.delta).ravel().astype(np.uint8)
+    def __init__(self, X, y, delta):
+        X = np.atleast_2d(np.asarray(X, dtype=float))
+        y = np.array(y, dtype=float).ravel()
+        delta = np.asarray(delta).ravel().astype(np.uint8)
         n, p = X.shape
         if n < 1 or p < 1:
             raise ValueError("dataset needs at least one row and one column")
@@ -53,24 +50,46 @@ class Dataset:
             raise ValueError("delta entries must be 0 or 1")
         observed = delta == 1
         if observed.all():
-            Xo, yo = X, y
+            rows = Xo = np.array(X)
+            yo = y
         else:
-            Xo, yo = X[observed], y[observed]
+            order = np.concatenate([np.flatnonzero(observed),
+                                    np.flatnonzero(~observed)])
+            rows = X[order]
+            Xo, yo = rows[:np.count_nonzero(observed)], y[observed]
         if not np.all(np.isfinite(yo)):
             raise ValueError("observed responses (delta = 1) must be finite")
-        for name, value in (("X", X), ("y", y), ("delta", delta),
+        for name, value in (("_rows", rows), ("y", y), ("delta", delta),
                             ("Xo", Xo), ("yo", yo)):
             value.flags.writeable = False
             object.__setattr__(self, name, value)
         object.__setattr__(self, "gram", WeightedGram(Xo))
 
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    @property
+    def X(self):
+        """The (n, p) design in the original row order, read-only."""
+        if self.n_complete == self.n:
+            return self.Xo
+        X = np.empty_like(self._rows)
+        observed = self.delta == 1
+        X[observed] = self.Xo
+        X[~observed] = self._rows[self.n_complete:]
+        X.flags.writeable = False
+        return X
+
     @property
     def n(self):
-        return self.X.shape[0]
+        return self.delta.shape[0]
 
     @property
     def p(self):
-        return self.X.shape[1]
+        return self._rows.shape[1]
 
     @property
     def n_complete(self):

@@ -282,10 +282,6 @@ def _replicate(sc, tau, m):
     return out
 
 
-def _replicate_star(args):
-    return _replicate(*args)
-
-
 def run_monte_carlo(sc, workers=1):
     """Run the full Monte Carlo cell and aggregate the summary metrics.
 
@@ -296,7 +292,7 @@ def run_monte_carlo(sc, workers=1):
     jobs = [(sc, tau, m) for m in range(sc.replications)]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_replicate_star, jobs, chunksize=8))
+            results = list(pool.map(_replicate, *zip(*jobs), chunksize=8))
     else:
         results = [_replicate(*job) for job in jobs]
 

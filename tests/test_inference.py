@@ -225,6 +225,29 @@ def test_bic_sweep_computes_one_start_per_dataset(expectile_calls, mode, sizes):
     assert expectile_calls == sizes
 
 
+def test_bic_sweep_never_reads_the_full_design(monkeypatch):
+    # with responses missing, ds.X is assembled on every read; a sweep with
+    # a "same" pilot runs on the stored observed rows only
+    rng = RngStream(5, 0)
+    n, p = 400, 4
+    X = gen_design("d2", n, p, rng)
+    delta = gen_missing("constant", X, rng, 0.8)
+    ds = Dataset(X, np.where(delta == 1, X[:, 0] + rng.normals(n), np.nan), delta)
+    assert ds.n_complete < n
+    reads = []
+    design = Dataset.X.fget
+
+    def counted(self):
+        reads.append(1)
+        return design(self)
+
+    monkeypatch.setattr(Dataset, "X", property(counted))
+    _, records = bic_sweep(ds, ModelConfig(tau=0.3), 2.5,
+                           [0.01, 0.02, 0.04], pilot_mode="same")
+    assert len(records) == 3 and len(reads) == 0
+    assert ds.X.tobytes() == X.tobytes() and len(reads) == 1
+
+
 def test_bic_sweep_warm_multiplier_matches_cold_cells(monkeypatch):
     # d2 design, about 20% of responses missing, tau = 0.3: each cell's
     # record equals a cold bic call on that cell's fit, with fewer

@@ -1,5 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from oracles import (
     expectile_loss,
@@ -85,6 +90,65 @@ def test_editing_the_callers_arrays_changes_no_fit():
     assert ds.delta.tobytes() == ref.delta.tobytes()
     assert first.tobytes() == expected[0].tobytes()
     assert second.tobytes() == expected[1].tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.integers(1, 12), st.integers(1, 4),
+       st.sampled_from(["none observed", "all observed", "random", "one observed"]))
+def test_design_is_stored_once_and_assembled_bit_for_bit(data, n, p, pattern):
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    X = data.draw(arrays(np.float64, (n, p), elements=finite))
+    flags = data.draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    delta = {"none observed": np.zeros(n), "all observed": np.ones(n),
+             "random": np.array(flags),
+             "one observed": np.eye(n)[flags.index(1) if 1 in flags else 0]
+             }[pattern].astype(np.uint8)
+    ds = Dataset(X, np.where(delta == 1, 1.0, np.nan), delta)
+    assert ds.n == n and ds.p == p and ds.n_complete == int(delta.sum())
+    first, second = ds.X, ds.X
+    assert first.tobytes() == X.tobytes() and second.tobytes() == X.tobytes()
+    assert not first.flags.writeable and not second.flags.writeable
+    if ds.n_complete == n:
+        # nothing missing: X is the stored design itself
+        assert first is ds.Xo and second is ds.Xo
+    else:
+        assert not np.shares_memory(first, second)
+        assert not np.shares_memory(first, ds.Xo)
+    assert ds.Xo.tobytes() == X[delta == 1].tobytes()
+    assert ds.Xo.flags.c_contiguous and not ds.Xo.flags.writeable
+    X[...] = 7.0
+    assert ds.X.tobytes() == first.tobytes()
+
+
+def test_dataset_attributes_cannot_be_assigned():
+    ds = Dataset(np.ones((3, 2)), np.array([1.0, np.nan, 2.0]), np.array([1, 0, 1]))
+    for name in ("X", "Xo", "y", "gram", "n"):
+        with pytest.raises(AttributeError):
+            setattr(ds, name, None)
+        with pytest.raises(AttributeError):
+            delattr(ds, name)
+
+
+def test_dataset_stores_one_design():
+    # numpy buffers beyond the caller's arrays: the dataset keeps one n x p
+    # design plus O(n) vectors, and building it needs at most that plus the
+    # n x p byte finiteness mask at once
+    n, p = 20_000, 50
+    rng = np.random.default_rng(5)
+    X = rng.normal(size=(n, p))
+    delta = (rng.uniform(size=n) > 0.2).astype(np.uint8)
+    y = np.where(delta == 1, X[:, 0], np.nan)
+    numpy_only = [tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)]
+    tracemalloc.start()
+    try:
+        ds = Dataset(X, y, delta)
+        _, peak = tracemalloc.get_traced_memory()
+        held = tracemalloc.take_snapshot().filter_traces(numpy_only).traces
+    finally:
+        tracemalloc.stop()
+    assert 0 < n - ds.n_complete < n
+    assert sum(t.size for t in held) < 1.1 * n * p * 8 + 64 * n
+    assert peak <= n * p * 8 + n * p + 64 * n
 
 
 def test_g_matrix_has_the_rows_of_the_complete_case_dataset():
