@@ -205,16 +205,18 @@ def empirical_tau(y):
     absolute deviation about the median; tau is the share of the negative
     mass in the total absolute mass of the rescaled values.
     """
-    y = np.asarray(y, dtype=float)
+    y = np.asarray(y, dtype=float).ravel()
     if y.size == 0:
         raise ValueError("empty sample")
+    if not np.isfinite(y).all():
+        raise ValueError("responses must be finite")
     med = np.median(y)
     mad = np.mean(np.abs(y - med))
     if mad == 0.0:
         raise DegenerateSampleError("all responses equal; tau undefined")
     yt = (y - med) / mad
-    neg = float(np.sum(yt[yt < 0.0]))
-    pos = float(np.sum(yt[yt > 0.0]))
+    neg = float(np.sum(np.compress(yt < 0.0, yt)))
+    pos = float(np.sum(np.compress(yt > 0.0, yt)))
     denom = neg - pos
     if denom == 0.0:
         raise DegenerateSampleError("rescaled responses carry no mass")
@@ -228,9 +230,11 @@ def zero_expectile_tau(residuals):
     mass; plugging it back makes mean(r * (tau 1{r>0} + (1-tau) 1{r<0}))
     vanish identically.
     """
-    r = np.asarray(residuals, dtype=float)
-    s_pos = float(np.sum(r[r > 0.0]))
-    s_neg = float(-np.sum(r[r < 0.0]))
+    r = np.asarray(residuals, dtype=float).ravel()
+    if not np.isfinite(r).all():
+        raise ValueError("residuals must be finite")
+    s_pos = float(np.sum(np.compress(r > 0.0, r)))
+    s_neg = float(-np.sum(np.compress(r < 0.0, r)))
     if s_pos == 0.0 or s_neg == 0.0:
         raise OneSidedSampleError("residuals must take both signs")
     return s_neg / (s_pos + s_neg)

@@ -161,15 +161,12 @@ class WeightedGram:
     whose weight differs from it, K_ref + X_D' diag(v_D - v_ref,D) X_D, and
     rebuilds the reference when more than half of the rows differ.  The
     half is a chosen bound, not a cost crossover: a correction over k rows
-    costs about k/n of a full product plus the gather of X_D, which on a
-    50 000 x 50 design (one BLAS thread) stays cheaper than the full
-    product up to about three quarters of the rows.  Rebuilding at half
-    caps a correction at about two thirds of a full product, moves the
-    reference to the current weights once they have drifted from it, and
-    puts fits whose weights change on every used row straight on full
-    products.  Every result is one correction away from a full product, so
-    rounding does not accumulate along a sequence.  Each call returns a new
-    array.
+    costs about k/n of a full product plus the gather of X_D.  Rebuilding
+    at half caps a correction at half of the rows, moves the reference to
+    the current weights once they have drifted from it, and puts fits whose
+    weights change on every used row straight on full products.  Every
+    result is one correction away from a full product, so rounding does not
+    accumulate along a sequence.  Each call returns a new array.
 
     Smoothed expectile weights are constant outside the kernel band, so
     between nearby iterates only the rows in or crossing the band change.

@@ -233,49 +233,68 @@ _F = (5.99832206555887937690e-1, 1.36929880922735805310e-1, 1.487536129085061485
 
 
 def _poly(coefs, r):
-    # Horner evaluation; coefs listed from the constant term upward
-    acc = np.zeros_like(r) + coefs[-1]
+    # Horner evaluation in place; coefs listed from the constant term upward
+    acc = np.full_like(r, coefs[-1])
     for c in coefs[-2::-1]:
-        acc = acc * r + c
+        acc *= r
+        acc += c
     return acc
 
 
+def _rational(num, den, r):
+    out = _poly(num, r)
+    out /= _poly((1.0,) + den, r)
+    return out
+
+
 def normal_quantile(u):
-    """Inverse standard normal CDF, vectorized; u must lie strictly in (0, 1)."""
+    """Inverse standard normal CDF, vectorized; u must lie strictly in (0, 1).
+
+    Elementwise: output i depends on u[i] alone.  Each branch of AS 241 is
+    gathered with np.compress, evaluated in place and scattered back with
+    np.place, which gives the same bytes as evaluating every element alone.
+    """
     u = np.asarray(u, dtype=float)
-    q = u - 0.5
-    out = np.empty_like(u)
+    flat = u.ravel()
+    q = flat - 0.5
+    out = np.empty_like(q)
 
     central = np.abs(q) <= 0.425
-    if np.any(central):
-        r = 0.180625 - q[central] ** 2
-        out[central] = _poly(_A, r) * q[central] / _poly((1.0,) + _B, r)
+    qc = np.compress(central, q)
+    r = 0.180625 - qc ** 2
+    zc = _poly(_A, r)
+    zc *= qc
+    zc /= _poly((1.0,) + _B, r)
+    np.place(out, central, zc)
 
     tail = ~central
-    if np.any(tail):
-        qt = q[tail]
-        r = np.where(qt < 0.0, u[tail], 1.0 - u[tail])
-        r = np.sqrt(-np.log(r))
-        near = r <= 5.0
-        z = np.empty_like(r)
-        if np.any(near):
-            rn = r[near] - 1.6
-            z[near] = _poly(_C, rn) / _poly((1.0,) + _D, rn)
-        if np.any(~near):
-            rf = r[~near] - 5.0
-            z[~near] = _poly(_E, rf) / _poly((1.0,) + _F, rf)
-        out[tail] = np.where(qt < 0.0, -z, z)
+    lower = np.compress(tail, q) < 0.0
+    ut = np.compress(tail, flat)
+    r = np.sqrt(-np.log(np.where(lower, ut, 1.0 - ut)))
+    z = np.empty_like(r)
+    near = r <= 5.0
+    np.place(z, near, _rational(_C, _D, np.compress(near, r) - 1.6))
+    far = ~near
+    np.place(z, far, _rational(_E, _F, np.compress(far, r) - 5.0))
+    np.negative(z, out=z, where=lower)
+    np.place(out, tail, z)
+    out = out.reshape(u.shape)
     return out if out.ndim else float(out)
 
 
 # ---------------------------------------------------------------------------
 # counter-based splittable generator
 
-_MASK64 = np.uint64(0xFFFFFFFFFFFFFFFF)
+_MASK64 = 0xFFFFFFFFFFFFFFFF
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX_M1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX_M2 = np.uint64(0x94D049BB133111EB)
 _STREAM_SALT = np.uint64(0xD6E8FEB86659FD93)
+
+# words are made in blocks of _BLOCK counters; block j of a draw hashes
+# offset + _STEPS[:k], offset = key + (first counter) * golden mod 2^64
+_BLOCK = 1 << 13
+_STEPS = np.arange(_BLOCK, dtype=np.uint64) * _GOLDEN
 
 
 def _mix64(z):
@@ -291,40 +310,54 @@ class RngStream:
     Output i is a pure function of (seed, stream_id, i): the i-th counter is
     hashed through the splitmix64 finalizer, so identical (seed, stream_id)
     pairs reproduce identical draw sequences and distinct stream ids give
-    statistically independent streams.  Each stream instance is meant to be
+    statistically independent streams, and a draw of n numbers equals any
+    split of it into consecutive smaller draws.  The hash runs in place over
+    blocks of _BLOCK counters, in two fixed block buffers, so a draw holds
+    no temporary larger than a block.  Each stream instance is meant to be
     owned by a single worker.
     """
 
     def __init__(self, seed, stream_id=0):
         with np.errstate(over="ignore"):
-            s = np.uint64(int(seed) & 0xFFFFFFFFFFFFFFFF)
-            t = np.uint64(int(stream_id) & 0xFFFFFFFFFFFFFFFF)
+            s = np.uint64(int(seed) & _MASK64)
+            t = np.uint64(int(stream_id) & _MASK64)
             self._key = _mix64((_mix64(s + _GOLDEN) ^ (t * _STREAM_SALT)) + _GOLDEN)
         self.seed = int(seed)
         self.stream_id = int(stream_id)
         self._counter = 0
 
-    def _next_words(self, size):
-        with np.errstate(over="ignore"):
-            idx = np.arange(self._counter, self._counter + size, dtype=np.uint64)
-            words = _mix64(self._key + idx * _GOLDEN)
-        self._counter += size
-        return words
-
     def uniforms(self, size):
         """size draws from the open interval (0, 1), 53-bit resolution."""
-        bits = self._next_words(size) >> np.uint64(11)
-        return (bits.astype(np.float64) + 0.5) * 2.0 ** -53
+        out = np.empty(size)
+        z = np.empty(min(size, _BLOCK), dtype=np.uint64)
+        t = np.empty_like(z)
+        for i0 in range(0, size, _BLOCK):
+            zk, tk = z[:size - i0], t[:size - i0]
+            offset = (int(self._key) + self._counter * int(_GOLDEN)) & _MASK64
+            np.add(_STEPS[:zk.size], np.uint64(offset), out=zk)
+            # _mix64 in place, then the top 53 bits
+            for shift, mult in ((30, _MIX_M1), (27, _MIX_M2)):
+                np.right_shift(zk, np.uint64(shift), out=tk)
+                zk ^= tk
+                zk *= mult
+            np.right_shift(zk, np.uint64(31), out=tk)
+            zk ^= tk
+            zk >>= np.uint64(11)
+            out[i0:i0 + zk.size] = zk
+            self._counter += zk.size
+        out += 0.5
+        out *= 2.0 ** -53
+        return out
 
     def normals(self, size):
         return normal_quantile(self.uniforms(size))
 
     def exponentials(self, mean, size):
-        return -mean * np.log(self.uniforms(size))
+        u = self.uniforms(size)
+        return np.multiply(np.log(u, out=u), -mean, out=u)
 
     def chi2_1(self, size):
         return self.normals(size) ** 2
 
     def bernoulli(self, prob, size):
         return (self.uniforms(size) < prob).astype(np.uint8)
-

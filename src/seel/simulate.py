@@ -195,7 +195,9 @@ def gen_errors(law, n, rng):
     zero (right-skewed, support bounded below at -1.5)."""
     if law == "normal":
         return rng.normals(n)
-    return rng.exponentials(_EXP_MEAN, n) - _EXP_MEAN
+    e = rng.exponentials(_EXP_MEAN, n)
+    e -= _EXP_MEAN
+    return e
 
 
 def missing_probability(X):

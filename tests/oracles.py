@@ -9,15 +9,20 @@ seel.model.WeightedGram corrects a reference product.  design_d1_one_draw
 draws the d1 design in one call and design_d2_loop draws the d2 design one
 column at a time, where seel.simulate.gen_design draws both in batches.
 read_dataset_rows parses a dataset CSV one row at a time with csv and
-float()/int(), where seel.cli.read_dataset parses it in bulk.
+float()/int(), where seel.cli.read_dataset parses it in bulk.  OneShotStream
+hashes all counters of a draw in one array, and normal_quantile_masked and
+zero_expectile_tau_masked split their input with boolean indexing, where
+seel.numkit and seel.inference work block by block, with np.compress and
+np.place, in place.
 """
 
 import csv
 
 import numpy as np
 
-from seel.errors import CsvSchemaError
+from seel.errors import CsvSchemaError, OneSidedSampleError
 from seel.model import Dataset
+from seel.numkit import _A, _B, _C, _D, _E, _F, _GOLDEN, RngStream, _mix64
 
 
 def expectile_loss(tau, x):
@@ -177,3 +182,71 @@ def read_dataset_rows(path):
         return Dataset(np.array(xs), np.array(ys), np.array(deltas))
     except ValueError as exc:
         raise CsvSchemaError(str(exc)) from None
+
+
+class OneShotStream(RngStream):
+    """RngStream whose draws hash every counter of a draw in one array."""
+
+    def _next_words(self, size):
+        with np.errstate(over="ignore"):
+            idx = np.arange(self._counter, self._counter + size, dtype=np.uint64)
+            words = _mix64(self._key + idx * _GOLDEN)
+        self._counter += size
+        return words
+
+    def uniforms(self, size):
+        """size draws from the open interval (0, 1), 53-bit resolution."""
+        bits = self._next_words(size) >> np.uint64(11)
+        return (bits.astype(np.float64) + 0.5) * 2.0 ** -53
+
+    def normals(self, size):
+        return normal_quantile_masked(self.uniforms(size))
+
+    def exponentials(self, mean, size):
+        return -mean * np.log(self.uniforms(size))
+
+
+def _poly(coefs, r):
+    # Horner evaluation; coefs listed from the constant term upward
+    acc = np.zeros_like(r) + coefs[-1]
+    for c in coefs[-2::-1]:
+        acc = acc * r + c
+    return acc
+
+
+def normal_quantile_masked(u):
+    """Inverse standard normal CDF, vectorized; u must lie strictly in (0, 1)."""
+    u = np.asarray(u, dtype=float)
+    q = u - 0.5
+    out = np.empty_like(u)
+
+    central = np.abs(q) <= 0.425
+    if np.any(central):
+        r = 0.180625 - q[central] ** 2
+        out[central] = _poly(_A, r) * q[central] / _poly((1.0,) + _B, r)
+
+    tail = ~central
+    if np.any(tail):
+        qt = q[tail]
+        r = np.where(qt < 0.0, u[tail], 1.0 - u[tail])
+        r = np.sqrt(-np.log(r))
+        near = r <= 5.0
+        z = np.empty_like(r)
+        if np.any(near):
+            rn = r[near] - 1.6
+            z[near] = _poly(_C, rn) / _poly((1.0,) + _D, rn)
+        if np.any(~near):
+            rf = r[~near] - 5.0
+            z[~near] = _poly(_E, rf) / _poly((1.0,) + _F, rf)
+        out[tail] = np.where(qt < 0.0, -z, z)
+    return out if out.ndim else float(out)
+
+
+def zero_expectile_tau_masked(residuals):
+    """The tau whose sample expectile equation the residuals satisfy at zero."""
+    r = np.asarray(residuals, dtype=float)
+    s_pos = float(np.sum(r[r > 0.0]))
+    s_neg = float(-np.sum(r[r < 0.0]))
+    if s_pos == 0.0 or s_neg == 0.0:
+        raise OneSidedSampleError("residuals must take both signs")
+    return s_neg / (s_pos + s_neg)

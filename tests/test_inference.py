@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import zero_expectile_tau_masked
 from seel import inference
 from seel.errors import DegenerateSampleError, OneSidedSampleError
 from seel.estimators import expectile_fit, fit_a2, fit_l2, pilot_estimate
@@ -344,6 +345,28 @@ def test_zero_expectile_tau_values():
     assert zero_expectile_tau(np.array([-1.0, 3.0])) == pytest.approx(0.25)
     with pytest.raises(OneSidedSampleError):
         zero_expectile_tau(np.array([1.0, 2.0]))
+
+
+def test_zero_expectile_tau_matches_masked_oracle():
+    for seed in range(4):
+        r = gen_errors("shifted_exp", 50_001, RngStream(seed, 5))
+        r[::7] = 0.0
+        assert zero_expectile_tau(r) == zero_expectile_tau_masked(r)
+        block = r[:50_000].reshape(200, 250)
+        assert zero_expectile_tau(block) == zero_expectile_tau_masked(block)
+
+
+@pytest.mark.parametrize("rule,sample", [
+    (zero_expectile_tau, [1.0, -1.0, np.nan]),
+    (zero_expectile_tau, [1.0, -1.0, np.inf]),
+    (zero_expectile_tau, [1.0, -np.inf, 2.0]),
+    (empirical_tau, [1.0, 2.0, np.nan, 5.0]),
+    (empirical_tau, [1.0, 2.0, -np.inf, 5.0]),
+])
+def test_tau_rules_reject_non_finite_samples(rule, sample):
+    # a NaN used to be dropped (tau 0.5), an infinity to give tau 0
+    with pytest.raises(ValueError, match="must be finite"):
+        rule(np.array(sample))
 
 
 @settings(deadline=None, max_examples=80)

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -5,8 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import OneShotStream, normal_quantile_masked
 from seel.errors import InvalidProbabilityError, SingularMatrixError
 from seel.numkit import (
+    _BLOCK,
     RngStream,
     chi2_quantile,
     chi2_sf,
@@ -171,6 +174,39 @@ def test_normal_quantile_inverts_quadrature_cdf():
         assert _normal_cdf_quadrature(z) == pytest.approx(u, abs=1e-9)
 
 
+def quantile_inputs():
+    # both central edges, both tails, u below exp(-25) (r > 5) and u next
+    # to 1, plus a stream of draws
+    edges = np.array([0.075, np.nextafter(0.075, 0.0), 0.925,
+                      np.nextafter(0.925, 1.0), 0.5, np.exp(-25.0),
+                      np.nextafter(np.exp(-25.0), 0.0), 5e-324, 1e-300,
+                      1.0 - 2.0 ** -53, 1.0 - 2.0 ** -40, 1e-8])
+    tiny = np.exp(-np.linspace(20.0, 740.0, 500))
+    near_one = 1.0 - np.exp(-np.linspace(3.0, 36.7, 500))
+    return np.concatenate([edges, tiny, near_one, RngStream(8, 3).uniforms(5000)])
+
+
+def test_normal_quantile_matches_masked_oracle():
+    u = quantile_inputs()
+    assert (u > 0.0).all() and (u < 1.0).all()
+    assert normal_quantile(u).tobytes() == normal_quantile_masked(u).tobytes()
+    block = u[:6000].reshape(60, 100)
+    for arr in (block, block.T, block[::2, ::3]):
+        z = normal_quantile(arr)
+        assert z.shape == arr.shape
+        assert z.tobytes() == normal_quantile_masked(arr).tobytes()
+
+
+def test_normal_quantile_scalar_inputs_match_masked_oracle():
+    for v in quantile_inputs()[:12]:
+        for x in (float(v), np.array(v), np.float64(v)):
+            z = normal_quantile(x)
+            assert type(z) is float
+            assert z == normal_quantile_masked(x)
+    empty = normal_quantile(np.empty((0, 3)))
+    assert empty.shape == (0, 3)
+
+
 # ---------------------------------------------------------------------------
 # counter-based stream
 
@@ -178,6 +214,60 @@ def test_stream_bit_identical_reproduction():
     a = RngStream(123, 9).uniforms(4096)
     b = RngStream(123, 9).uniforms(4096)
     assert np.array_equal(a, b)
+
+
+SIZES = (0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 5)
+SEEDS = ((0, 0), (123, 9), (2 ** 63 + 5, 2 ** 48 + 7), (-1, 3))
+
+
+@pytest.mark.parametrize("seed,stream", SEEDS)
+def test_uniforms_match_one_shot_oracle(seed, stream):
+    # one draw of each size, then the same sizes again with the counter
+    # carried on, so blocks start at every offset
+    rng, oracle = RngStream(seed, stream), OneShotStream(seed, stream)
+    for size in SIZES + SIZES[::-1]:
+        assert rng.uniforms(size).tobytes() == oracle.uniforms(size).tobytes()
+        assert rng._counter == oracle._counter
+
+
+@pytest.mark.parametrize("seed,stream", SEEDS[:3])
+def test_derived_draws_match_one_shot_oracle(seed, stream):
+    rng, oracle = RngStream(seed, stream), OneShotStream(seed, stream)
+    for size in SIZES:
+        assert rng.exponentials(1.5, size).tobytes() \
+            == oracle.exponentials(1.5, size).tobytes()
+        assert rng.normals(size).tobytes() == oracle.normals(size).tobytes()
+        assert rng.bernoulli(0.3, size).tobytes() \
+            == oracle.bernoulli(0.3, size).tobytes()
+        assert rng.chi2_1(size).tobytes() == oracle.chi2_1(size).tobytes()
+
+
+@pytest.mark.parametrize("seed,stream,size,digest", [
+    (0, 0, 1000,
+     "bc69ccec2b9c3649adcac151a591ae19c1d37f7fc15eb03e64826441443df40c"),
+    (123, 9, 24581,
+     "f228d682066bc4a5e8f1e72f8d4be2fa6f7930ae8cfa9a8c8e7220d8a294d286"),
+    (2 ** 63 + 5, 2 ** 48 + 7, 100003,
+     "403c381ecc051a4e1d1d9a91dc8a15968a9c33d6f5ec948f844f4d6633ab5d91"),
+])
+def test_uniforms_pinned_digest(seed, stream, size, digest):
+    # recorded from the one-shot generator; pins the oracle and the stream
+    for rng in (RngStream(seed, stream), OneShotStream(seed, stream)):
+        assert hashlib.sha256(rng.uniforms(size).tobytes()).hexdigest() == digest
+
+
+def test_exponential_draw_memory_stays_near_its_output():
+    # the hash runs in two fixed block buffers and the log in place, so a
+    # draw holds no temporary as large as its output
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        e = RngStream(0, 0).exponentials(1.5, 10 ** 6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= e.nbytes + 256 * 1024
 
 
 def test_stream_distinct_ids_differ():

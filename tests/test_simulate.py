@@ -103,6 +103,20 @@ def test_errors_normal_and_shifted_exp():
     assert skew == pytest.approx(2.0, abs=0.15)
 
 
+def test_shifted_exp_errors_memory_stays_near_their_output():
+    # the shift is applied in place to the draw, which holds only two
+    # block buffers besides its output
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        e = gen_errors("shifted_exp", 10 ** 6, RngStream(4, 0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= e.nbytes + 256 * 1024
+
+
 def test_missing_complete_and_constant():
     X = np.zeros((10 ** 5, 2))
     assert np.all(gen_missing("complete", X, RngStream(5, 0)) == 1)
