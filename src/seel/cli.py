@@ -76,7 +76,7 @@ def read_dataset(path):
     try:
         numbers = _parse_numbers(body, p)
     except ValueError:
-        row = _first_rejected(body, p)
+        row = _first_failure(body, lambda ln: _parse_numbers([ln], p))
         raise CsvSchemaError(f"line {linenos[row]}: malformed number") from None
     delta, X = numbers[:, 0], numbers[:, 1:]
     check((delta != 0) & (delta != 1), "delta must be 0 or 1")
@@ -93,7 +93,7 @@ def read_dataset(path):
     try:
         y[rows] = [float(y_cells[i]) for i in rows]
     except ValueError:
-        row = next(i for i in rows if not _is_float(y_cells[i]))
+        row = rows[_first_failure([y_cells[i] for i in rows], float)]
         raise CsvSchemaError(f"line {linenos[row]}: malformed y") from None
     check(observed & ~np.isfinite(y), "y must be finite")
     return Dataset(X, y, delta)
@@ -106,27 +106,14 @@ def _parse_numbers(lines, p):
                       ndmin=2, usecols=range(1, p + 2), converters={1: int})
 
 
-def _first_rejected(lines, p):
-    """Index of the first line _parse_numbers rejects, given that it rejects
-    the whole list: the rows parse independently, so bisect."""
-    lo, hi = 0, len(lines)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
+def _first_failure(items, parse):
+    """Index of the first item that parse raises ValueError on; the error
+    path of read_dataset, which re-parses one line at a time."""
+    for i, item in enumerate(items):
         try:
-            _parse_numbers(lines[lo:mid], p)
+            parse(item)
         except ValueError:
-            hi = mid
-        else:
-            lo = mid
-    return lo
-
-
-def _is_float(text):
-    try:
-        float(text)
-    except ValueError:
-        return False
-    return True
+            return i
 
 
 def write_dataset(path, ds):

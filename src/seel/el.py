@@ -1,5 +1,5 @@
-"""Empirical likelihood core: multiplier solver, implied probabilities and
-the exact and approximate log-likelihood ratios.
+"""Empirical likelihood core: multiplier solver and the exact and
+approximate log-likelihood ratios.
 
 The exact multiplier maximizes the concave dual sum(log(1 + lambda'g_i))
 over the region where every factor stays positive; the approximate one is
@@ -37,14 +37,12 @@ _HESSIAN_BLOCK_ROWS = 4096  # rows per block of the multiplier Hessian
 @dataclass
 class ELState:
     """Solution of the inner empirical-likelihood problem at a fixed beta
-    (a solve that fails raises instead).  probs has one entry per row of
-    the dataset, 1/n on the rows with a missing response.  hessian is the
-    last Hessian the solve formed, or the carried one it was given when it
-    formed none (None when a cold solve took no step); hessians counts the
-    Hessians it formed."""
+    (a solve that fails raises instead).  hessian is the last Hessian the
+    solve formed, or the carried one it was given when it formed none (None
+    when a cold solve took no step); hessians counts the Hessians it
+    formed."""
 
     lam: np.ndarray
-    probs: np.ndarray
     ratio: float
     iterations: int
     hessian: np.ndarray | None
@@ -83,11 +81,10 @@ def solve_lambda_exact(ds, cfg, beta, tol=_LAMBDA_TOL, max_iter=None,
     """Solve the multiplier equation mean(g_i / (1 + lambda'g_i)) = 0.
 
     Damped Newton steps on the dual, halved until every factor satisfies
-    1 + lambda'g_i > 1/n on the observed rows.  The returned probabilities
-    are p_i = 1 / (n (1 + lambda'g_i)), which is 1/n on a row with a missing
-    response; their total over the full sample equals one exactly at an
-    interior solution, which is also how an exterior (hull-violating)
-    pseudo-solution is recognised.
+    1 + lambda'g_i > 1/n on the observed rows.  The implied probabilities
+    p_i = 1 / (n (1 + lambda'g_i)), 1/n on a row with a missing response,
+    total one over the full sample exactly at an interior solution, which is
+    how an exterior (hull-violating) pseudo-solution is recognised.
 
     lam0 is an optional starting multiplier, typically the solution at a
     nearby beta.  It is used only when every factor 1 + lam0'g_i exceeds
@@ -133,11 +130,9 @@ def solve_lambda_exact(ds, cfg, beta, tol=_LAMBDA_TOL, max_iter=None,
             break
     else:
         raise error
-    probs = np.full(n, 1.0 / n)
-    probs[ds.delta == 1] = 1.0 / (n * w)
     ratio = float(2.0 * np.log(w).sum())
-    return ELState(lam=lam, probs=probs, ratio=ratio, iterations=iterations,
-                   hessian=H, hessians=hessians)
+    return ELState(lam=lam, ratio=ratio, iterations=iterations, hessian=H,
+                   hessians=hessians)
 
 
 def _scaled_gram(G, winv, block):

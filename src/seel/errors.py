@@ -34,7 +34,7 @@ class DegenerateSampleError(EstimationError):
 
 
 class OneSidedSampleError(EstimationError):
-    """All residuals share one sign; no interior expectile level exists."""
+    """A sample does not take both signs; no interior expectile level exists."""
 
 
 class CsvSchemaError(EstimationError):

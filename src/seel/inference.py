@@ -199,11 +199,9 @@ def bic_sweep(ds, cfg, gamma, eta_grid, pilot_mode="same", failures=None):
 
 
 def empirical_tau(y):
-    """Expectile level estimated from the observed responses.
-
-    The responses are centered at their median and scaled by the mean
-    absolute deviation about the median; tau is the share of the negative
-    mass in the total absolute mass of the rescaled values.
+    """Expectile level estimated from the observed responses: the
+    zero-expectile level (zero_expectile_tau) of the responses centered at
+    their median and scaled by the mean absolute deviation about it.
     """
     y = np.asarray(y, dtype=float).ravel()
     if y.size == 0:
@@ -214,13 +212,7 @@ def empirical_tau(y):
     mad = np.mean(np.abs(y - med))
     if mad == 0.0:
         raise DegenerateSampleError("all responses equal; tau undefined")
-    yt = (y - med) / mad
-    neg = float(np.sum(np.compress(yt < 0.0, yt)))
-    pos = float(np.sum(np.compress(yt > 0.0, yt)))
-    denom = neg - pos
-    if denom == 0.0:
-        raise DegenerateSampleError("rescaled responses carry no mass")
-    return neg / denom
+    return zero_expectile_tau((y - med) / mad)
 
 
 def zero_expectile_tau(residuals):
@@ -228,13 +220,16 @@ def zero_expectile_tau(residuals):
 
     Closed form S- / (S+ + S-) with S+ the positive mass and S- the negative
     mass; plugging it back makes mean(r * (tau 1{r>0} + (1-tau) 1{r<0}))
-    vanish identically.
+    vanish identically.  OneSidedSampleError is raised when that ratio is
+    not inside (0, 1): one mass is zero, or lost to rounding beside the other.
     """
     r = np.asarray(residuals, dtype=float).ravel()
     if not np.isfinite(r).all():
         raise ValueError("residuals must be finite")
     s_pos = float(np.sum(np.compress(r > 0.0, r)))
     s_neg = float(-np.sum(np.compress(r < 0.0, r)))
-    if s_pos == 0.0 or s_neg == 0.0:
-        raise OneSidedSampleError("residuals must take both signs")
-    return s_neg / (s_pos + s_neg)
+    tau = s_neg / (s_pos + s_neg) if s_pos + s_neg > 0.0 else 0.0
+    if not 0.0 < tau < 1.0:
+        raise OneSidedSampleError(
+            "sample must take both signs, neither negligible beside the other")
+    return tau

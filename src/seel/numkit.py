@@ -158,26 +158,16 @@ def gamma_p(a, x):
     return 1.0 - _gamma_q_contfrac(a, x)
 
 
-def gamma_q(a, x):
-    """Regularized upper incomplete gamma Q(a, x) = 1 - P(a, x)."""
-    if a <= 0.0:
-        raise ValueError("gamma_q requires a > 0")
-    if x < 0.0:
-        raise ValueError("gamma_q requires x >= 0")
-    if x == 0.0:
-        return 1.0
-    if x < a + 1.0:
-        return 1.0 - _gamma_p_series(a, x)
-    return _gamma_q_contfrac(a, x)
-
-
 def chi2_sf(stat, df):
-    """Survival function P[chi2(df) > stat]."""
+    """Survival function P[chi2(df) > stat] = Q(df/2, stat/2)."""
     if stat < 0.0:
         raise ValueError("chi-square statistic must be nonnegative")
     if df < 1:
         raise ValueError("degrees of freedom must be a positive integer")
-    return gamma_q(0.5 * df, 0.5 * float(stat))
+    a, x = 0.5 * df, 0.5 * float(stat)
+    if x < a + 1.0:
+        return 1.0 - _gamma_p_series(a, x)
+    return _gamma_q_contfrac(a, x)
 
 
 @functools.lru_cache(maxsize=None)

@@ -76,6 +76,14 @@ class SimConfig:
             raise ValueError("pi must lie in (0, 1]")
         if self.replications < 1:
             raise ValueError("need at least one replication")
+        if self.pilot_mode not in ("same", "split"):
+            raise ValueError("pilot mode must be 'same' or 'split'")
+        if not 0.0 < self.alpha < 1.0:
+            raise ValueError("alpha must lie in (0, 1)")
+        # the configs every replication builds, built once so that a bad
+        # tau, h, kernel, tolerance, eta or gamma fails here
+        self.model_config(0.5 if self.tau is None else self.tau)
+        PenaltyConfig(eta=self.resolved_eta(), gamma=self.gamma)
         self.algorithms = tuple(str(a).lower() for a in self.algorithms)
         for a in self.algorithms:
             if a not in ALGORITHMS:
@@ -95,9 +103,7 @@ class SimConfig:
         sample = gen_errors("shifted_exp", 10 ** 6, rng)
         return zero_expectile_tau(sample)
 
-    def model_config(self, tau=None):
-        if tau is None:
-            tau = self.resolved_tau()
+    def model_config(self, tau):
         return ModelConfig(tau=tau, h=self.h,
                            kernel=Kernel(self.kernel), nu=self.nu,
                            eps_zero=self.eps_zero, max_iter=self.max_iter)
@@ -138,25 +144,21 @@ class SimReport:
         }
 
     def csv_record(self):
-        """Header and row of the sim_cells.csv line, from one column list."""
-        sc = self.config
-        cells = [("n", sc.n), ("p", sc.p), ("design", sc.design),
-                 ("errors", sc.errors), ("missing", sc.missing),
-                 ("tau", repr(self.tau_used)), ("eta", repr(sc.resolved_eta())),
-                 ("seed", sc.seed), ("replications_used", self.replications_used),
-                 ("replications_failed", self.replications_failed),
-                 ("cp", repr(self.cp)), ("cp_cr0", repr(self.cp_cr0))]
-        for alg in sc.algorithms:
-            cells.append((f"norm_{alg}", repr(self.mean_norm[alg])))
-            cells.append((f"coverage_{alg}", repr(self.coverage[alg])))
+        """Header and row of the sim_cells.csv line, from to_json_dict; an
+        undefined selection rate is written "NaN"."""
+        d = self.to_json_dict()
+        cells = [(k, d[k]) for k in (
+            "n", "p", "design", "errors", "missing", "tau", "eta", "seed",
+            "replications_used", "replications_failed", "cp", "cp_cr0")]
+        for alg in d["algorithms"]:
+            cells += [(f"norm_{alg}", d["mean_norm"][alg]),
+                      (f"coverage_{alg}", d["coverage"][alg])]
             if alg in ("l1", "l2"):
-                zs = self.zero_selection[alg]
-                cells.append((f"zero_selection_{alg}",
-                              "NaN" if zs is None else repr(zs)))
-                cells.append((f"support_recovery_{alg}",
-                              repr(self.support_recovery[alg])))
+                cells += [(f"zero_selection_{alg}", d["zero_selection"][alg]),
+                          (f"support_recovery_{alg}",
+                           d["support_recovery"][alg])]
         header, row = zip(*cells)
-        return list(header), list(row)
+        return list(header), ["NaN" if v is None else str(v) for v in row]
 
     def to_json(self, indent=2):
         return json.dumps(self.to_json_dict(), indent=indent)
@@ -253,7 +255,7 @@ def _replicate(sc, tau, m):
         pilot = None
         if needs_pilot:
             pilot = fits["a2"].beta if sc.pilot_mode == "same" \
-                else pilot_estimate(ds, cfg, mode="split")
+                else pilot_estimate(ds, cfg, mode=sc.pilot_mode)
             pen = PenaltyConfig(eta=sc.resolved_eta(), gamma=sc.gamma, pilot=pilot)
             if "l1" in sc.algorithms:
                 fits["l1"] = fit_l1(ds, cfg, pen, start)

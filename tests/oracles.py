@@ -4,10 +4,12 @@ The package computes g_i(beta) = (tau + (1 - 2 tau) G((x_i'beta - y_i)/h))
 (y_i - x_i'beta) x_i for all rows at once (seel.model.moments and g_matrix).
 The per-row functions here evaluate one row at a time, straight from the
 formula, so the tests can check the vectorized path and its derivatives
-against them.  FullGram computes every weighted Gram matrix in full, where
-seel.model.WeightedGram corrects a reference product.  design_d1_one_draw
-draws the d1 design in one call and design_d2_loop draws the d2 design one
-column at a time, where seel.simulate.gen_design draws both in batches.
+against them; implied_probabilities gives the empirical likelihood
+probabilities of a multiplier, which seel.el does not form.  FullGram
+computes every weighted Gram matrix in full, where seel.model.WeightedGram
+corrects a reference product.  design_d1_one_draw draws the d1 design in
+one call and design_d2_loop draws the d2 design one column at a time, where
+seel.simulate.gen_design draws both in batches.
 read_dataset_rows parses a dataset CSV one row at a time with csv and
 float()/int(), where seel.cli.read_dataset parses it in bulk.  OneShotStream
 hashes all counters of a draw in one array, and normal_quantile_masked and
@@ -101,6 +103,14 @@ def g_smooth_hessian_slice(ds, i, j, cfg, beta):
     scal = one_m2t / h ** 2 * pdf_prime(cfg.kernel, u) * r \
         - 2.0 * one_m2t / h * cfg.kernel.pdf(u)
     return x[j] * scal * np.outer(x, x)
+
+
+def implied_probabilities(ds, cfg, beta, lam):
+    """Empirical likelihood probabilities 1 / (n (1 + lam'g_i)) of every
+    row, row by row; a row with a missing response has g_i = 0, so 1/n."""
+    lam = np.asarray(lam, dtype=float)
+    w = [1.0 + float(lam @ g_smooth(ds, i, cfg, beta)) for i in range(ds.n)]
+    return 1.0 / (ds.n * np.array(w))
 
 
 class FullGram:

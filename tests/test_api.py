@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import seel
+from seel import cli, numkit
 from seel.el import ELState
 from seel.estimators import FitResult
 from seel.inference import bic_sweep, wilks_test
@@ -76,6 +77,13 @@ def test_removed_members_stay_removed():
     # one method gives the CSV header and row from one column list
     assert not hasattr(SimReport, "csv_header")
     assert not hasattr(SimReport, "csv_row")
+    # chi2_sf evaluates the upper incomplete gamma itself
+    assert not hasattr(numkit, "gamma_q")
+    # one finder locates the first bad line of a CSV
+    assert not hasattr(cli, "_first_rejected")
+    assert not hasattr(cli, "_is_float")
+    # the implied probabilities are a test oracle, not a solver output
+    assert "probs" not in {f.name for f in fields(ELState)}
 
 
 def test_fit_result_holds_beta_iterations_and_trace():

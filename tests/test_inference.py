@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import zero_expectile_tau_masked
@@ -329,15 +329,32 @@ def test_empirical_tau_skew_direction():
 
 @settings(deadline=None, max_examples=80)
 @given(st.lists(st.floats(-1e4, 1e4), min_size=2, max_size=60))
+# more than half of the sample ties at the median, so nothing lies below it
+# (or above it): a ratio of the masses would give -0.0 (or 1.0)
+@example([0.0, 0.0, 0.0, 5.0, 0.0])
+@example([0.0, 0.0, 0.0, -5.0, 0.0])
+@example([0.0, 2.5424589951348846e-275, -1.0])  # the ratio rounds to 1
 def test_empirical_tau_in_unit_interval(vals):
     y = np.asarray(vals)
     if np.all(y == y[0]):
         return
     med = np.median(y)
-    if np.mean(np.abs(y - med)) == 0.0:
+    mad = np.mean(np.abs(y - med))
+    if mad == 0.0:
         return
-    tau = empirical_tau(y)
-    assert 0.0 <= tau <= 1.0
+    # the zero-expectile level of the rescaled sample
+    if two_sided((y - med) / mad):
+        assert 0.0 < empirical_tau(y) < 1.0
+    else:
+        with pytest.raises(OneSidedSampleError):
+            empirical_tau(y)
+
+
+def two_sided(r):
+    """Whether r takes both signs with neither mass lost to rounding beside
+    the other, so that S- / (S+ + S-) lies inside (0, 1)."""
+    s_pos, s_neg = float(np.sum(r[r > 0.0])), float(-np.sum(r[r < 0.0]))
+    return s_pos > 0.0 and s_neg > 0.0 and 0.0 < s_neg / (s_pos + s_neg) < 1.0
 
 
 def test_zero_expectile_tau_values():
@@ -345,6 +362,9 @@ def test_zero_expectile_tau_values():
     assert zero_expectile_tau(np.array([-1.0, 3.0])) == pytest.approx(0.25)
     with pytest.raises(OneSidedSampleError):
         zero_expectile_tau(np.array([1.0, 2.0]))
+    # both signs, but 1 + 1e-300 rounds to 1: tau would be exactly 1.0
+    with pytest.raises(OneSidedSampleError):
+        zero_expectile_tau(np.array([1e-300, -1.0]))
 
 
 def test_zero_expectile_tau_matches_masked_oracle():
@@ -373,7 +393,9 @@ def test_tau_rules_reject_non_finite_samples(rule, sample):
 @given(st.lists(st.floats(-100, 100), min_size=2, max_size=50))
 def test_zero_expectile_tau_zeroes_the_moment(vals):
     r = np.asarray(vals)
-    if not ((r > 0).any() and (r < 0).any()):
+    if not two_sided(r):
+        with pytest.raises(OneSidedSampleError):
+            zero_expectile_tau(r)
         return
     tau = zero_expectile_tau(r)
     moment = np.mean(r * np.where(r > 0, tau, np.where(r < 0, 1 - tau, 0.0)))

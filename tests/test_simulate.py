@@ -3,6 +3,7 @@ import pytest
 
 from oracles import design_d1_one_draw, design_d2_loop
 from seel import simulate
+from seel.estimators import pilot_estimate
 from seel.numkit import RngStream
 from seel.simulate import (
     SCHEMA_VERSION,
@@ -148,6 +149,38 @@ def test_config_validation():
         base_config(algorithms=("a2", "zz"))
     with pytest.raises(ValueError):
         base_config(missing="constant", pi=0.0)
+
+
+@pytest.mark.parametrize("overrides, message", [
+    ({"pilot_mode": "splt", "algorithms": ("l2",)}, "pilot mode"),
+    ({"kernel": "gauss"}, "unknown kernel"),
+    ({"alpha": 1.5}, "alpha"),
+    ({"alpha": 0.0}, "alpha"),
+    ({"gamma": -1.0, "algorithms": ("a2",)}, "gamma"),
+    ({"eta": -1.0, "algorithms": ("a2",)}, "eta"),
+    ({"tau": 1.0}, "tau"),
+])
+def test_config_rejects_bad_values_up_front(overrides, message):
+    # each is rejected when the config is built, not at a replication
+    with pytest.raises(ValueError, match=message):
+        base_config(**overrides)
+
+
+def test_replications_use_the_configured_pilot_mode(monkeypatch):
+    modes = []
+
+    def recording(ds, cfg, mode="same", beta0=None):
+        modes.append(mode)
+        return pilot_estimate(ds, cfg, mode=mode, beta0=beta0)
+
+    monkeypatch.setattr(simulate, "pilot_estimate", recording)
+    sc = base_config(pilot_mode="split", algorithms=("l2",), replications=2)
+    run_monte_carlo(sc)
+    assert modes == ["split", "split"]
+    # a same-mode pilot is the replication's own A2 fit
+    run_monte_carlo(base_config(pilot_mode="same", algorithms=("l2",),
+                                replications=2))
+    assert modes == ["split", "split"]
 
 
 def test_config_defaults():
