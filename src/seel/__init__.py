@@ -35,7 +35,6 @@ from .estimators import (
 from .inference import (
     BicRecord,
     TestReport,
-    bic,
     bic_sweep,
     el_ratio,
     empirical_tau,

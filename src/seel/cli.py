@@ -46,7 +46,7 @@ def read_dataset(path):
     skipped.  delta and x1..xp of every other line are parsed in one
     np.loadtxt call; the y cells stay text, so an empty cell and a literal
     "nan" differ, and only those with delta = 1 are converted.  An error
-    about a row names its line in the file.
+    about a row names the first line in the file that breaks any rule.
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -66,54 +66,52 @@ def read_dataset(path):
     if not linenos:
         raise CsvSchemaError("no data rows")
     body = [lines[k - 1] for k in linenos]
-
-    def check(bad, message):
-        if bad.any():
-            raise CsvSchemaError(f"line {linenos[bad.argmax()]}: {message}")
-
-    check(np.array([ln.count(",") for ln in body]) != p + 1,
-          f"expected {p + 2} fields")
     try:
-        numbers = _parse_numbers(body, p)
+        X, y, delta = _parse_rows(body, p)
     except ValueError:
-        row = _first_failure(body, lambda ln: _parse_numbers([ln], p))
-        raise CsvSchemaError(f"line {linenos[row]}: malformed number") from None
+        for lineno, line in zip(linenos, body):
+            try:
+                _parse_rows([line], p)
+            except ValueError as exc:
+                raise CsvSchemaError(f"line {lineno}: {exc}") from None
+        raise
+    return Dataset(X, y, delta)
+
+
+def _parse_rows(body, p):
+    """(X, y, delta) of data lines; raises ValueError naming the first rule
+    in this order that some line breaks.  delta and x1..xp go through one
+    np.loadtxt call, delta through int, so "1.0" is rejected."""
+    if (np.array([ln.count(",") for ln in body]) != p + 1).any():
+        raise ValueError(f"expected {p + 2} fields")
+    try:
+        numbers = np.loadtxt(body, delimiter=",", quotechar='"', comments=None,
+                             ndmin=2, usecols=range(1, p + 2),
+                             converters={1: int})
+    except ValueError:
+        raise ValueError("malformed number") from None
     delta, X = numbers[:, 0], numbers[:, 1:]
-    check((delta != 0) & (delta != 1), "delta must be 0 or 1")
-    check(~np.isfinite(X).all(axis=1), "covariates must be finite")
+    if ((delta != 0) & (delta != 1)).any():
+        raise ValueError("delta must be 0 or 1")
+    if not np.isfinite(X).all():
+        raise ValueError("covariates must be finite")
     # a quoted y cell is unquoted by csv, as in the header
     y_cells = [(next(csv.reader([ln]))[0] if ln.startswith('"')
                 else ln.partition(",")[0]).strip() for ln in body]
     empty = np.array([not c for c in y_cells])
     observed = delta == 1
-    check(observed & empty, "delta=1 needs a y value")
-    check(~observed & ~empty, "delta=0 needs an empty y")
-    rows = np.flatnonzero(observed)
+    if (observed & empty).any():
+        raise ValueError("delta=1 needs a y value")
+    if (~observed & ~empty).any():
+        raise ValueError("delta=0 needs an empty y")
     y = np.full(len(body), np.nan)
     try:
-        y[rows] = [float(y_cells[i]) for i in rows]
+        y[observed] = [float(y_cells[i]) for i in np.flatnonzero(observed)]
     except ValueError:
-        row = rows[_first_failure([y_cells[i] for i in rows], float)]
-        raise CsvSchemaError(f"line {linenos[row]}: malformed y") from None
-    check(observed & ~np.isfinite(y), "y must be finite")
-    return Dataset(X, y, delta)
-
-
-def _parse_numbers(lines, p):
-    """delta and x1..xp of data lines as an (n, p + 1) float array; delta
-    goes through int, so "1.0" is rejected."""
-    return np.loadtxt(lines, delimiter=",", quotechar='"', comments=None,
-                      ndmin=2, usecols=range(1, p + 2), converters={1: int})
-
-
-def _first_failure(items, parse):
-    """Index of the first item that parse raises ValueError on; the error
-    path of read_dataset, which re-parses one line at a time."""
-    for i, item in enumerate(items):
-        try:
-            parse(item)
-        except ValueError:
-            return i
+        raise ValueError("malformed y") from None
+    if (observed & ~np.isfinite(y)).any():
+        raise ValueError("y must be finite")
+    return X, y, delta
 
 
 def write_dataset(path, ds):

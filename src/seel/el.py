@@ -15,10 +15,10 @@ The solver is Newton's method on the dual (Owen, Empirical Likelihood,
 2001, section 3.14).  Its Hessian, the mean of g_i g_i' / w_i^2, is the one
 O(n p^2) cost of a step; it changes on every row with lambda, so no rows of
 it can be reused.  A sequence of solves at nearby betas (the cells of a BIC
-sweep) can hand each solve the last Hessian of the one before together with
-its multiplier: that Hessian then serves the first step, and every later
-step forms its own, so only the first step of such a warm solve is inexact
-and the stopping rule on the gradient is unchanged.
+sweep) can hand each solve the ELState of the one before: its multiplier is
+the start and its last Hessian serves the first step, and every later step
+forms its own, so only the first step of such a warm solve is inexact and
+the stopping rule on the gradient is unchanged.
 """
 
 from dataclasses import dataclass
@@ -38,15 +38,13 @@ _HESSIAN_BLOCK_ROWS = 4096  # rows per block of the multiplier Hessian
 class ELState:
     """Solution of the inner empirical-likelihood problem at a fixed beta
     (a solve that fails raises instead).  hessian is the last Hessian the
-    solve formed, or the carried one it was given when it formed none (None
-    when a cold solve took no step); hessians counts the Hessians it
-    formed."""
+    solve formed, or the warm one it was given when it formed none (None
+    when a cold solve took no step)."""
 
     lam: np.ndarray
     ratio: float
     iterations: int
     hessian: np.ndarray | None
-    hessians: int
 
 
 def lambda_approx(ds, cfg, beta):
@@ -77,7 +75,7 @@ def el_ratio_approx(ds, cfg, beta):
 
 
 def solve_lambda_exact(ds, cfg, beta, tol=_LAMBDA_TOL, max_iter=None,
-                       lam0=None, hessian0=None):
+                       warm=None):
     """Solve the multiplier equation mean(g_i / (1 + lambda'g_i)) = 0.
 
     Damped Newton steps on the dual, halved until every factor satisfies
@@ -86,19 +84,15 @@ def solve_lambda_exact(ds, cfg, beta, tol=_LAMBDA_TOL, max_iter=None,
     total one over the full sample exactly at an interior solution, which is
     how an exterior (hull-violating) pseudo-solution is recognised.
 
-    lam0 is an optional starting multiplier, typically the solution at a
-    nearby beta.  It is used only when every factor 1 + lam0'g_i exceeds
-    1/n; otherwise the solve starts from zero.  A solve started from a
-    nonzero lam0 that fails is retried once from zero, so a warm start
-    raises only where a cold one does; `iterations` then counts both
-    attempts.  max_iter bounds each attempt.
-
-    hessian0 is an optional p x p Hessian that goes with lam0, typically
-    ELState.hessian of the solve at the nearby beta.  When the solve starts
-    from lam0, its first Newton step uses hessian0 in place of a fresh
-    Hessian; every later step, and every step of a start from zero (the
-    retry included), forms its own.  A cold solve is therefore the same
-    computation whether hessian0 is given or not.
+    warm is an optional ELState of a solve at a nearby beta.  Its
+    multiplier is the start only when it is nonzero and every factor
+    1 + warm.lam'g_i exceeds 1/n; otherwise the solve starts from zero.
+    From warm.lam, the first Newton step uses warm.hessian (a fresh Hessian
+    when that is None); every later step, and every step of a start from
+    zero, forms its own.  A cold solve is therefore the same computation
+    whatever warm holds.  A warm solve that fails is retried once from
+    zero, so a warm start raises only where a cold one does; `iterations`
+    then counts both attempts.  max_iter bounds each attempt.
 
     Raises
     ------
@@ -115,24 +109,20 @@ def solve_lambda_exact(ds, cfg, beta, tol=_LAMBDA_TOL, max_iter=None,
     # rows of G scaled by 1/w, one block at a time, for the Hessian
     block = np.empty((max(1, min(m, _HESSIAN_BLOCK_ROWS)), p))
     starts = [(np.zeros(p), np.ones(m), None)]
-    if lam0 is not None and np.any(lam0):
-        lam0 = np.array(lam0, dtype=float)
-        w0 = 1.0 + G @ lam0
+    if warm is not None and np.any(warm.lam):
+        w0 = 1.0 + G @ warm.lam
         if np.all(w0 > 1.0 / n):
-            starts.insert(0, (lam0, w0, hessian0))
-    iterations = hessians = 0
+            starts.insert(0, (warm.lam, w0, warm.hessian))
+    iterations = 0
     for lam, w, H in starts:
-        lam, w, H, it, formed, error = _newton(G, n, block, lam, w, H, tol,
-                                               max_iter)
+        lam, w, H, it, error = _newton(G, n, block, lam, w, H, tol, max_iter)
         iterations += it
-        hessians += formed
         if error is None:
             break
     else:
         raise error
     ratio = float(2.0 * np.log(w).sum())
-    return ELState(lam=lam, ratio=ratio, iterations=iterations, hessian=H,
-                   hessians=hessians)
+    return ELState(lam=lam, ratio=ratio, iterations=iterations, hessian=H)
 
 
 def _scaled_gram(G, winv, block):
@@ -149,15 +139,15 @@ def _scaled_gram(G, winv, block):
 def _newton(G, n, block, lam, w, H, tol, max_iter):
     """Newton iteration of solve_lambda_exact from lam, with w = 1 + G lam
     over the observed rows G of a sample of size n.  H, when not None, is a
-    carried Hessian for the first step; every other step forms its own.
+    warm Hessian for the first step; every other step forms its own.
 
-    Returns (lam, w, H, iterations, hessians, error): H is the Hessian of
-    the last step (the one given when no step formed one), hessians the
-    number formed, and error is None at a solution, else the
-    HullViolationError or NoConvergenceError that ended the attempt.
+    Returns (lam, w, H, iterations, error): H is the Hessian of the last
+    step (the one given when no step formed one), and error is None at a
+    solution, else the HullViolationError or NoConvergenceError that ended
+    the attempt.
     """
     floor = 1.0 / n
-    it = formed = 0
+    it = 0
     for it in range(1, max_iter + 1):
         winv = 1.0 / w
         grad = winv @ G / n
@@ -165,7 +155,6 @@ def _newton(G, n, block, lam, w, H, tol, max_iter):
             break
         if it > 1 or H is None:
             H = _scaled_gram(G, winv, block) / n
-            formed += 1
         step = solve_spd(H, grad)
         size = 1.0
         for _ in range(60):
@@ -175,21 +164,21 @@ def _newton(G, n, block, lam, w, H, tol, max_iter):
                 break
             size *= 0.5
         else:
-            return lam, w, H, it, formed, HullViolationError(
+            return lam, w, H, it, HullViolationError(
                 "no multiplier step keeps all probabilities positive"
             )
         lam, w = cand, w_cand
         if not np.all(np.isfinite(lam)):
-            return lam, w, H, it, formed, NoConvergenceError(
+            return lam, w, H, it, NoConvergenceError(
                 "multiplier iteration produced non-finite values")
     else:
-        return lam, w, H, it, formed, NoConvergenceError(
+        return lam, w, H, it, NoConvergenceError(
             f"multiplier equation not solved to {tol:g} in {max_iter} iterations"
         )
     # each row with a missing response holds probability 1/n
     total = (n - G.shape[0]) / n + (1.0 / (n * w)).sum()
     if abs(total - 1.0) > _PROB_SUM_TOL:
         # residual vanished only because lambda ran off to infinity
-        return lam, w, H, it, formed, HullViolationError(
+        return lam, w, H, it, HullViolationError(
             "zero lies outside the convex hull of the g_i")
-    return lam, w, H, it, formed, None
+    return lam, w, H, it, None

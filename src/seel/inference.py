@@ -1,5 +1,5 @@
-"""Wilks-type chi-square tests, the penalized ratio and its BIC, and the two
-data-driven rules for choosing the expectile level tau."""
+"""Wilks-type chi-square tests, the penalized ratio and its BIC sweep, and
+the two data-driven rules for choosing the expectile level tau."""
 
 import warnings
 from dataclasses import dataclass
@@ -48,25 +48,6 @@ class BicRecord:
     multiplier_iterations: int
 
 
-@dataclass
-class CarriedMultiplier:
-    """Exact-multiplier state that ratios at nearby betas share, and how the
-    last ratio was obtained.
-
-    lam and hessian are the multiplier of the last exact solve that
-    succeeded and the last Hessian that solve formed (both None before one
-    has); penalized_ratio starts its exact solve from them (lam0 and
-    hessian0 of solve_lambda_exact) and replaces them with its own.  method
-    ("exact", "closed_form" or "quadratic") and iterations (the multiplier
-    Newton iterations of an exact solve, else 0) describe the last ratio.
-    """
-
-    lam: np.ndarray | None = None
-    hessian: np.ndarray | None = None
-    method: str | None = None
-    iterations: int = 0
-
-
 def el_ratio(ds, cfg, beta):
     """Log-likelihood ratio at beta with the closed-form multiplier, and the
     method that gave it.
@@ -104,7 +85,7 @@ def wilks_test(ds, cfg, beta_hypothesis, alpha=0.05, support=None):
                       pvalue=pvalue, reject=bool(stat > critical), alpha=alpha)
 
 
-def penalized_ratio(ds, cfg, pen, beta, carry=None):
+def penalized_ratio(ds, cfg, pen, beta, warm=None):
     """Ratio plus the adaptive-LASSO penalty n eta sum(w_j |beta_j|).
 
     The ratio part prefers the exact multiplier; when the multiplier
@@ -113,44 +94,25 @@ def penalized_ratio(ds, cfg, pen, beta, carry=None):
     exactly zero contribute nothing, so frozen coordinates (infinite weight,
     zero coefficient) are well defined.
 
-    carry is an optional CarriedMultiplier that calls at nearby betas
-    share: the exact solve starts from its multiplier and Hessian and
-    writes its own back; a fallback leaves them unchanged.  Either way the
-    call records its ratio method and multiplier iterations in it.
+    warm is an optional ELState of an exact solve at a nearby beta, the
+    start of this one (see solve_lambda_exact).  Returns (value, method,
+    state): method is "exact", "closed_form" or "quadratic", and state is
+    the ELState of the exact solve, None after a fallback.
     """
     beta = np.asarray(beta, dtype=float)
-    carry = CarriedMultiplier() if carry is None else carry
     try:
-        state = solve_lambda_exact(ds, cfg, beta, lam0=carry.lam,
-                                   hessian0=carry.hessian)
+        state = solve_lambda_exact(ds, cfg, beta, warm=warm)
     except (HullViolationError, NoConvergenceError, SingularMatrixError):
-        ratio, carry.method = el_ratio(ds, cfg, beta)
-        carry.iterations = 0
+        state = None
+        ratio, method = el_ratio(ds, cfg, beta)
     else:
-        ratio = state.ratio
-        carry.lam, carry.hessian = state.lam, state.hessian
-        carry.method, carry.iterations = "exact", state.iterations
-    if pen.eta == 0.0:
-        return ratio
-    w = adaptive_weights(pen.pilot, pen.gamma, cfg.eps_zero)
-    nonzero = beta != 0.0
-    penalty = ds.n * pen.eta * float(np.sum(w[nonzero] * np.abs(beta[nonzero])))
-    return ratio + penalty
-
-
-def bic(ds, cfg, pen, fit, carry=None):
-    """Schwarz-type criterion: penalized ratio + log(n) * |active set|.
-
-    carry is passed to penalized_ratio as its CarriedMultiplier (a fresh one
-    when omitted); the record takes its ratio method and iterations."""
-    carry = CarriedMultiplier() if carry is None else carry
-    value = penalized_ratio(ds, cfg, pen, fit.beta, carry=carry) \
-        + np.log(ds.n) * len(fit.active_set)
-    return BicRecord(eta=pen.eta, bic=float(value),
-                     active_set=np.asarray(fit.active_set, dtype=int),
-                     beta=np.asarray(fit.beta, dtype=float),
-                     ratio_method=carry.method,
-                     multiplier_iterations=carry.iterations)
+        ratio, method = state.ratio, "exact"
+    if pen.eta != 0.0:
+        w = adaptive_weights(pen.pilot, pen.gamma, cfg.eps_zero)
+        nonzero = beta != 0.0
+        ratio = ratio + ds.n * pen.eta * float(
+            np.sum(w[nonzero] * np.abs(beta[nonzero])))
+    return ratio, method, state
 
 
 def bic_sweep(ds, cfg, gamma, eta_grid, pilot_mode="same", failures=None):
@@ -158,10 +120,11 @@ def bic_sweep(ds, cfg, gamma, eta_grid, pilot_mode="same", failures=None):
 
     One pilot is shared across the grid, and so is one starting point: the
     expectile fit of the dataset, computed once and passed as beta0 to the
-    "same"-mode pilot and to the fit of every cell.  Neighbouring cells have
-    nearly the same fit, so the exact multiplier of each cell's ratio starts
-    from the last one solved along the grid, with that solve's last Hessian
-    for its first Newton step (the first cell starts from zero); the start
+    "same"-mode pilot and to the fit of every cell.  A cell's criterion is
+    its penalized ratio plus log(n) times the size of its active set.
+    Neighbouring cells have nearly the same fit, so the exact multiplier
+    solve of each cell's ratio is warm-started from the ELState of the last
+    exact solve along the grid (the first cell starts from zero); the start
     changes the multiplier only within the solver's tolerance.  Ties
     in the criterion break toward the larger eta (the sparser model).  Grid
     cells whose fit raises an EstimationError are reported through a
@@ -178,17 +141,25 @@ def bic_sweep(ds, cfg, gamma, eta_grid, pilot_mode="same", failures=None):
         raise ValueError("eta grid must be nonempty and nonnegative")
     start = expectile_fit(ds, cfg.tau)
     pilot = pilot_estimate(ds, cfg, mode=pilot_mode, beta0=start)
-    carry = CarriedMultiplier()
+    warm = None
     records = []
     failed = [] if failures is None else failures
     for eta in etas:
         pen = PenaltyConfig(eta=float(eta), gamma=gamma, pilot=pilot)
         try:
             fit = fit_l2(ds, cfg, pen, start)
-            records.append(bic(ds, cfg, pen, fit, carry=carry))
+            value, method, state = penalized_ratio(ds, cfg, pen, fit.beta,
+                                                   warm=warm)
         except EstimationError as exc:
             failed.append((eta, exc))
             warnings.warn(f"BIC sweep cell eta={eta:g} failed: {exc}")
+            continue
+        warm = warm if state is None else state
+        records.append(BicRecord(
+            eta=pen.eta, bic=float(value + np.log(ds.n) * len(fit.active_set)),
+            active_set=np.asarray(fit.active_set, dtype=int),
+            beta=np.asarray(fit.beta, dtype=float), ratio_method=method,
+            multiplier_iterations=0 if state is None else state.iterations))
     if not records:
         raise failed[-1][1]
     best = records[0]
@@ -208,6 +179,10 @@ def empirical_tau(y):
         raise ValueError("empty sample")
     if not np.isfinite(y).all():
         raise ValueError("responses must be finite")
+    # scaling by 2^-k changes no bit of the rule while no value turns
+    # subnormal; k > 0 only where the sum of |y - median| could overflow
+    k = int(np.frexp(np.max(np.abs(y)))[1]) + y.size.bit_length() + 1 - 1023
+    y = np.ldexp(y, -k) if k > 0 else y
     med = np.median(y)
     mad = np.mean(np.abs(y - med))
     if mad == 0.0:

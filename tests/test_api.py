@@ -11,9 +11,9 @@ import pytest
 
 import seel
 from seel import cli, numkit
-from seel.el import ELState
+from seel.el import ELState, solve_lambda_exact
 from seel.estimators import FitResult
-from seel.inference import bic_sweep, wilks_test
+from seel.inference import bic_sweep, penalized_ratio, wilks_test
 from seel.kernels import Kernel
 from seel.model import Dataset
 from seel.simulate import SimReport
@@ -28,7 +28,7 @@ PUBLIC = {
     "InvalidProbabilityError", "LogDomainError", "NoConvergenceError",
     "OneSidedSampleError", "RankDeficientError", "SingularMatrixError",
     # functions
-    "adaptive_weights", "bic", "bic_sweep", "chi2_quantile", "chi2_sf",
+    "adaptive_weights", "bic_sweep", "chi2_quantile", "chi2_sf",
     "el_ratio", "el_ratio_approx", "el_ratio_exact", "empirical_tau",
     "expectile_fit", "fit_a1", "fit_a2", "fit_l1", "fit_l2", "lambda_approx",
     "moments", "penalized_ratio", "pilot_estimate", "preset_config",
@@ -45,6 +45,8 @@ REMOVED = (
     "psi_h", "expectile_loss", "kernel_pdf", "kernel_cdf",
     "kernel_pdf_derivative", "smoothed_indicator", "NonpositiveBandwidthError",
     "draw_normal", "draw_exponential", "draw_chi2_1", "y_safe",
+    # the sweep builds its records from the solver's own ELState
+    "CarriedMultiplier", "bic",
 )
 
 
@@ -84,6 +86,15 @@ def test_removed_members_stay_removed():
     assert not hasattr(cli, "_is_float")
     # the implied probabilities are a test oracle, not a solver output
     assert "probs" not in {f.name for f in fields(ELState)}
+    # a warm start is the ELState of a nearby solve, and tests count
+    # Hessians through el._scaled_gram
+    assert [f.name for f in fields(ELState)] == ["lam", "ratio", "iterations",
+                                                 "hessian"]
+    solver = inspect.signature(solve_lambda_exact).parameters
+    assert "warm" in solver
+    assert not {"lam0", "hessian0"} & set(solver)
+    ratio = inspect.signature(penalized_ratio).parameters
+    assert "warm" in ratio and "carry" not in ratio
 
 
 def test_fit_result_holds_beta_iterations_and_trace():

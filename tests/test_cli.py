@@ -81,6 +81,9 @@ def test_schema_errors(tmp_path):
     ({1000: "y"}, 1000),
     ({700: "x", 1500: "x"}, 700),
     ({700: "y", 1500: "y"}, 700),
+    # the first bad line is named whichever rule each line breaks
+    ({700: "y", 1500: "x"}, 700),
+    ({700: "x", 1500: "y"}, 700),
 ])
 def test_bad_line_found_in_a_long_file(tmp_path, bad, first):
     # rows 1..2000 sit on lines 2..2001; a malformed covariate ("x") or
@@ -131,6 +134,11 @@ READER_CORPUS = {
     "short_row": "y,delta,x1,x2\n1,1,2,3\n1.5,1,2.0\n",
     "long_row": "y,delta,x1,x2\n1.5,1,2.0,3.0,4.0\n",
     "blank_then_bad": "y,delta,x1,x2\n1,1,2,3\n\n  \n1,1,2,oops\n",
+    # a malformed y on line 4 comes before a malformed covariate on line 8,
+    # and a bad delta on line 3 before a short row on line 4
+    "bad_y_then_bad_x": ("y,delta,x1,x2\n1,1,2,3\n1,1,2,3\n1e,1,2,3\n1,1,2,3\n"
+                         "1,1,2,3\n1,1,2,3\n1,1,2,x\n"),
+    "bad_delta_then_short_row": "y,delta,x1,x2\n1,1,2,3\n1,2,2,3\n1,1,2\n",
     "header_only": "y,delta,x1,x2\n",
     "header_and_blanks": "y,delta,x1,x2\n\n \n",
     "empty": "",

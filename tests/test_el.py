@@ -1,9 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from oracles import implied_probabilities
 
 from seel import el
 from seel.el import (
+    ELState,
     el_ratio_approx,
     el_ratio_exact,
     lambda_approx,
@@ -23,6 +26,26 @@ def hand_ds(beta_offset=0.0):
 
 
 CFG = ModelConfig(tau=0.5, h=0.1)
+
+
+def warm_state(lam, hessian=None):
+    # the state of a solve at a nearby beta, as a sweep hands it on
+    return ELState(lam=np.asarray(lam, dtype=float), ratio=0.0, iterations=0,
+                   hessian=hessian)
+
+
+@pytest.fixture
+def hessians_formed(monkeypatch):
+    """Number of multiplier Hessians formed so far, as a one-element list."""
+    formed = [0]
+    real = el._scaled_gram
+
+    def counting(*args):
+        formed[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(el, "_scaled_gram", counting)
+    return formed
 
 
 def test_lambda_zero_for_symmetric_pairs():
@@ -82,11 +105,11 @@ def test_hull_violation_with_missing_rows(lam0, hessian0):
     ds = Dataset(np.ones((4, 1)), y, np.array([0, 1, 0, 1]))
     G = g_matrix(ds, CFG, np.zeros(1))
     assert G.shape == (2, 1) and np.all(G > 0.0)
-    start = None if lam0 is None else np.array([lam0])
-    if start is not None:
-        assert np.all(1.0 + G @ start > 1.0 / ds.n)
+    warm = None if lam0 is None else warm_state([lam0], hessian0)
+    if warm is not None:
+        assert np.all(1.0 + G @ warm.lam > 1.0 / ds.n)
     with pytest.raises(HullViolationError):
-        solve_lambda_exact(ds, CFG, np.zeros(1), lam0=start, hessian0=hessian0)
+        solve_lambda_exact(ds, CFG, np.zeros(1), warm=warm)
 
 
 def test_lambda_approx_values():
@@ -224,7 +247,7 @@ def reference_lambda(ds, cfg, beta, tol=1e-8, max_iter=200):
     return lam, float(2.0 * np.log(w).sum()), it, halvings
 
 
-def test_lambda_exact_matches_reference_loop():
+def test_lambda_exact_matches_reference_loop(hessians_formed):
     beta0 = np.array([1.0, 0.0, 1.0, 0.0])
     ds = missing_d2_ds(3, 400, 4, beta0)
     assert 0.15 < 1.0 - ds.delta.mean() < 0.25
@@ -237,10 +260,12 @@ def test_lambda_exact_matches_reference_loop():
     assert st.ratio == pytest.approx(ratio, rel=1e-12)
     assert st.iterations == iterations
     # one Hessian per step; the last iteration only tests the gradient
-    assert st.hessians == iterations - 1
-    # without a warm start a carried Hessian is never used
-    assert_same_state(solve_lambda_exact(ds, cfg, beta, hessian0=np.eye(4)),
+    assert hessians_formed[0] == iterations - 1
+    # without a nonzero warm multiplier the warm Hessian is never used
+    warm = warm_state(np.zeros(4), np.eye(4))
+    assert_same_state(solve_lambda_exact(ds, cfg, beta, warm=warm),
                       st, ds, cfg, beta)
+    assert hessians_formed[0] == 2 * (iterations - 1)
 
 
 def test_lambda_exact_memory_stays_near_two_matrices():
@@ -273,21 +298,24 @@ def warm_instance():
     return ds, cfg, beta, solve_lambda_exact(ds, cfg, beta)
 
 
-def test_lambda_exact_warm_start_matches_cold():
-    # the multiplier at a nearby beta, as a sweep along a grid carries it
-    check_warm_start_matches_cold(carry_hessian=False)
+def test_lambda_exact_warm_start_matches_cold(hessians_formed):
+    # the multiplier at a nearby beta, without its Hessian
+    check_warm_start_matches_cold(hessians_formed, carry_hessian=False)
 
 
-def test_lambda_exact_warm_start_with_hessian_matches_cold():
-    # the same, with the last Hessian of that solve for the first step
-    check_warm_start_matches_cold(carry_hessian=True)
+def test_lambda_exact_warm_start_with_hessian_matches_cold(hessians_formed):
+    # the state of a solve at a nearby beta, as a sweep along a grid hands
+    # it on: its last Hessian serves the first step
+    check_warm_start_matches_cold(hessians_formed, carry_hessian=True)
 
 
-def check_warm_start_matches_cold(carry_hessian):
+def check_warm_start_matches_cold(hessians_formed, carry_hessian):
     ds, cfg, beta, cold = warm_instance()
     near = solve_lambda_exact(ds, cfg, beta + 0.01)
-    hessian0 = near.hessian if carry_hessian else None
-    st = solve_lambda_exact(ds, cfg, beta, lam0=near.lam, hessian0=hessian0)
+    warm = near if carry_hessian else replace(near, hessian=None)
+    hessians_formed[0] = 0
+    st = solve_lambda_exact(ds, cfg, beta, warm=warm)
+    formed = hessians_formed[0]
     assert st.ratio == pytest.approx(cold.ratio, rel=1e-12)
     # at the default tolerance the cold multiplier is itself about 1e-10
     # from the root, which a tightly solved reference locates
@@ -296,7 +324,7 @@ def check_warm_start_matches_cold(carry_hessian):
     np.testing.assert_allclose(st.lam, cold.lam, rtol=0, atol=1e-9)
     np.testing.assert_allclose(st.lam, root, rtol=0, atol=1e-10)
     assert st.iterations <= cold.iterations
-    assert st.hessians == st.iterations - 1 - carry_hessian
+    assert formed == st.iterations - 1 - carry_hessian
     assert implied_probabilities(ds, cfg, beta, st.lam).sum() \
         == pytest.approx(1.0, abs=1e-8)
 
@@ -315,16 +343,18 @@ def assert_same_state(st, cold, ds, cfg, beta):
     pytest.param(-20.0, True, id="-20.0-hessian"),
     pytest.param(5.0, True, id="5.0-hessian"),
 ])
-def test_lambda_exact_infeasible_start_is_cold(scale, carry_hessian):
+def test_lambda_exact_infeasible_start_is_cold(hessians_formed, scale,
+                                               carry_hessian):
     # an infeasible start is dropped, and the Hessian that goes with it
     ds, cfg, beta, cold = warm_instance()
-    lam0 = scale * cold.lam
-    assert np.min(1.0 + g_matrix(ds, cfg, beta) @ lam0) <= 1.0 / ds.n
-    hessian0 = 3.0 * cold.hessian if carry_hessian else None
-    st = solve_lambda_exact(ds, cfg, beta, lam0=lam0, hessian0=hessian0)
+    cold_formed = hessians_formed[0]
+    warm = warm_state(scale * cold.lam,
+                      3.0 * cold.hessian if carry_hessian else None)
+    assert np.min(1.0 + g_matrix(ds, cfg, beta) @ warm.lam) <= 1.0 / ds.n
+    st = solve_lambda_exact(ds, cfg, beta, warm=warm)
     assert_same_state(st, cold, ds, cfg, beta)
     assert st.iterations == cold.iterations
-    assert st.hessians == cold.hessians
+    assert hessians_formed[0] == 2 * cold_formed
 
 
 def test_lambda_exact_failed_warm_start_retries_from_zero():
@@ -332,11 +362,11 @@ def test_lambda_exact_failed_warm_start_retries_from_zero():
     # iterations than the cold solve; with the cold count as the budget the
     # warm attempt fails and the retry from zero gives the cold solution
     ds, cfg, beta, cold = warm_instance()
-    lam0 = -0.2 * cold.lam
-    assert np.min(1.0 + g_matrix(ds, cfg, beta) @ lam0) > 1.0 / ds.n
-    assert solve_lambda_exact(ds, cfg, beta, lam0=lam0).iterations \
+    warm = warm_state(-0.2 * cold.lam)
+    assert np.min(1.0 + g_matrix(ds, cfg, beta) @ warm.lam) > 1.0 / ds.n
+    assert solve_lambda_exact(ds, cfg, beta, warm=warm).iterations \
         > cold.iterations
-    st = solve_lambda_exact(ds, cfg, beta, lam0=lam0, max_iter=cold.iterations)
+    st = solve_lambda_exact(ds, cfg, beta, warm=warm, max_iter=cold.iterations)
     assert_same_state(st, cold, ds, cfg, beta)
     assert st.iterations == 2 * cold.iterations
 
@@ -356,11 +386,11 @@ def test_hull_violation_with_warm_start(lam0, hessian0):
     G = g_matrix(ds, CFG, np.zeros(1))
     assert np.all(1.0 + G @ np.array([lam0]) > 0.5)
     with pytest.raises(HullViolationError):
-        solve_lambda_exact(ds, CFG, np.zeros(1), lam0=np.array([lam0]),
-                           hessian0=hessian0)
+        solve_lambda_exact(ds, CFG, np.zeros(1),
+                           warm=warm_state([lam0], hessian0))
 
 
-def test_sweep_carried_hessian_saves_one_per_cell(monkeypatch):
+def test_sweep_carried_hessian_saves_one_per_cell(hessians_formed):
     # d2 design, 2000 x 10, about 20% missing: an 8-cell sweep that carries
     # the Hessian forms at least cells - 1 fewer Hessians than solving each
     # cell's ratio from the previous multiplier alone
@@ -369,23 +399,18 @@ def test_sweep_carried_hessian_saves_one_per_cell(monkeypatch):
     ds = missing_d2_ds(5, 2000, 10, beta0)
     cfg = ModelConfig(tau=0.25)
     grid = [a * ds.n ** (-5.0 / 6.0) for a in range(1, 9)]
-    formed = []
-    real = el._scaled_gram
-
-    def counting(*args):
-        formed.append(1)
-        return real(*args)
-
-    monkeypatch.setattr(el, "_scaled_gram", counting)
     _, records = bic_sweep(ds, cfg, 2.5, grid)
-    carried = len(formed)
+    carried = hessians_formed[0]
     assert len(records) == len(grid)
     assert all(r.ratio_method == "exact" for r in records)
-    formed.clear()
-    lam, iterations = None, 0
+    hessians_formed[0] = 0
+    warm, iterations = None, 0
     for rec in records:
-        st = solve_lambda_exact(ds, cfg, rec.beta, lam0=lam)
-        lam, iterations = st.lam, iterations + st.iterations
-        assert st.hessians == st.iterations - 1
-    assert len(formed) - carried >= len(grid) - 1
+        before = hessians_formed[0]
+        st = solve_lambda_exact(ds, cfg, rec.beta,
+                                warm=None if warm is None
+                                else replace(warm, hessian=None))
+        warm, iterations = st, iterations + st.iterations
+        assert hessians_formed[0] - before == st.iterations - 1
+    assert hessians_formed[0] - carried >= len(grid) - 1
     assert sum(r.multiplier_iterations for r in records) <= iterations

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -5,11 +7,20 @@ from hypothesis import strategies as st
 
 from oracles import zero_expectile_tau_masked
 from seel import inference
-from seel.errors import DegenerateSampleError, OneSidedSampleError
-from seel.estimators import expectile_fit, fit_a2, fit_l2, pilot_estimate
+from seel.el import solve_lambda_exact
+from seel.errors import (
+    DegenerateSampleError,
+    HullViolationError,
+    OneSidedSampleError,
+)
+from seel.estimators import (
+    FitResult,
+    expectile_fit,
+    fit_a2,
+    fit_l2,
+    pilot_estimate,
+)
 from seel.inference import (
-    CarriedMultiplier,
-    bic,
     bic_sweep,
     empirical_tau,
     penalized_ratio,
@@ -96,8 +107,10 @@ def test_penalized_ratio_hand_example():
     cfg = ModelConfig(tau=0.5, h=0.1)
     # weight 2 at gamma = 1 comes from pilot 0.5
     pen = PenaltyConfig(eta=0.1, gamma=1.0, pilot=np.array([0.5]))
-    val = penalized_ratio(ds, cfg, pen, np.array([1.0]))
+    val, method, state = penalized_ratio(ds, cfg, pen, np.array([1.0]))
     assert val == pytest.approx(0.23556607131276697 + 2 * 0.1 * 2 * 1.0, abs=1e-6)
+    assert method == "exact"
+    assert state.ratio == pytest.approx(0.23556607131276697, abs=1e-6)
 
 
 def test_penalized_ratio_eta_zero_and_zero_beta():
@@ -105,70 +118,85 @@ def test_penalized_ratio_eta_zero_and_zero_beta():
     cfg = ModelConfig(tau=0.5, h=0.1)
     pen0 = PenaltyConfig(eta=0.0, gamma=2.5, pilot=np.array([0.5]))
     pen = PenaltyConfig(eta=0.1, gamma=2.5, pilot=np.array([0.5]))
-    base = penalized_ratio(ds, cfg, pen0, np.array([1.0]))
+    base, _, _ = penalized_ratio(ds, cfg, pen0, np.array([1.0]))
     assert base == pytest.approx(0.23556607131276697, abs=1e-6)
     # at beta = 0 the penalty term vanishes even with eta > 0
-    r_pen = penalized_ratio(ds, cfg, pen, np.array([0.0]))
-    r_unpen = penalized_ratio(ds, cfg, pen0, np.array([0.0]))
+    r_pen, _, _ = penalized_ratio(ds, cfg, pen, np.array([0.0]))
+    r_unpen, _, _ = penalized_ratio(ds, cfg, pen0, np.array([0.0]))
     assert r_pen == pytest.approx(r_unpen, abs=1e-12)
 
 
 def test_penalized_ratio_carries_the_exact_multiplier():
     cfg = ModelConfig(tau=0.5, h=0.1)
     pen = PenaltyConfig(eta=0.0, gamma=1.0, pilot=np.array([0.5]))
-    carry = CarriedMultiplier(lam=np.array([0.1]))
-    val = penalized_ratio(hand_ds_at_one(), cfg, pen, np.array([1.0]),
-                          carry=carry)
+    near = solve_lambda_exact(hand_ds_at_one(), cfg, np.array([0.9]))
+    val, method, state = penalized_ratio(hand_ds_at_one(), cfg, pen,
+                                         np.array([1.0]), warm=near)
     assert val == pytest.approx(0.23556607131276697, abs=1e-6)
-    assert carry.lam[0] == pytest.approx(0.25, abs=1e-9)
-    assert carry.method == "exact" and carry.iterations > 0
-    hessian = carry.hessian
-    assert hessian.shape == (1, 1) and hessian[0, 0] > 0.0
-    # zero outside the hull: the fallback ratio leaves the multiplier alone
+    assert state.lam[0] == pytest.approx(0.25, abs=1e-9)
+    assert method == "exact" and state.iterations > 0
+    assert state.hessian.shape == (1, 1) and state.hessian[0, 0] > 0.0
+    # zero outside the hull: the fallback names its ratio and has no state
     ds = Dataset(np.ones((2, 1)), np.array([2.0, 4.0]), np.ones(2))
-    assert np.isfinite(penalized_ratio(ds, cfg, pen, np.zeros(1), carry=carry))
-    assert carry.lam[0] == pytest.approx(0.25, abs=1e-9)
-    assert carry.hessian is hessian
-    assert carry.method == "closed_form" and carry.iterations == 0
+    val, method, state = penalized_ratio(ds, cfg, pen, np.zeros(1), warm=state)
+    assert np.isfinite(val)
+    assert method in ("closed_form", "quadratic") and state is None
+
+
+def test_penalized_ratio_state_matches_a_direct_warm_solve():
+    # the returned state equals the exact solve it ran, warm-started from
+    # a nearby beta, bit for bit
+    ds, beta0 = simulated(n=400, p=3, seed=4)
+    cfg = ModelConfig(tau=0.4)
+    pen = PenaltyConfig(eta=0.01, gamma=2.5, pilot=np.ones(3))
+    near = solve_lambda_exact(ds, cfg, beta0 + 0.02)
+    _, method, state = penalized_ratio(ds, cfg, pen, beta0, warm=near)
+    direct = solve_lambda_exact(ds, cfg, beta0, warm=near)
+    assert method == "exact"
+    assert state.lam.tobytes() == direct.lam.tobytes()
+    assert state.hessian.tobytes() == direct.hessian.tobytes()
+    assert state.ratio == direct.ratio
+    assert state.iterations == direct.iterations
 
 
 def test_penalized_ratio_frozen_coordinate_contributes_nothing():
     ds, _ = simulated(n=60, p=2, seed=9, beta0=[1.0, 0.0])
     cfg = ModelConfig(tau=0.5)
     pen = PenaltyConfig(eta=0.2, gamma=2.5, pilot=np.array([1.0, 0.0]))
-    val = penalized_ratio(ds, cfg, pen, np.array([1.0, 0.0]))
+    val, _, _ = penalized_ratio(ds, cfg, pen, np.array([1.0, 0.0]))
     assert np.isfinite(val)
+
+
+def sweep_records(monkeypatch, ds, fits, ratio):
+    """bic_sweep records with each cell's fit taken from fits (one per eta)
+    and a constant penalized ratio."""
+    cells = iter(fits)
+    monkeypatch.setattr(inference, "fit_l2", lambda *a, **k: next(cells))
+    monkeypatch.setattr(inference, "penalized_ratio",
+                        lambda *a, **k: (ratio, "exact", None))
+    grid = [0.01 * (k + 1) for k in range(len(fits))]
+    return bic_sweep(ds, ModelConfig(tau=0.5), 2.5, grid)[1]
 
 
 def test_bic_formula(monkeypatch):
     ds, beta0 = simulated(n=100, p=3, seed=11)
-    cfg = ModelConfig(tau=0.5)
-    pen = PenaltyConfig(eta=0.01, gamma=2.5, pilot=np.ones(3))
-    monkeypatch.setattr("seel.inference.penalized_ratio",
-                        lambda *a, **k: 10.0)
-    fit = fit_a2(ds, cfg)
-    rec = bic(ds, cfg, pen, fit)
-    assert rec.bic == pytest.approx(10.0 + len(fit.active_set) * np.log(100))
+    fit = fit_a2(ds, ModelConfig(tau=0.5))
     # empty active set: bic equals the bare ratio
-    from seel.estimators import FitResult
-
     empty = FitResult(beta=np.zeros(3), iterations=1)
-    assert bic(ds, cfg, pen, empty).bic == pytest.approx(10.0)
+    rec, rec_empty = sweep_records(monkeypatch, ds, [fit, empty], 10.0)
+    assert rec.bic == pytest.approx(10.0 + len(fit.active_set) * np.log(100))
+    assert rec_empty.bic == pytest.approx(10.0)
+    assert rec.ratio_method == "exact" and rec.multiplier_iterations == 0
 
 
 def test_bic_increasing_in_active_set(monkeypatch):
     ds, _ = simulated(n=50, p=3, seed=12)
-    cfg = ModelConfig(tau=0.5)
-    pen = PenaltyConfig(eta=0.01, gamma=2.5, pilot=np.ones(3))
-    monkeypatch.setattr("seel.inference.penalized_ratio", lambda *a, **k: 4.2)
-    from seel.estimators import FitResult
-
-    vals = []
+    fits = []
     for k in range(4):
         beta = np.zeros(3)
         beta[:k] = 1.0
-        fit = FitResult(beta=beta, iterations=1)
-        vals.append(bic(ds, cfg, pen, fit).bic)
+        fits.append(FitResult(beta=beta, iterations=1))
+    vals = [rec.bic for rec in sweep_records(monkeypatch, ds, fits, 4.2)]
     assert all(b > a for a, b in zip(vals, vals[1:]))
 
 
@@ -251,7 +279,7 @@ def test_bic_sweep_never_reads_the_full_design(monkeypatch):
 
 def test_bic_sweep_warm_multiplier_matches_cold_cells(monkeypatch):
     # d2 design, about 20% of responses missing, tau = 0.3: each cell's
-    # record equals a cold bic call on that cell's fit, with fewer
+    # record equals a cold penalized ratio at that cell's fit, with fewer
     # multiplier iterations over the grid
     rng = RngStream(7, 0)
     n, p = 2000, 8
@@ -281,15 +309,44 @@ def test_bic_sweep_warm_multiplier_matches_cold_cells(monkeypatch):
     assert [r.eta for r in records] == grid
     for rec in records:
         pen = PenaltyConfig(eta=rec.eta, gamma=2.5, pilot=pilot)
-        cold = bic(ds, cfg, pen, fit_l2(ds, cfg, pen, start))
-        assert rec.eta == cold.eta
-        assert rec.bic == pytest.approx(cold.bic, rel=1e-12)
-        assert np.array_equal(rec.beta, cold.beta)
-        assert np.array_equal(rec.active_set, cold.active_set)
-        assert rec.ratio_method == cold.ratio_method == "exact"
+        fit = fit_l2(ds, cfg, pen, start)
+        value, method, _ = penalized_ratio(ds, cfg, pen, fit.beta)
+        cold_bic = value + np.log(n) * len(fit.active_set)
+        assert rec.bic == pytest.approx(cold_bic, rel=1e-12)
+        assert np.array_equal(rec.beta, fit.beta)
+        assert np.array_equal(rec.active_set, fit.active_set)
+        assert rec.ratio_method == method == "exact"
     assert len(iterations) == len(grid)
     assert warm < sum(iterations)
     assert sum(r.multiplier_iterations for r in records) == warm
+
+
+def test_bic_sweep_fallback_cell_keeps_the_last_exact_state(monkeypatch):
+    # a hull violation forced in the middle cell: that cell falls back, and
+    # the next cell starts from the state of the cell before it
+    ds, _ = simulated(n=300, p=3, seed=13, beta0=[1.0, 0.0, -1.0])
+    grid = [0.01, 0.02, 0.04, 0.08]
+    warms, states = [], []
+    real = inference.solve_lambda_exact
+
+    def solve(ds, cfg, beta, warm=None):
+        warms.append(warm)
+        if len(warms) == 2:
+            raise HullViolationError("forced")
+        states.append(real(ds, cfg, beta, warm=warm))
+        return states[-1]
+
+    monkeypatch.setattr(inference, "solve_lambda_exact", solve)
+    _, records = bic_sweep(ds, ModelConfig(tau=0.5), 2.5, grid)
+    methods = [r.ratio_method for r in records]
+    assert methods[0] == methods[2] == methods[3] == "exact"
+    assert methods[1] in ("closed_form", "quadratic")
+    assert records[1].multiplier_iterations == 0
+    assert warms[0] is None
+    assert warms[1] is states[0] and warms[2] is states[0]
+    assert warms[3] is states[1]
+    assert [r.multiplier_iterations for r in records] == \
+        [states[0].iterations, 0, states[1].iterations, states[2].iterations]
 
 
 def test_bic_sweep_rejects_bad_grid():
@@ -311,6 +368,17 @@ def test_empirical_tau_symmetric():
 def test_empirical_tau_hand_example():
     # median 0, mean abs deviation 5/3, rescaled {-0.6, 0, 2.4}
     assert empirical_tau(np.array([-1.0, 0.0, 4.0])) == pytest.approx(0.2)
+
+
+def test_empirical_tau_near_the_float_range():
+    # |y - median| sums past the largest float; a power-of-two rescale keeps
+    # the rule finite and changes no bit of it
+    y = np.array([1e308, -1e308, 0.0, 5.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        tau = empirical_tau(y)
+    assert 0.0 < tau < 1.0
+    assert tau == empirical_tau(y * 2.0 ** -10)
 
 
 def test_empirical_tau_degenerate():
