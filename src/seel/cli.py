@@ -69,11 +69,20 @@ def read_dataset(path):
     try:
         X, y, delta = _parse_rows(body, p)
     except ValueError:
-        for lineno, line in zip(linenos, body):
+        # each rule is per line, so a block fails iff it holds a bad line;
+        # bisect body[lo:hi], which holds the first one, in two bulk parses
+        lo, hi = 0, len(body)
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
             try:
-                _parse_rows([line], p)
-            except ValueError as exc:
-                raise CsvSchemaError(f"line {lineno}: {exc}") from None
+                _parse_rows(body[lo:mid], p)
+                lo = mid
+            except ValueError:
+                hi = mid
+        try:
+            _parse_rows(body[lo:hi], p)
+        except ValueError as exc:
+            raise CsvSchemaError(f"line {linenos[lo]}: {exc}") from None
         raise
     return Dataset(X, y, delta)
 

@@ -131,7 +131,7 @@ def _scaled_gram(G, winv, block):
     for start in range(0, G.shape[0], block.shape[0]):
         stop = min(start + block.shape[0], G.shape[0])
         B = block[:stop - start]
-        np.multiply(G[start:stop], winv[start:stop, None], out=B)
+        np.einsum("ij,i->ij", G[start:stop], winv[start:stop], out=B)
         H += B.T @ B
     return H
 

@@ -193,7 +193,8 @@ def _fit_engine(ds, cfg, beta0, refresh_lambda, pen=None):
     while active.any():
         if len(trace) == cfg.max_iter:
             raise NoConvergenceError(f"no convergence in {cfg.max_iter} iterations")
-        a, c = _row_terms(ds, cfg, beta)
+        # only the start, which other fits may share, goes through the memo
+        a, c = _row_terms(ds, cfg, beta, memo=not trace)
         gbar = Xo.T @ a / n
         if refresh_lambda:
             S = Xo.T @ (Xo * (a * a)[:, None]) / n

@@ -44,14 +44,19 @@ class Kernel:
 
     def cdf(self, u):
         """G(u); G(x/h) smooths the indicator of x > 0 (1 for x >= h, 0 for
-        x <= -h)."""
+        x <= -h).  Outside the band -1 < u < 1 (NaN stays inside) G is
+        written as exactly 1 or 0, the clipped polynomial's values at +-1."""
         u = np.asarray(u, dtype=float)
-        v = np.clip(u, -1.0, 1.0)
+        above = u >= 1.0
+        out = np.array(above, dtype=float)
+        band = ~(above | (u <= -1.0))
+        # a 0-d u keeps the clipped path, and with it numpy scalar arithmetic
+        v = u[band] if u.ndim else np.clip(u, -1.0, 1.0)
         if self.name == "epanechnikov":
-            out = 0.25 * (2.0 + 3.0 * v - v ** 3)
+            val = 0.25 * (2.0 + 3.0 * v - v ** 3)
         elif self.name == "quartic":
-            out = 0.5 + (15.0 / 16.0) * (v - (2.0 / 3.0) * v ** 3 + 0.2 * v ** 5)
+            val = 0.5 + (15.0 / 16.0) * (v - (2.0 / 3.0) * v ** 3 + 0.2 * v ** 5)
         else:
-            out = 0.5 + (35.0 / 32.0) * (v - v ** 3 + 0.6 * v ** 5 - v ** 7 / 7.0)
-        out = np.clip(out, 0.0, 1.0)
+            val = 0.5 + (35.0 / 32.0) * (v - v ** 3 + 0.6 * v ** 5 - v ** 7 / 7.0)
+        out[band] = np.clip(val, 0.0, 1.0)
         return out if out.ndim else float(out)

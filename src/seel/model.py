@@ -29,8 +29,9 @@ class Dataset:
     The dataset keeps read-only copies of y and delta and stores the design
     once, read-only, observed rows first, so editing the arrays passed in
     changes nothing here.  Xo and yo are the observed rows, contiguous (Xo
-    is the whole design when no response is missing), and gram is the
-    WeightedGram over Xo that every fit on this dataset shares.  X is the
+    is the whole design when no response is missing), gram is the
+    WeightedGram over Xo that every fit on this dataset shares, and terms is
+    the memo of its row evaluations (see _row_terms).  X is the
     design in the original row order, assembled on every read as a new
     read-only array when a response is missing: a loop should bind it once.
     """
@@ -64,6 +65,7 @@ class Dataset:
             value.flags.writeable = False
             object.__setattr__(self, name, value)
         object.__setattr__(self, "gram", WeightedGram(Xo))
+        object.__setattr__(self, "terms", _TermsMemo())
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -200,20 +202,43 @@ class WeightedGram:
         return K
 
 
-def _row_terms(ds, cfg, beta):
+class _TermsMemo:
+    """The two most recently used (key, (a, c)) results of _row_terms on one
+    dataset, most recent first, in one tuple that is replaced whole."""
+
+    entries = ()
+
+
+def _row_terms(ds, cfg, beta, memo=True):
     """Per-row scalars of the observed rows, shared by the sample moments
     and the fit updates.
 
     Returns (a, c), each of length n_complete, with g_i = a_i x_i and
     d g_i / d beta = c_i x_i x_i' for the observed rows (ds.Xo, ds.yo); the
     bandwidth is set by the full sample size n.
+
+    With memo, it reads through ds.terms, keyed by tau, h, the kernel and
+    the bytes of beta, and a and c are read-only.  Two entries hold both the
+    start that several fits share (a sweep's pilot and cells, the fits of a
+    replication) and the fitted beta whose ratio follows each fit.
     """
+    beta = np.asarray(beta, dtype=float)
     h = cfg.bandwidth(ds.n)
+    if memo:
+        key = (cfg.tau, h, cfg.kernel.name, beta.tobytes())
+        entries = ds.terms.entries
+        for i, entry in enumerate(entries):
+            if entry[0] == key:
+                ds.terms.entries = (entry,) + entries[:i] + entries[i + 1:]
+                return entry[1]
     r = ds.yo - ds.Xo @ beta
     u = -r / h
     w = cfg.tau + (1.0 - 2.0 * cfg.tau) * cfg.kernel.cdf(u)
     a = w * r
     c = (1.0 - 2.0 * cfg.tau) / h * cfg.kernel.pdf(u) * r - w
+    if memo:
+        a.flags.writeable = c.flags.writeable = False
+        ds.terms.entries = ((key, (a, c)),) + entries[:1]
     return a, c
 
 

@@ -7,11 +7,17 @@ formula, so the tests can check the vectorized path and its derivatives
 against them; implied_probabilities gives the empirical likelihood
 probabilities of a multiplier, which seel.el does not form.  FullGram
 computes every weighted Gram matrix in full, where seel.model.WeightedGram
-corrects a reference product.  design_d1_one_draw draws the d1 design in
+corrects a reference product, and NoTermsMemo is a row-pass memo that
+never holds an entry, so every pass is computed where seel.model reads
+through the memo each Dataset owns.  kernel_cdf_full evaluates the kernel
+CDF's polynomial on every element, clipped, where seel.kernels evaluates it
+on the band |u| < 1 only.  design_d1_one_draw draws the d1 design in
 one call and design_d2_loop draws the d2 design one column at a time, where
 seel.simulate.gen_design draws both in batches.
 read_dataset_rows parses a dataset CSV one row at a time with csv and
-float()/int(), where seel.cli.read_dataset parses it in bulk.  OneShotStream
+float()/int(), where seel.cli.read_dataset parses it in bulk, and
+first_row_error finds the first bad line of a CSV by parsing its lines one
+at a time, where read_dataset bisects.  OneShotStream
 hashes all counters of a draw in one array, and normal_quantile_masked and
 zero_expectile_tau_masked split their input with boolean indexing, where
 seel.numkit and seel.inference work block by block, with np.compress and
@@ -46,6 +52,21 @@ def pdf_prime(kernel, u):
     else:
         val = -(105.0 / 16.0) * u * t * t
     out = np.where(inside, val, 0.0)
+    return out if out.ndim else float(out)
+
+
+def kernel_cdf_full(kernel, u):
+    """The kernel CDF with its polynomial evaluated on every element of u
+    clipped to [-1, 1], and the result clipped to [0, 1]."""
+    u = np.asarray(u, dtype=float)
+    v = np.clip(u, -1.0, 1.0)
+    if kernel.name == "epanechnikov":
+        out = 0.25 * (2.0 + 3.0 * v - v ** 3)
+    elif kernel.name == "quartic":
+        out = 0.5 + (15.0 / 16.0) * (v - (2.0 / 3.0) * v ** 3 + 0.2 * v ** 5)
+    else:
+        out = 0.5 + (35.0 / 32.0) * (v - v ** 3 + 0.6 * v ** 5 - v ** 7 / 7.0)
+    out = np.clip(out, 0.0, 1.0)
     return out if out.ndim else float(out)
 
 
@@ -111,6 +132,18 @@ def implied_probabilities(ds, cfg, beta, lam):
     lam = np.asarray(lam, dtype=float)
     w = [1.0 + float(lam @ g_smooth(ds, i, cfg, beta)) for i in range(ds.n)]
     return 1.0 / (ds.n * np.array(w))
+
+
+class NoTermsMemo:
+    """Row-pass memo that never holds an entry."""
+
+    @property
+    def entries(self):
+        return ()
+
+    @entries.setter
+    def entries(self, value):
+        pass
 
 
 class FullGram:
@@ -192,6 +225,22 @@ def read_dataset_rows(path):
         return Dataset(np.array(xs), np.array(ys), np.array(deltas))
     except ValueError as exc:
         raise CsvSchemaError(str(exc)) from None
+
+
+def first_row_error(path, parse_rows):
+    """The row error of the dataset CSV at path, "line N: message" for the
+    first data line that parse_rows(lines, p) rejects on its own, or None
+    when every line passes."""
+    with open(path, encoding="utf-8") as fh:
+        lines = fh.read().split("\n")
+    p = len(next(csv.reader(lines[:1]))) - 2
+    for lineno, line in enumerate(lines[1:], start=2):
+        if line.strip():
+            try:
+                parse_rows([line], p)
+            except ValueError as exc:
+                return f"line {lineno}: {exc}"
+    return None
 
 
 class OneShotStream(RngStream):

@@ -1,14 +1,15 @@
 import csv
 import json
+import math
 import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import read_dataset_rows
+from oracles import first_row_error, read_dataset_rows
 
-from seel import inference
+from seel import cli, inference
 from seel.cli import main, read_dataset, write_dataset
 from seel.errors import CsvSchemaError, NoConvergenceError, RankDeficientError
 from seel.estimators import fit_a2
@@ -199,6 +200,44 @@ def test_bulk_reader_declared_differences(tmp_path, name):
     read_dataset_rows(path)
     with pytest.raises(CsvSchemaError, match="^line 3: "):
         read_dataset(path)
+
+
+@pytest.mark.parametrize("name", sorted({**READER_CORPUS, **DECLARED_DIFFERENCES}))
+def test_bisection_names_the_line_a_line_by_line_scan_names(tmp_path, name):
+    path = tmp_path / "data.csv"
+    path.write_bytes({**READER_CORPUS, **DECLARED_DIFFERENCES}[name]
+                     .encode("utf-8"))
+    try:
+        read_dataset(path)
+    except CsvSchemaError as exc:
+        if str(exc).startswith("line "):
+            assert str(exc) == first_row_error(path, cli._parse_rows)
+    else:
+        assert first_row_error(path, cli._parse_rows) is None
+
+
+@pytest.mark.parametrize("bad", [(0,), (2500,), (4999,), (1234, 4000)])
+def test_first_bad_line_costs_logarithmic_parses(tmp_path, monkeypatch, bad):
+    # the first bad line breaks the y rule, a later one the field count
+    body = [f"{k}.5,1,{k},-1" for k in range(5000)]
+    body[bad[0]] = "1e,1,2,3"
+    if len(bad) > 1:
+        body[bad[1]] = "1,1,2"
+    path = tmp_path / "data.csv"
+    path.write_text("y,delta,x1,x2\n" + "\n".join(body) + "\n")
+    rows = []
+    parse = cli._parse_rows
+
+    def counted(lines, p):
+        rows.append(len(lines))
+        return parse(lines, p)
+
+    monkeypatch.setattr(cli, "_parse_rows", counted)
+    with pytest.raises(CsvSchemaError,
+                       match=f"^line {bad[0] + 2}: malformed y$"):
+        read_dataset(path)
+    assert len(rows) <= 2 + math.ceil(math.log2(5000))
+    assert sum(rows) <= 2 * 5000 + 1  # about two bulk parses
 
 
 _finite = st.floats(allow_nan=False, allow_infinity=False)

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from oracles import pdf_prime
+from oracles import kernel_cdf_full, pdf_prime
 from seel.kernels import KERNEL_NAMES, Kernel
 from seel.model import ModelConfig
 
@@ -47,6 +50,46 @@ def test_cdf_endpoints_and_center(kernel):
     assert kernel.cdf(0.0) == pytest.approx(0.5, abs=1e-15)
     assert kernel.cdf(-3.0) == 0.0
     assert kernel.cdf(7.0) == 1.0
+
+
+# the edges of the band, signed zeros, infinities, NaN and subnormals
+_EDGES = [1.0, -1.0, np.nextafter(1.0, 0.0), np.nextafter(-1.0, 0.0),
+          np.nextafter(1.0, 2.0), np.nextafter(-1.0, -2.0), 0.0, -0.0,
+          np.inf, -np.inf, np.nan, -np.nan, 5e-324, -5e-324,
+          np.nextafter(2.2250738585072014e-308, 0.0)]
+_CDF_INPUTS = st.one_of(st.sampled_from(_EDGES), st.floats(-1.5, 1.5),
+                        st.floats(allow_nan=True, allow_infinity=True))
+
+
+def _same_bits(got, ref):
+    got, ref = np.asarray(got, dtype=float), np.asarray(ref, dtype=float)
+    assert got.shape == ref.shape
+    assert got.tobytes() == ref.tobytes()
+
+
+def test_cdf_at_the_edges_equals_the_full_polynomial_bit_for_bit(kernel):
+    _same_bits(kernel.cdf(np.array(_EDGES)),
+               kernel_cdf_full(kernel, np.array(_EDGES)))
+    for x in _EDGES:
+        got = kernel.cdf(float(x))
+        assert type(got) is float
+        _same_bits(got, kernel_cdf_full(kernel, float(x)))
+
+
+@settings(deadline=None, max_examples=150)
+@given(name=st.sampled_from(KERNEL_NAMES),
+       u=arrays(float, st.integers(0, 40), elements=_CDF_INPUTS),
+       x=_CDF_INPUTS)
+def test_cdf_in_band_equals_the_full_polynomial_bit_for_bit(name, u, x):
+    k = Kernel(name)
+    _same_bits(k.cdf(u), kernel_cdf_full(k, u))
+    # a strided 2-D view and its transpose
+    grid = np.resize(u, (3, 2 * max(1, u.size)))
+    for view in (grid[:, ::2], grid[::2, 1::2].T):
+        _same_bits(k.cdf(view), kernel_cdf_full(k, view))
+    got, ref = k.cdf(x), kernel_cdf_full(k, x)
+    assert type(got) is float and type(ref) is float
+    _same_bits(got, ref)
 
 
 def test_epanechnikov_cdf_against_quadrature():
