@@ -14,11 +14,14 @@ size n.
 The solver is Newton's method on the dual (Owen, Empirical Likelihood,
 2001, section 3.14).  Its Hessian, the mean of g_i g_i' / w_i^2, is the one
 O(n p^2) cost of a step; it changes on every row with lambda, so no rows of
-it can be reused.  A sequence of solves at nearby betas (the cells of a BIC
-sweep) can hand each solve the ELState of the one before: its multiplier is
-the start and its last Hessian serves the first step, and every later step
-forms its own, so only the first step of such a warm solve is inexact and
-the stopping rule on the gradient is unchanged.
+it can be reused.  A step forms the factors 1 + lambda'g_i at full length
+as one product over G; a trial that the 1/n floor halves reads G step off
+them, w + size (w_full - w), so halving costs no further product.
+A sequence of solves at nearby betas (the cells of a BIC sweep) can hand
+each solve the ELState of the one before: its multiplier is the start and
+its last Hessian serves the first step, and every later step forms its
+own, so only the first step of such a warm solve is inexact and the
+stopping rule on the gradient is unchanged.
 """
 
 from dataclasses import dataclass
@@ -156,10 +159,11 @@ def _newton(G, n, block, lam, w, H, tol, max_iter):
         if it > 1 or H is None:
             H = _scaled_gram(G, winv, block) / n
         step = solve_spd(H, grad)
+        w_full = 1.0 + G @ (lam + step)
         size = 1.0
         for _ in range(60):
-            cand = lam + size * step
-            w_cand = 1.0 + G @ cand
+            # a halved trial reads G step off the full step's factors
+            w_cand = w_full if size == 1.0 else w + size * (w_full - w)
             if np.all(w_cand > floor):
                 break
             size *= 0.5
@@ -167,7 +171,7 @@ def _newton(G, n, block, lam, w, H, tol, max_iter):
             return lam, w, H, it, HullViolationError(
                 "no multiplier step keeps all probabilities positive"
             )
-        lam, w = cand, w_cand
+        lam, w = lam + size * step, w_cand
         if not np.all(np.isfinite(lam)):
             return lam, w, H, it, NoConvergenceError(
                 "multiplier iteration produced non-finite values")

@@ -27,6 +27,8 @@ lam = 0 (t = -1) these are the rows in or crossing the kernel band
 |r_i| < h, a small share, and fits that start at the same beta (the pilot
 and the cells of a BIC sweep) find their first product already there; when
 lam is refreshed every row changes and each product is computed in full.
+Once a penalized fit has frozen a coordinate it asks only for the active
+block of M; until then, as in every unpenalized fit, for the whole matrix.
 The expectile fit's reweighted Gram matrix is formed through a
 WeightedGram of its own.  Its rank check reads the eigenvalues of the Gram
 matrix Xc'Xc that its first solve uses, and runs the SVD of
@@ -202,10 +204,10 @@ def _fit_engine(ds, cfg, beta0, refresh_lambda, pen=None):
             t = a * (Xo @ lam) - 1.0
         else:
             t = -1.0
-        M = ds.gram(c * t) / n
-
         idx = np.flatnonzero(active)
-        M_act = M[np.ix_(idx, idx)]
+        # once a coordinate is frozen, only the active block of M is formed
+        v = c * t
+        M_act = (ds.gram(v) if idx.size == p else ds.gram(v, idx)) / n
         rhs = gbar[idx]
         if penalized:
             # penalty gradient enters the score equation with the sign that

@@ -122,12 +122,15 @@ class ModelConfig:
     max_iter: int = 200
 
     def __post_init__(self):
+        # each check is written to fail on NaN as well
         if not 0.0 < self.tau < 1.0:
             raise ValueError("tau must lie in (0, 1)")
-        if self.h is not None and self.h <= 0.0:
-            raise ValueError("bandwidth h must be positive")
-        if self.nu <= 0.0 or self.eps_zero <= 0.0:
-            raise ValueError("tolerances must be positive")
+        if self.h is not None and not 0.0 < self.h < np.inf:
+            raise ValueError("bandwidth h must be finite and positive")
+        if not (0.0 < self.nu < np.inf and 0.0 < self.eps_zero < np.inf):
+            raise ValueError("tolerances must be finite and positive")
+        if not self.max_iter >= 1:
+            raise ValueError("max_iter must be at least 1")
 
     def bandwidth(self, n):
         return self.h if self.h is not None else float(n) ** -0.25
@@ -142,10 +145,10 @@ class PenaltyConfig:
     pilot: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.eta < 0.0:
-            raise ValueError("eta must be nonnegative")
-        if self.gamma <= 0.0:
-            raise ValueError("gamma must be positive")
+        if not 0.0 <= self.eta < np.inf:
+            raise ValueError("eta must be finite and nonnegative")
+        if not 0.0 < self.gamma < np.inf:
+            raise ValueError("gamma must be finite and positive")
         if self.pilot is not None:
             self.pilot = np.asarray(self.pilot, dtype=float).ravel()
 
@@ -170,6 +173,10 @@ class WeightedGram:
     result is one correction away from a full product, so rounding does not
     accumulate along a sequence.  Each call returns a new array.
 
+    With a column index cols a call returns only the [cols, cols] block: a
+    correction gathers only those columns of X_D, and a rebuild still
+    stores the full product, so the reference is always the whole matrix.
+
     Smoothed expectile weights are constant outside the kernel band, so
     between nearby iterates only the rows in or crossing the band change.
     Fits that start at the same beta share the reference through the one
@@ -183,17 +190,19 @@ class WeightedGram:
         self.X = X
         self._ref = None
 
-    def __call__(self, v):
+    def __call__(self, v, cols=None):
         v = np.asarray(v, dtype=float)
+        block = slice(None) if cols is None else np.ix_(cols, cols)
         ref = self._ref
         if ref is not None:
             v_ref, K_ref = ref
             rows = np.flatnonzero(v != v_ref)
             if 2 * rows.size <= v.size:
-                X_D = self.X[rows]
+                X_D = (self.X[rows] if cols is None
+                       else self.X[np.ix_(rows, cols)])
                 dv = v[rows] - v_ref[rows]
-                return K_ref + X_D.T @ (X_D * dv[:, None])
-        return self._rebuild(v).copy()
+                return K_ref[block] + X_D.T @ (X_D * dv[:, None])
+        return self._rebuild(v)[block].copy()
 
     def _rebuild(self, v):
         """Compute X' diag(v) X in full, store it as the reference, return it."""

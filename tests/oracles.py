@@ -147,13 +147,15 @@ class NoTermsMemo:
 
 
 class FullGram:
-    """Stand-in for seel.model.WeightedGram: X' diag(v) X in full each call."""
+    """Stand-in for seel.model.WeightedGram: X' diag(v) X in full each call,
+    or its [cols, cols] block taken from the full product."""
 
     def __init__(self, X):
         self.X = X
 
-    def __call__(self, v):
-        return self.X.T @ (self.X * np.asarray(v, dtype=float)[:, None])
+    def __call__(self, v, cols=None):
+        K = self.X.T @ (self.X * np.asarray(v, dtype=float)[:, None])
+        return K if cols is None else K[np.ix_(cols, cols)]
 
 
 def design_d1_one_draw(n, p, rng):

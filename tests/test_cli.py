@@ -622,6 +622,23 @@ def test_config_bad_values_rejected(sparse_csv, tmp_path, capsys):
     assert captured.out == "" and "'standardize'" in captured.err
 
 
+@pytest.mark.parametrize("command, flags", [
+    ("fit", ["--h", "nan"]), ("fit", ["--h", "inf"]), ("fit", ["--nu", "nan"]),
+    ("fit", ["--eps-zero", "nan"]), ("fit", ["--max-iter", "0"]),
+    ("fit", ["--max-iter", "-1"]), ("select", ["--eta", "nan"]),
+    ("select", ["--eta", "inf"]), ("select", ["--gamma", "nan"]),
+    ("sweep", ["--gamma", "nan"]),
+])
+def test_nonfinite_or_out_of_range_config_flags_exit_2(sparse_csv, capsys,
+                                                       command, flags):
+    # a bad solver or penalty setting is bad input, not a numerical failure
+    path, _ = sparse_csv
+    code = main([command, str(path), *flags])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == "" and "must be" in captured.err
+
+
 def test_numerical_failure_exit_code(tmp_path, capsys):
     # fewer complete rows than parameters: a numerical (not schema) failure
     path = tmp_path / "thin.csv"

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from oracles import implied_probabilities
 
-from seel import el
+from seel import el, inference
 from seel.el import (
     ELState,
     el_ratio_approx,
@@ -247,6 +247,13 @@ def reference_lambda(ds, cfg, beta, tol=1e-8, max_iter=200):
     return lam, float(2.0 * np.log(w).sum()), it, halvings
 
 
+def assert_ratio_of_own_multiplier(st, ds, cfg, beta):
+    # after a halved step the factors are updated along G step, not formed
+    # from lambda again; the ratio must still be that of the multiplier
+    w = 1.0 + g_matrix(ds, cfg, beta) @ st.lam
+    assert st.ratio == pytest.approx(2.0 * np.log(w).sum(), rel=1e-12)
+
+
 def test_lambda_exact_matches_reference_loop(hessians_formed):
     beta0 = np.array([1.0, 0.0, 1.0, 0.0])
     ds = missing_d2_ds(3, 400, 4, beta0)
@@ -259,6 +266,7 @@ def test_lambda_exact_matches_reference_loop(hessians_formed):
     np.testing.assert_allclose(st.lam, lam, rtol=1e-12)
     assert st.ratio == pytest.approx(ratio, rel=1e-12)
     assert st.iterations == iterations
+    assert_ratio_of_own_multiplier(st, ds, cfg, beta)
     # one Hessian per step; the last iteration only tests the gradient
     assert hessians_formed[0] == iterations - 1
     # without a nonzero warm multiplier the warm Hessian is never used
@@ -266,6 +274,32 @@ def test_lambda_exact_matches_reference_loop(hessians_formed):
     assert_same_state(solve_lambda_exact(ds, cfg, beta, warm=warm),
                       st, ds, cfg, beta)
     assert hessians_formed[0] == 2 * (iterations - 1)
+
+
+def test_sweep_ratios_are_those_of_their_multipliers(monkeypatch):
+    # the first cell's solve starts from zero and halves its first steps;
+    # the later cells start warm from the state of the one before
+    beta0 = np.zeros(10)
+    beta0[[2, 4, 6]] = [1.0, 2.0, -1.0]
+    ds = missing_d2_ds(5, 2000, 10, beta0)
+    cfg = ModelConfig(tau=0.25)
+    solves = []
+    real = inference.solve_lambda_exact
+
+    def recording(ds, cfg, beta, **kwargs):
+        st = real(ds, cfg, beta, **kwargs)
+        solves.append((np.array(beta), st))
+        return st
+
+    monkeypatch.setattr(inference, "solve_lambda_exact", recording)
+    grid = [a * ds.n ** (-5.0 / 6.0) for a in range(1, 9)]
+    _, records = bic_sweep(ds, cfg, 2.5, grid)
+    assert len(solves) == len(records) == len(grid)
+    _, _, iterations, halvings = reference_lambda(ds, cfg, solves[0][0])
+    assert halvings >= 1
+    assert solves[0][1].iterations == iterations
+    for beta, st in solves:
+        assert_ratio_of_own_multiplier(st, ds, cfg, beta)
 
 
 def test_lambda_exact_memory_stays_near_two_matrices():

@@ -15,7 +15,7 @@ from oracles import (
     psi_h,
 )
 from seel.estimators import fit_a2
-from seel.model import Dataset, ModelConfig, g_matrix, moments
+from seel.model import Dataset, ModelConfig, PenaltyConfig, g_matrix, moments
 
 
 def make_ds(X, y, delta=None):
@@ -184,6 +184,35 @@ def test_model_config_defaults_and_validation():
         ModelConfig(tau=1.2)
     with pytest.raises(ValueError):
         ModelConfig(tau=0.5, h=-1.0)
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("field, value", [
+    ("tau", NAN), ("h", NAN), ("h", INF), ("h", 0.0), ("nu", NAN),
+    ("nu", INF), ("nu", 0.0), ("eps_zero", NAN), ("eps_zero", INF),
+    ("max_iter", 0), ("max_iter", -1),
+])
+def test_model_config_rejects_nonfinite_and_nonpositive(field, value):
+    kwargs = {"tau": 0.3, field: value}
+    with pytest.raises(ValueError):
+        ModelConfig(**kwargs)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("eta", NAN), ("eta", INF), ("eta", -1.0), ("gamma", NAN),
+    ("gamma", INF), ("gamma", 0.0),
+])
+def test_penalty_config_rejects_nonfinite_and_out_of_range(field, value):
+    kwargs = {"eta": 0.1, field: value}
+    with pytest.raises(ValueError):
+        PenaltyConfig(**kwargs)
+
+
+def test_configs_accept_the_edges_of_their_ranges():
+    assert ModelConfig(tau=0.3, max_iter=1).max_iter == 1
+    assert PenaltyConfig(eta=0.0).eta == 0.0
 
 
 # ---------------------------------------------------------------------------

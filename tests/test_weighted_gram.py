@@ -23,19 +23,22 @@ CHANGES = ("none", "one", "half", "more", "all")
 
 
 class CountingGram(WeightedGram):
-    """WeightedGram that counts its calls and its full products."""
+    """WeightedGram that counts its calls, its block calls and its full
+    products."""
 
     made = []
 
     def __init__(self, X):
         super().__init__(X)
         self.calls = 0
+        self.blocks = 0
         self.full = 0
         CountingGram.made.append(self)
 
-    def __call__(self, v):
+    def __call__(self, v, cols=None):
         self.calls += 1
-        return super().__call__(v)
+        self.blocks += cols is not None
+        return super().__call__(v, cols)
 
     def _rebuild(self, v):
         self.full += 1
@@ -98,6 +101,45 @@ def test_every_result_equals_the_full_product(half_n, p, seed, changes):
         # rounding of a sum of n products, scaled by its absolute terms
         bound = np.abs(X).T @ (np.abs(X) * np.abs(v)[:, None])
         assert np.all(np.abs(got - expected) <= 1e-12 * bound)
+
+
+@settings(max_examples=40, deadline=None)
+@given(half_n=st.integers(1, 30), p=st.integers(1, 6),
+       seed=st.integers(0, 2 ** 32 - 1),
+       changes=st.lists(st.sampled_from(CHANGES), min_size=1, max_size=8))
+def test_every_block_equals_the_block_of_the_full_product(half_n, p, seed,
+                                                          changes):
+    # the same sequences with a random column block on each call, the
+    # first included: a block is corrected from the full reference, and a
+    # rebuild stores the full product, never the block
+    n = 2 * half_n
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(n, p))
+    v_ref = rng.uniform(-2.0, 2.0, size=n)
+    calls = [(v_ref, v_ref)]  # (weights, the reference after the call)
+    full = 1
+    for change in changes:
+        v = v_ref.copy()
+        rows = _changed_rows(rng, n, change)
+        v[rows] += rng.choice((-1.0, 1.0), rows.size) * rng.uniform(0.1, 1.0, rows.size)
+        if 2 * rows.size > n:
+            v_ref, full = v, full + 1
+        calls.append((v, v_ref))
+    gram = CountingGram(X)
+    for v, ref in calls:
+        cols = rng.choice(p, size=int(rng.integers(1, p + 1)), replace=False)
+        block = np.ix_(cols, cols)
+        got = gram(v, cols)
+        expected = (X.T @ (X * v[:, None]))[block]
+        bound = (np.abs(X).T @ (np.abs(X) * np.abs(v)[:, None]))[block]
+        assert got.shape == (cols.size, cols.size)
+        assert np.all(np.abs(got - expected) <= 1e-12 * bound)
+        stored_v, stored_K = gram._ref
+        np.testing.assert_array_equal(stored_v, ref)
+        np.testing.assert_allclose(stored_K, X.T @ (X * ref[:, None]),
+                                   rtol=1e-12, atol=1e-12)
+    assert gram.blocks == len(calls)
+    assert gram.full == full
 
 
 def test_threads_sharing_one_gram_get_full_products():
@@ -193,6 +235,24 @@ def test_penalized_fit_from_the_expectile_start_makes_one_full_product(
     gram = ds.gram
     assert gram.calls == fit.iterations > 1
     assert gram.full == 1
+
+
+def test_only_a_fit_with_a_frozen_coordinate_forms_blocks(counting_gram):
+    # the unpenalized fits, and a zero penalty, make the full call on every
+    # iteration; a penalized fit asks for the active block once a
+    # coordinate is frozen
+    cfg = ModelConfig(tau=0.25)
+    ds = _missing_d2()
+    start = expectile_fit(ds, cfg.tau)
+    pilot = fit_a2(ds, cfg, start).beta
+    fit_a1(ds, cfg, start)
+    fit_l2(ds, cfg, PenaltyConfig(eta=0.0, pilot=pilot), start)
+    assert ds.gram.calls > 0 and ds.gram.blocks == 0
+    pen = PenaltyConfig(eta=PenaltyConfig.default_eta(ds.n), pilot=pilot)
+    calls = ds.gram.calls
+    fit = fit_l2(ds, cfg, pen, start)
+    assert fit.active_set.size < ds.p
+    assert 0 < ds.gram.blocks < ds.gram.calls - calls == fit.iterations
 
 
 def test_refreshed_multiplier_changes_every_row(counting_gram):
