@@ -15,7 +15,7 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -222,8 +222,15 @@ def _parse_args(parser, argv):
 
 
 def _prepare(args):
-    """Read the dataset, optionally standardize it, resolve tau and build the
-    ModelConfig.  Returns (ds, cfg, report head, standardizing transform)."""
+    """Build the ModelConfig from the flags, then read the dataset,
+    optionally standardize it and resolve tau.  A bad setting is rejected
+    before the read: with --tau auto a placeholder tau stands in until the
+    responses give the real one.  Returns (ds, cfg, report head,
+    standardizing transform)."""
+    tau_auto = args.tau.lower() == "auto"
+    cfg = ModelConfig(tau=0.5 if tau_auto else float(args.tau), h=args.h,
+                      kernel=Kernel(args.kernel), nu=args.nu,
+                      eps_zero=args.eps_zero, max_iter=args.max_iter)
     ds = read_dataset(args.data)
     transform = None
     if args.standardize:
@@ -233,15 +240,12 @@ def _prepare(args):
             raise CsvSchemaError("constant covariate cannot be standardized")
         ds = Dataset((X - center) / scale, ds.y, ds.delta)
         transform = {"center": center.tolist(), "scale": scale.tolist()}
-    tau_auto = args.tau.lower() == "auto"
-    tau = float(empirical_tau(ds.y[ds.delta == 1]) if tau_auto else args.tau)
-    cfg = ModelConfig(tau=tau, h=args.h, kernel=Kernel(args.kernel),
-                      nu=args.nu, eps_zero=args.eps_zero,
-                      max_iter=args.max_iter)
+    if tau_auto:
+        cfg = replace(cfg, tau=float(empirical_tau(ds.y[ds.delta == 1])))
     report = {
         "schema_version": SCHEMA_VERSION,
         "n": ds.n, "p": ds.p, "n_complete": ds.n_complete,
-        "tau": tau, "tau_auto": tau_auto,
+        "tau": cfg.tau, "tau_auto": tau_auto,
         "h": cfg.bandwidth(ds.n),
         "kernel": cfg.kernel.name,
     }
@@ -299,6 +303,8 @@ def _test_dict(t, hyp):
 
 
 def cmd_select(args):
+    # the default eta waits for n; any other setting is checked before the read
+    PenaltyConfig(eta=0.0 if args.eta is None else args.eta, gamma=args.gamma)
     ds, cfg, report, transform = _prepare(args)
     eta = PenaltyConfig.default_eta(ds.n) if args.eta is None else args.eta
     start = expectile_fit(ds, cfg.tau)  # shared by a same-mode pilot and the fit
@@ -334,7 +340,6 @@ def _bic_dict(rec):
 
 
 def cmd_sweep(args):
-    ds, cfg, report, _ = _prepare(args)
     if args.a_values:
         a_values = _floats(args.a_values)
     elif args.a_step <= 0:
@@ -342,6 +347,11 @@ def cmd_sweep(args):
     else:
         a_values = [float(a) for a in np.arange(
             args.a_min, args.a_max + 0.5 * args.a_step, args.a_step)]
+    # eta = a * scale with a scale in (0, 1]: a finite nonnegative a gives
+    # a valid eta, and any other a is rejected here, before the read
+    for a in a_values:
+        PenaltyConfig(eta=a, gamma=args.gamma)
+    ds, cfg, report, _ = _prepare(args)
     scale = {"n56": PenaltyConfig.default_eta(ds.n),
              "n67": float(ds.n) ** (-6.0 / 7.0)}[args.grid_form]
     grid = [a * scale for a in a_values]

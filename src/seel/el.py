@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import HullViolationError, LogDomainError, NoConvergenceError
-from .model import g_matrix, moments
+from .model import evaluate, g_matrix, moments
 from .numkit import solve_spd
 
 _LAMBDA_TOL = 1e-8
@@ -51,9 +51,11 @@ class ELState:
 
 
 def lambda_approx(ds, cfg, beta):
-    """Closed-form multiplier S^{-1} gbar (the iterative algorithms' lambda)."""
-    gbar, S, _ = moments(ds, cfg, beta)
-    return solve_spd(S, gbar)
+    """Closed-form multiplier S^{-1} gbar (the iterative algorithms' lambda),
+    read-only.  S and gbar come through moments, and the one solve is kept
+    with them in the evaluation at (ds, cfg, beta)."""
+    moments(ds, cfg, beta)
+    return evaluate(ds, cfg, beta).lam
 
 
 def el_ratio_exact(ds, cfg, beta, lam):
@@ -71,9 +73,10 @@ def el_ratio_exact(ds, cfg, beta, lam):
 
 
 def el_ratio_approx(ds, cfg, beta):
-    """Quadratic approximation n * gbar' S^{-1} gbar of the ratio."""
-    gbar, S, _ = moments(ds, cfg, beta)
-    val = ds.n * float(gbar @ solve_spd(S, gbar))
+    """Quadratic approximation n * gbar' S^{-1} gbar of the ratio, with the
+    closed-form multiplier S^{-1} gbar of lambda_approx."""
+    gbar, _, _ = moments(ds, cfg, beta)
+    val = ds.n * float(gbar @ evaluate(ds, cfg, beta).lam)
     return max(val, 0.0)
 
 

@@ -19,7 +19,10 @@ count and the norm of each iteration's step; non-convergence raises.
 
 Every row pass runs on the observed rows (Dataset.Xo, yo) and divides by
 the full sample size n; rows with a missing response add nothing to gbar,
-S or M.  Since d g_i / d beta = c_i x_i x_i', M is the weighted Gram matrix
+S or M.  Each iteration reads gbar, and in the "1" variants the closed-form
+multiplier, from a model.Evaluation; the one at the start comes through the
+dataset's memo, so fits that share a start form them once.  Since
+d g_i / d beta = c_i x_i x_i', M is the weighted Gram matrix
 Xo' diag(c * t) Xo / n with t_i = lam'g_i - 1.  Every fit on a dataset forms
 it through the one model.WeightedGram the dataset owns (Dataset.gram), which
 corrects its reference product on the rows whose weight changed.  At
@@ -30,10 +33,10 @@ lam is refreshed every row changes and each product is computed in full.
 Once a penalized fit has frozen a coordinate it asks only for the active
 block of M; until then, as in every unpenalized fit, for the whole matrix.
 The expectile fit's reweighted Gram matrix is formed through a
-WeightedGram of its own.  Its rank check reads the eigenvalues of the Gram
-matrix Xc'Xc that its first solve uses, and runs the SVD of
-np.linalg.matrix_rank only when they do not prove full rank, so its verdict
-is always matrix_rank's (see _full_rank).
+WeightedGram of its own, and the fit stops when its weights repeat.  Its
+rank check reads the eigenvalues of the Gram matrix Xc'Xc that its first
+solve uses, and runs the SVD of np.linalg.matrix_rank only when they do not
+prove full rank, so its verdict is always matrix_rank's (see _full_rank).
 """
 
 from dataclasses import dataclass, field
@@ -46,7 +49,7 @@ from .errors import (
     RankDeficientError,
     SingularMatrixError,
 )
-from .model import Dataset, WeightedGram, _row_terms
+from .model import WeightedGram, evaluate
 from .numkit import solve_linear, solve_spd
 
 _DIVERGENCE_FACTOR = 1e6
@@ -73,7 +76,11 @@ def expectile_fit(ds, tau, tol=1e-8, max_iter=500):
     """Expectile regression on the complete cases, by reweighted least squares.
 
     The weights are tau for nonnegative residuals and 1 - tau otherwise; at
-    tau = 1/2 the first solve is already the least-squares solution.
+    tau = 1/2 the first solve is already the least-squares solution.  The
+    fit stops when a step falls below tol or when the weights repeat those
+    of the step before: their system is the one just solved (the shared
+    WeightedGram returns it bit for bit), so a further solve would give
+    the same beta and a zero step.
 
     Raises
     ------
@@ -97,9 +104,13 @@ def expectile_fit(ds, tau, tol=1e-8, max_iter=500):
     except SingularMatrixError:
         raise RankDeficientError("complete-case design is rank deficient") from None
     gram = WeightedGram(Xc)
+    w_prev = None
     for _ in range(max_iter):
         r = yc - Xc @ beta
         w = np.where(r >= 0.0, tau, 1.0 - tau)
+        if w_prev is not None and np.array_equal(w, w_prev):
+            return beta
+        w_prev = w
         try:
             beta_new = solve_spd(gram(w), Xc.T @ (w * yc))
         except SingularMatrixError:
@@ -164,8 +175,7 @@ def pilot_estimate(ds, cfg, mode="same", beta0=None):
         return fit_a2(ds, cfg, beta0).beta
     if mode == "split":
         half = max(ds.n // 2, ds.p + 1)
-        pilot_ds = Dataset(ds.X[:half], ds.y[:half], ds.delta[:half])
-        return fit_a2(pilot_ds, cfg).beta
+        return fit_a2(ds.head(half), cfg).beta
     raise ValueError("pilot mode must be 'same' or 'split'")
 
 
@@ -196,17 +206,12 @@ def _fit_engine(ds, cfg, beta0, refresh_lambda, pen=None):
         if len(trace) == cfg.max_iter:
             raise NoConvergenceError(f"no convergence in {cfg.max_iter} iterations")
         # only the start, which other fits may share, goes through the memo
-        a, c = _row_terms(ds, cfg, beta, memo=not trace)
-        gbar = Xo.T @ a / n
-        if refresh_lambda:
-            S = Xo.T @ (Xo * (a * a)[:, None]) / n
-            lam = solve_spd(S, gbar)
-            t = a * (Xo @ lam) - 1.0
-        else:
-            t = -1.0
+        ev = evaluate(ds, cfg, beta, memo=not trace)
+        gbar = ev.gbar
+        t = ev.a * (Xo @ ev.lam) - 1.0 if refresh_lambda else -1.0
         idx = np.flatnonzero(active)
         # once a coordinate is frozen, only the active block of M is formed
-        v = c * t
+        v = ev.c * t
         M_act = (ds.gram(v) if idx.size == p else ds.gram(v, idx)) / n
         rhs = gbar[idx]
         if penalized:

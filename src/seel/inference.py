@@ -129,7 +129,8 @@ def bic_sweep(ds, cfg, gamma, eta_grid, pilot_mode="same", failures=None):
     in the criterion break toward the larger eta (the sparser model).  Grid
     cells whose fit raises an EstimationError are reported through a
     warning, appended as (eta, exception) to the `failures` list when one is
-    given, and excluded; any other exception propagates.
+    given, and excluded; any other exception propagates.  A grid or gamma
+    that PenaltyConfig rejects raises ValueError before any fit.
 
     Returns
     -------
@@ -137,8 +138,10 @@ def bic_sweep(ds, cfg, gamma, eta_grid, pilot_mode="same", failures=None):
     records in grid order.
     """
     etas = list(eta_grid)
-    if not etas or any(e < 0 for e in etas):
-        raise ValueError("eta grid must be nonempty and nonnegative")
+    if not etas:
+        raise ValueError("eta grid must be nonempty")
+    for eta in etas:  # every cell's settings are checked before any fit
+        PenaltyConfig(eta=float(eta), gamma=gamma)
     start = expectile_fit(ds, cfg.tau)
     pilot = pilot_estimate(ds, cfg, mode=pilot_mode, beta0=start)
     warm = None

@@ -7,13 +7,21 @@ in beta.  A row whose response is missing (delta_i = 0) has g_i = 0, so
 every row pass runs on the observed rows only: each Dataset keeps their
 design and responses as Xo/yo, and every mean still divides by the full
 sample size n.
+
+One row pass at (dataset, cfg, beta) gives an Evaluation: the per-row
+scalars and, formed once on first use, the moments gbar, S and J and the
+closed-form multiplier S^{-1} gbar.  Each Dataset keeps its two most
+recent evaluations (see evaluate), so the fits that share a start and the
+ratios after a fit read one evaluation instead of repeating it.
 """
 
 from dataclasses import FrozenInstanceError, dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .kernels import Kernel
+from .numkit import solve_spd
 
 
 class Dataset:
@@ -24,48 +32,67 @@ class Dataset:
     X : (n, p) array of covariates, all entries finite.
     y : (n,) array of responses; entries with delta = 0 may be NaN and are
         never used.
-    delta : (n,) array of 0/1 missingness flags (1 = response observed).
+    delta : (n,) array of 0/1 (or boolean) missingness flags (1 = response
+        observed).
 
     The dataset keeps read-only copies of y and delta and stores the design
     once, read-only, observed rows first, so editing the arrays passed in
     changes nothing here.  Xo and yo are the observed rows, contiguous (Xo
     is the whole design when no response is missing), gram is the
     WeightedGram over Xo that every fit on this dataset shares, and terms is
-    the memo of its row evaluations (see _row_terms).  X is the
+    the memo of its evaluations (see evaluate).  X is the
     design in the original row order, assembled on every read as a new
     read-only array when a response is missing: a loop should bind it once.
+
+    select_columns and head cut their datasets from these validated,
+    ordered rows, with no second validation or ordering; the rows they hold
+    have the memory layout that building the same dataset from its X
+    gives, so every product on them rounds as it would there.
     """
 
     def __init__(self, X, y, delta):
         X = np.atleast_2d(np.asarray(X, dtype=float))
         y = np.array(y, dtype=float).ravel()
-        delta = np.asarray(delta).ravel().astype(np.uint8)
-        n, p = X.shape
-        if n < 1 or p < 1:
-            raise ValueError("dataset needs at least one row and one column")
+        delta = np.asarray(delta).ravel()
+        n = X.shape[0]
         if y.shape != (n,) or delta.shape != (n,):
             raise ValueError("y and delta must have one entry per row of X")
         if not np.all(np.isfinite(X)):
             raise ValueError("covariates must be finite")
+        # checked before the cast, which would turn 0.5 into 0 and 257 into 1
         if not np.all((delta == 0) | (delta == 1)):
             raise ValueError("delta entries must be 0 or 1")
+        delta = delta.astype(np.uint8)
         observed = delta == 1
         if observed.all():
-            rows = Xo = np.array(X)
-            yo = y
+            rows, yo = np.array(X), y
         else:
             order = np.concatenate([np.flatnonzero(observed),
                                     np.flatnonzero(~observed)])
-            rows = X[order]
-            Xo, yo = rows[:np.count_nonzero(observed)], y[observed]
+            rows, yo = X[order], y[observed]
         if not np.all(np.isfinite(yo)):
             raise ValueError("observed responses (delta = 1) must be finite")
+        self._store(rows, y, delta, yo)
+
+    def _store(self, rows, y, delta, yo):
+        """Set every field from validated rows (observed first, yo their
+        responses); the one constructor behind __init__ and the datasets
+        cut from another one."""
+        if rows.shape[0] < 1 or rows.shape[1] < 1:
+            raise ValueError("dataset needs at least one row and one column")
         for name, value in (("_rows", rows), ("y", y), ("delta", delta),
-                            ("Xo", Xo), ("yo", yo)):
+                            ("Xo", rows[:yo.shape[0]]), ("yo", yo)):
             value.flags.writeable = False
             object.__setattr__(self, name, value)
-        object.__setattr__(self, "gram", WeightedGram(Xo))
+        object.__setattr__(self, "gram", WeightedGram(self.Xo))
         object.__setattr__(self, "terms", _TermsMemo())
+
+    @classmethod
+    def _cut(cls, rows, y, delta, yo):
+        """A dataset of rows cut from a validated one, not validated again."""
+        ds = cls.__new__(cls)
+        ds._store(rows, y, delta, yo)
+        return ds
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -102,9 +129,33 @@ class Dataset:
         return self.Xo, self.yo
 
     def select_columns(self, idx):
-        """Dataset using only the covariate columns in idx (submodel view)."""
+        """Dataset using only the covariate columns in idx (submodel view).
+
+        The column gather keeps the F order that Dataset(X[:, idx], ...)
+        keeps when every response is observed; otherwise that constructor
+        reorders the rows into a C-ordered array, and take does the same.
+        """
         idx = np.asarray(idx, dtype=int)
-        return Dataset(self.X[:, idx], self.y, self.delta)
+        rows = self._rows[:, idx] if self.n_complete == self.n \
+            else self._rows.take(idx, axis=1)
+        return self._cut(rows, self.y, self.delta, self.yo)
+
+    def head(self, m):
+        """Dataset of the first m rows (all of them when m >= n).
+
+        Its observed rows are a prefix of Xo and its missing ones a prefix
+        of the missing block, gathered in one C-ordered row gather, as
+        Dataset(X[:m], ...) orders them; with no response missing among
+        them, it copies them as that constructor copies its X.
+        """
+        delta = self.delta[:m]
+        k = np.count_nonzero(delta)
+        if k == delta.shape[0]:
+            rows = np.array(self._rows[:k])
+        else:
+            nc = self.n_complete
+            rows = self._rows[np.r_[0:k, nc:nc + delta.shape[0] - k]]
+        return self._cut(rows, self.y[:m], delta, self.yo[:k])
 
 
 @dataclass
@@ -212,24 +263,60 @@ class WeightedGram:
 
 
 class _TermsMemo:
-    """The two most recently used (key, (a, c)) results of _row_terms on one
-    dataset, most recent first, in one tuple that is replaced whole."""
+    """The two most recently used (key, Evaluation) entries of evaluate on
+    one dataset, most recent first, in one tuple that is replaced whole."""
 
     entries = ()
 
 
-def _row_terms(ds, cfg, beta, memo=True):
-    """Per-row scalars of the observed rows, shared by the sample moments
-    and the fit updates.
+class Evaluation:
+    """The closed-form quantities of one dataset at one (cfg, beta).
 
-    Returns (a, c), each of length n_complete, with g_i = a_i x_i and
-    d g_i / d beta = c_i x_i x_i' for the observed rows (ds.Xo, ds.yo); the
-    bandwidth is set by the full sample size n.
+    a and c are the per-row scalars of the observed rows Xo, with
+    g_i = a_i x_i and d g_i / d beta = c_i x_i x_i'.  gbar (the mean of
+    g_i), S (the mean of g_i g_i'), J (the mean Jacobian) and the
+    closed-form multiplier lam = S^{-1} gbar are formed on first use and
+    kept; each mean divides by the full sample size n.  Every array is
+    read-only.  It holds Xo and n, not the dataset, so a dataset and the
+    evaluations in its memo form no reference cycle.
+    """
+
+    def __init__(self, Xo, n, a, c):
+        self.Xo, self.n, self.a, self.c = Xo, n, a, c
+        a.flags.writeable = c.flags.writeable = False
+
+    @cached_property
+    def gbar(self):
+        return _read_only(self.Xo.T @ self.a / self.n)
+
+    @cached_property
+    def S(self):
+        return _read_only(self.Xo.T @ (self.Xo * (self.a * self.a)[:, None])
+                          / self.n)
+
+    @cached_property
+    def J(self):
+        return _read_only(self.Xo.T @ (self.Xo * self.c[:, None]) / self.n)
+
+    @cached_property
+    def lam(self):
+        # a solve that raises keeps nothing, so the next read raises again
+        return _read_only(solve_spd(self.S, self.gbar))
+
+
+def _read_only(x):
+    x.flags.writeable = False
+    return x
+
+
+def evaluate(ds, cfg, beta, memo=True):
+    """The Evaluation of ds at (cfg, beta): one pass over the observed rows
+    (ds.Xo, ds.yo), with the bandwidth set by the full sample size n.
 
     With memo, it reads through ds.terms, keyed by tau, h, the kernel and
-    the bytes of beta, and a and c are read-only.  Two entries hold both the
-    start that several fits share (a sweep's pilot and cells, the fits of a
-    replication) and the fitted beta whose ratio follows each fit.
+    the bytes of beta.  Two entries hold both the start that several fits
+    share (a sweep's pilot and cells, the fits of a replication) and the
+    fitted beta whose ratio follows each fit.
     """
     beta = np.asarray(beta, dtype=float)
     h = cfg.bandwidth(ds.n)
@@ -243,32 +330,27 @@ def _row_terms(ds, cfg, beta, memo=True):
     r = ds.yo - ds.Xo @ beta
     u = -r / h
     w = cfg.tau + (1.0 - 2.0 * cfg.tau) * cfg.kernel.cdf(u)
-    a = w * r
-    c = (1.0 - 2.0 * cfg.tau) / h * cfg.kernel.pdf(u) * r - w
+    ev = Evaluation(ds.Xo, ds.n, w * r,
+                    (1.0 - 2.0 * cfg.tau) / h * cfg.kernel.pdf(u) * r - w)
     if memo:
-        a.flags.writeable = c.flags.writeable = False
-        ds.terms.entries = ((key, (a, c)),) + entries[:1]
-    return a, c
+        ds.terms.entries = ((key, ev),) + entries[:1]
+    return ev
 
 
 def moments(ds, cfg, beta):
-    """Sample moments (gbar, S, J) of the smoothed estimating functions.
+    """Sample moments (gbar, S, J) of the smoothed estimating functions,
+    read-only and formed once per evaluation.
 
     gbar is the mean of g_i, S the mean of g_i g_i' (second-moment matrix)
     and J the mean Jacobian.  The sums run over the observed rows and every
     average divides by the full sample size n: rows with missing responses
     contribute zero.
     """
-    a, c = _row_terms(ds, cfg, beta)
-    Xo, n = ds.Xo, ds.n
-    gbar = Xo.T @ a / n
-    S = Xo.T @ (Xo * (a * a)[:, None]) / n
-    J = Xo.T @ (Xo * c[:, None]) / n
-    return gbar, S, J
+    ev = evaluate(ds, cfg, beta)
+    return ev.gbar, ev.S, ev.J
 
 
 def g_matrix(ds, cfg, beta):
     """The smoothed estimating functions of the observed rows, stacked as an
     (n_complete, p) matrix in row order; every row left out has g_i = 0."""
-    a, _ = _row_terms(ds, cfg, beta)
-    return ds.Xo * a[:, None]
+    return ds.Xo * evaluate(ds, cfg, beta).a[:, None]

@@ -42,9 +42,6 @@ def solve_spd(A, b):
     p = A.shape[0]
     if A.shape != (p, p) or b.shape != (p,):
         raise ValueError("solve_spd expects a p x p matrix and a p-vector")
-    scale = np.trace(A) / p
-    if not np.isfinite(scale) or scale <= 0.0:
-        scale = 1.0
     kappa = 0.0
     while True:
         try:
@@ -52,7 +49,14 @@ def solve_spd(A, b):
             np.linalg.cholesky(M)
             return np.linalg.solve(M, b)
         except np.linalg.LinAlgError:
-            kappa = _JITTER_FIRST * scale if kappa == 0.0 else 10.0 * kappa
+            if kappa == 0.0:
+                # the ridge scale, needed only once the plain matrix fails
+                scale = np.trace(A) / p
+                if not np.isfinite(scale) or scale <= 0.0:
+                    scale = 1.0
+                kappa = _JITTER_FIRST * scale
+            else:
+                kappa *= 10.0
             if kappa > _JITTER_LAST * scale * (1.0 + 1e-12):
                 raise SingularMatrixError(
                     "matrix not positive definite at any jitter level"

@@ -21,16 +21,19 @@ at a time, where read_dataset bisects.  OneShotStream
 hashes all counters of a draw in one array, and normal_quantile_masked and
 zero_expectile_tau_masked split their input with boolean indexing, where
 seel.numkit and seel.inference work block by block, with np.compress and
-np.place, in place.
+np.place, in place.  expectile_fit_confirming runs the expectile fit's
+loop until a step falls below tol, with the confirming solve that
+seel.estimators.expectile_fit skips once the weights repeat.
 """
 
 import csv
 
 import numpy as np
 
-from seel.errors import CsvSchemaError, OneSidedSampleError
-from seel.model import Dataset
-from seel.numkit import _A, _B, _C, _D, _E, _F, _GOLDEN, RngStream, _mix64
+from seel.errors import CsvSchemaError, NoConvergenceError, OneSidedSampleError
+from seel.model import Dataset, WeightedGram
+from seel.numkit import (_A, _B, _C, _D, _E, _F, _GOLDEN, RngStream, _mix64,
+                         solve_spd)
 
 
 def expectile_loss(tau, x):
@@ -311,3 +314,21 @@ def zero_expectile_tau_masked(residuals):
     if s_pos == 0.0 or s_neg == 0.0:
         raise OneSidedSampleError("residuals must take both signs")
     return s_neg / (s_pos + s_neg)
+
+
+def expectile_fit_confirming(ds, tau, tol=1e-8, max_iter=500, gram=None):
+    """(beta, solves): the expectile fit of a full-rank complete-case
+    design, stopping only on a step below tol, and the number of reweighted
+    solves it made.  gram is the WeightedGram to use (a new one if None)."""
+    Xc, yc = ds.complete_cases()
+    beta = solve_spd(Xc.T @ Xc, Xc.T @ yc)
+    gram = WeightedGram(Xc) if gram is None else gram
+    for solves in range(1, max_iter + 1):
+        r = yc - Xc @ beta
+        w = np.where(r >= 0.0, tau, 1.0 - tau)
+        beta_new = solve_spd(gram(w), Xc.T @ (w * yc))
+        step = np.linalg.norm(beta_new - beta)
+        beta = beta_new
+        if step < tol:
+            return beta, solves
+    raise NoConvergenceError("expectile fit not converged")

@@ -639,6 +639,30 @@ def test_nonfinite_or_out_of_range_config_flags_exit_2(sparse_csv, capsys,
     assert captured.out == "" and "must be" in captured.err
 
 
+@pytest.mark.parametrize("command, flags", [
+    ("fit", ["--h", "nan"]), ("fit", ["--max-iter", "0"]),
+    ("fit", ["--tau", "1.5"]), ("fit", ["--tau", "auto", "--nu", "nan"]),
+    ("select", ["--eta", "nan"]), ("select", ["--gamma", "nan"]),
+    ("select", ["--tau", "auto", "--eta", "-1"]),
+    ("sweep", ["--gamma", "nan"]), ("sweep", ["--a-values", "1,nan"]),
+    ("sweep", ["--a-values", "1,-2"]), ("sweep", ["--a-step", "0"]),
+])
+def test_bad_settings_are_rejected_before_the_read(sparse_csv, capsys,
+                                                   monkeypatch, command,
+                                                   flags):
+    # the configs are built from the flags first, so a bad one exits 2
+    # without reading the CSV or fitting anything
+    def unreachable(*args, **kwargs):
+        raise AssertionError("reached")
+
+    monkeypatch.setattr(cli, "read_dataset", unreachable)
+    monkeypatch.setattr(cli, "expectile_fit", unreachable)
+    monkeypatch.setattr(inference, "expectile_fit", unreachable)
+    path, _ = sparse_csv
+    assert main([command, str(path), *flags]) == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_numerical_failure_exit_code(tmp_path, capsys):
     # fewer complete rows than parameters: a numerical (not schema) failure
     path = tmp_path / "thin.csv"

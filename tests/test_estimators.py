@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import expectile_loss
+from oracles import expectile_fit_confirming, expectile_loss
+from seel import estimators
 from seel.errors import (
     InsufficientCompleteCasesError,
     NoConvergenceError,
@@ -18,7 +19,8 @@ from seel.estimators import (
     fit_l2,
     pilot_estimate,
 )
-from seel.model import Dataset, ModelConfig, PenaltyConfig, moments
+from seel.model import (Dataset, ModelConfig, PenaltyConfig, WeightedGram,
+                        moments)
 from seel.numkit import RngStream
 from seel.simulate import gen_design
 
@@ -46,6 +48,69 @@ def test_expectile_half_equals_least_squares():
     Xc, yc = ds.complete_cases()
     ls = np.linalg.solve(Xc.T @ Xc, Xc.T @ yc)
     assert np.linalg.norm(beta - ls) < 1e-8
+
+
+class _RecordingGram(WeightedGram):
+    """WeightedGram that records, per call, whether it rebuilt."""
+
+    def __init__(self, X):
+        super().__init__(X)
+        self.rebuilt = []
+
+    def __call__(self, v, cols=None):
+        self.rebuilt.append(False)
+        return super().__call__(v, cols)
+
+    def _rebuild(self, v):
+        self.rebuilt[-1] = True
+        return super()._rebuild(v)
+
+
+def _early_stop_case(ds, tau):
+    """The fit's beta and its Gram calls, and the reference's beta and
+    solves; the reference reuses no state of the fit."""
+    grams = []
+
+    def recording(X):
+        grams.append(_RecordingGram(X))
+        return grams[-1]
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(estimators, "WeightedGram", recording)
+        beta = expectile_fit(ds, tau)
+    ref, solves = expectile_fit_confirming(ds, tau)
+    return beta, grams[0].rebuilt, ref, solves
+
+
+def test_expectile_fit_stops_at_repeated_weights_after_a_rebuild():
+    # residuals -5, -5, 5, 5 from the mean keep their signs at the
+    # 0.3-expectile 3: the second weights repeat those that the first
+    # (rebuilding) Gram call took
+    ds = Dataset(np.ones((4, 1)), [0.0, 0.0, 10.0, 10.0], np.ones(4))
+    beta, rebuilt, ref, solves = _early_stop_case(ds, 0.3)
+    assert beta.tobytes() == ref.tobytes() and beta.tolist() == [3.0]
+    assert rebuilt == [True] and solves == 2
+
+
+def test_expectile_fit_stops_at_repeated_weights_after_a_correction():
+    ds, _ = simulated(n=400, p=4, seed=3, missing=0.2)
+    beta, rebuilt, ref, solves = _early_stop_case(ds, 0.2)
+    assert beta.tobytes() == ref.tobytes()
+    assert len(rebuilt) == solves - 1 >= 2 and not rebuilt[-1]
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(3, 60), p=st.integers(1, 4),
+       tau=st.floats(0.05, 0.95), seed=st.integers(0, 2 ** 16),
+       missing=st.sampled_from([0.0, 0.3]))
+def test_expectile_early_stop_matches_the_confirming_solve(n, p, tau, seed,
+                                                         missing):
+    ds, _ = simulated(n=n + p, p=p, seed=seed, missing=missing)
+    assume(ds.n_complete >= p)
+    beta, rebuilt, ref, solves = _early_stop_case(ds, tau)
+    assert beta.tobytes() == ref.tobytes()
+    # the confirming solve is skipped exactly when the weights repeated
+    assert len(rebuilt) in (solves, solves - 1)
 
 
 def test_expectile_fit_minimizes_the_expectile_loss():

@@ -349,6 +349,18 @@ def test_bic_sweep_fallback_cell_keeps_the_last_exact_state(monkeypatch):
         [states[0].iterations, 0, states[1].iterations, states[2].iterations]
 
 
+@pytest.mark.parametrize("gamma, grid", [
+    (2.5, [0.01, float("nan")]), (2.5, [0.01, float("inf")]),
+    (2.5, [0.01, -0.1]), (float("nan"), [0.01]), (0.0, [0.01]),
+])
+def test_bic_sweep_checks_every_cell_before_fitting(expectile_calls, gamma,
+                                                    grid):
+    ds, _ = simulated(n=50, p=2, seed=1)
+    with pytest.raises(ValueError, match="must be finite"):
+        bic_sweep(ds, ModelConfig(tau=0.5), gamma, grid)
+    assert expectile_calls == []
+
+
 def test_bic_sweep_rejects_bad_grid():
     ds, _ = simulated(n=50, p=2, seed=1)
     with pytest.raises(ValueError):

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -49,6 +50,25 @@ def test_dataset_validation():
     assert ds.n == 2 and ds.p == 1 and ds.n_complete == 1
     Xo, yo = ds.complete_cases()
     assert Xo.tolist() == [[1.0]] and yo.tolist() == [1.0]
+
+
+@pytest.mark.parametrize("flag", [0.5, 0.9, 1.5, 257, -1, np.nan, np.inf])
+def test_dataset_rejects_non_binary_delta(flag):
+    # checked before the cast to uint8, which would turn 0.5 and 0.9 into 0
+    # (missing), 1.5 and 257 into 1 (observed) and NaN into 0 with a warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="delta entries must be 0 or 1"):
+            Dataset(np.ones((3, 1)), [1.0, 2.0, 3.0], [flag, 1, 1])
+
+
+@pytest.mark.parametrize("delta", [[0, 1, 1], [0.0, 1.0, 1.0],
+                                   [False, True, True],
+                                   np.array([0, 1, 1], dtype=np.uint8)])
+def test_dataset_accepts_zero_one_and_bool_delta(delta):
+    ds = Dataset(np.arange(3.0)[:, None], [np.nan, 2.0, 3.0], delta)
+    assert ds.delta.dtype == np.uint8 and ds.delta.tolist() == [0, 1, 1]
+    assert ds.yo.tolist() == [2.0, 3.0]
 
 
 def test_dataset_complete_cases_are_computed_once_read_only():
@@ -174,6 +194,67 @@ def test_dataset_column_selection():
     sub = ds.select_columns([0, 2])
     assert sub.p == 2
     assert np.allclose(sub.X, [[1.0, 3.0]])
+
+
+def _same_dataset(got, ref):
+    for name in ("X", "Xo", "yo", "y", "delta"):
+        a, b = getattr(got, name), getattr(ref, name)
+        assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+    assert got.n_complete == ref.n_complete
+    # the layout decides how BLAS sums, so it must match too
+    assert (got.Xo.flags.c_contiguous, got.Xo.flags.f_contiguous) \
+        == (ref.Xo.flags.c_contiguous, ref.Xo.flags.f_contiguous)
+    assert not got.Xo.flags.writeable and not got.yo.flags.writeable
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_derived_datasets_equal_those_built_from_their_rows(data):
+    # select_columns and head cut from the parent's stored rows; they must
+    # give the very arrays Dataset(...) builds from the parent's X
+    n = data.draw(st.integers(1, 12), label="n")
+    p = data.draw(st.integers(1, 5), label="p")
+    finite = st.floats(-1e3, 1e3, allow_nan=False)
+    X = data.draw(arrays(float, (n, p), elements=finite), label="X")
+    X = np.asfortranarray(X) if data.draw(st.booleans(), label="F") else X
+    delta = data.draw(arrays(np.uint8, n, elements=st.integers(0, 1)
+                             if data.draw(st.booleans(), label="missing")
+                             else st.just(1)), label="delta")
+    y = np.where(delta == 1, data.draw(arrays(float, n, elements=finite),
+                                       label="y"), np.nan)
+    ds = Dataset(X, y, delta)
+    for _ in range(2):  # a derived dataset derives in turn
+        idx = data.draw(st.lists(st.integers(0, ds.p - 1), min_size=1,
+                                 max_size=ds.p + 1), label="idx")
+        half = data.draw(st.integers(1, ds.n + 2), label="half")
+        X = ds.X
+        sub = ds.select_columns(idx)
+        _same_dataset(sub, Dataset(X[:, idx], ds.y, ds.delta))
+        head = ds.head(half)
+        _same_dataset(head, Dataset(X[:half], ds.y[:half], ds.delta[:half]))
+        ds = data.draw(st.sampled_from([sub, head]), label="next")
+
+
+def test_derived_datasets_skip_the_constructor(monkeypatch):
+    ds = Dataset(np.arange(12.0).reshape(4, 3), [1.0, np.nan, 2.0, 3.0],
+                 [1, 0, 1, 1])
+    calls = []
+    init = Dataset.__init__
+
+    def counted(self, *args):
+        calls.append(1)
+        init(self, *args)
+
+    monkeypatch.setattr(Dataset, "__init__", counted)
+    sub, head = ds.select_columns([2, 0]), ds.head(2)
+    assert calls == []
+    assert sub.X.tolist() == [[2.0, 0.0], [5.0, 3.0], [8.0, 6.0],
+                              [11.0, 9.0]]
+    assert head.Xo.tolist() == [[0.0, 1.0, 2.0]] and head.n == 2
+    assert sub.gram is not ds.gram and sub.terms is not ds.terms
+    for empty in (lambda: ds.select_columns([]), lambda: ds.head(0)):
+        with pytest.raises(ValueError):
+            empty()
 
 
 def test_model_config_defaults_and_validation():

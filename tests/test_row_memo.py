@@ -1,6 +1,7 @@
-"""The row-pass memo each Dataset owns (Dataset.terms): results equal those
-computed with no memo bit for bit, any change of the key misses, the
-memoized scalars are read-only, and the cells of a BIC sweep, which all
+"""The evaluation memo each Dataset owns (Dataset.terms): results equal
+those computed with no memo bit for bit, a shared evaluation serves the
+same moments and multiplier as a fresh one, any change of the key misses,
+the memoized arrays are read-only, and the cells of a BIC sweep, which all
 start where the pilot started, add no row pass for their start."""
 
 import numpy as np
@@ -8,10 +9,11 @@ import pytest
 
 from oracles import NoTermsMemo
 from seel import estimators, inference, model
+from seel.el import el_ratio_approx, lambda_approx
 from seel.estimators import expectile_fit, fit_a1, fit_a2, fit_l1, fit_l2
 from seel.inference import bic_sweep
 from seel.kernels import Kernel
-from seel.model import (Dataset, ModelConfig, PenaltyConfig, _row_terms,
+from seel.model import (Dataset, ModelConfig, PenaltyConfig, evaluate,
                         g_matrix, moments)
 from seel.numkit import RngStream
 from seel.simulate import gen_design, gen_errors, gen_missing
@@ -88,12 +90,15 @@ def test_fits_and_sweep_equal_those_without_a_memo(monkeypatch):
         _same([a.bic, a.beta, a.active_set], [b.bic, b.beta, b.active_set])
 
 
+def _terms(ev):
+    return [ev.a, ev.c]
+
+
 def test_any_change_of_the_key_misses(counting_cdf):
     ds = Dataset(*_arrays())
     beta = expectile_fit(ds, CFG.tau)
-    a, c = _row_terms(ds, CFG, beta)
-    hit = _row_terms(ds, CFG, beta.copy())
-    assert hit[0] is a and hit[1] is c
+    ev = evaluate(ds, CFG, beta)
+    assert evaluate(ds, CFG, beta.copy()) is ev
     assert len(counting_cdf) == 1
     flipped = []  # beta with the lowest bit of one coordinate flipped
     for j in range(ds.p):
@@ -103,28 +108,68 @@ def test_any_change_of_the_key_misses(counting_cdf):
                    (ModelConfig(tau=0.25, h=0.2), beta),
                    (ModelConfig(tau=0.25, kernel=Kernel("quartic")), beta)] \
             + [(CFG, f) for f in flipped]:
-        _row_terms(ds, CFG, beta)  # the unchanged key is held
+        evaluate(ds, CFG, beta)  # the unchanged key is held
         del counting_cdf[:]
-        got = _row_terms(ds, cfg, b)
+        got = evaluate(ds, cfg, b)
         assert len(counting_cdf) == 1
-        _same(got, _row_terms(Dataset(*_arrays()), cfg, b, memo=False))
+        _same(_terms(got),
+              _terms(evaluate(Dataset(*_arrays()), cfg, b, memo=False)))
     # two entries, most recently used first: a hit moves to the front, so
     # a new key evicts the other one
     del counting_cdf[:]
-    _row_terms(ds, CFG, flipped[-1])
-    _row_terms(ds, CFG, beta)
+    evaluate(ds, CFG, flipped[-1])
+    evaluate(ds, CFG, beta)
     assert counting_cdf == []
-    _row_terms(ds, CFG, flipped[-2])
-    _row_terms(ds, CFG, beta)
+    evaluate(ds, CFG, flipped[-2])
+    evaluate(ds, CFG, beta)
     assert len(counting_cdf) == 1
-    _row_terms(ds, CFG, flipped[-1])
+    evaluate(ds, CFG, flipped[-1])
     assert len(counting_cdf) == 2
+
+
+def test_shared_evaluation_equals_a_fresh_one(monkeypatch):
+    # every quantity a shared evaluation serves, read after the fits that
+    # share it and in any order, equals that of an evaluation made afresh
+    ds = Dataset(*_arrays())
+    start = expectile_fit(ds, CFG.tau)
+    pen = PenaltyConfig(eta=PenaltyConfig.default_eta(ds.n),
+                        pilot=fit_a2(ds, CFG, start).beta)
+    fit_a1(ds, CFG, start)
+    fit_l1(ds, CFG, pen, start)
+    shared = evaluate(ds, CFG, start)
+    lam = lambda_approx(ds, CFG, start)
+    assert lam is shared.lam
+    assert moments(ds, CFG, start)[1] is shared.S
+    fresh = evaluate(_unmemoized(monkeypatch), CFG, start)
+    for name in ("a", "c", "gbar", "S", "J", "lam"):
+        _same([getattr(shared, name)], [getattr(fresh, name)])
+    # one multiplier solve serves the multiplier and the quadratic ratio
+    ratio = el_ratio_approx(ds, CFG, start)
+    assert ratio == max(ds.n * float(fresh.gbar @ fresh.lam), 0.0)
+
+
+def test_each_quantity_is_formed_once_per_evaluation(monkeypatch):
+    ds = Dataset(*_arrays())
+    beta = expectile_fit(ds, CFG.tau)
+    solves = []
+    solve_spd = model.solve_spd
+
+    def counted(A, b):
+        solves.append(1)
+        return solve_spd(A, b)
+
+    monkeypatch.setattr(model, "solve_spd", counted)
+    first = moments(ds, CFG, beta)
+    assert all(x is y for x, y in zip(moments(ds, CFG, beta), first))
+    lam = lambda_approx(ds, CFG, beta)
+    el_ratio_approx(ds, CFG, beta)
+    assert lambda_approx(ds, CFG, beta) is lam and len(solves) == 1
 
 
 def test_memoized_terms_are_read_only():
     ds = Dataset(*_arrays())
-    a, c = _row_terms(ds, CFG, np.zeros(ds.p))
-    for x in (a, c):
+    ev = evaluate(ds, CFG, np.zeros(ds.p))
+    for x in (ev.a, ev.c, ev.gbar, ev.S, ev.J, ev.lam):
         with pytest.raises(ValueError, match="read-only"):
             x[0] = 1.0
 
