@@ -24,7 +24,8 @@ from .el import lambda_approx
 from .errors import CsvSchemaError, EstimationError
 from .estimators import (expectile_fit, fit_a1, fit_a2, fit_l1, fit_l2,
                          pilot_estimate)
-from .inference import bic_sweep, el_ratio, empirical_tau, wilks_test
+from .inference import (bic_sweep, check_alpha, el_ratio, empirical_tau,
+                        wilks_test)
 from .kernels import KERNEL_NAMES, Kernel
 from .model import Dataset, ModelConfig, PenaltyConfig
 from .simulate import (DESIGNS, ERROR_LAWS, MISSING_MECHANISMS, PRESETS,
@@ -139,7 +140,10 @@ def write_dataset(path, ds):
 # shared option plumbing
 
 def _floats(text):
-    return [float(v) for v in text.split(",")]
+    values = [float(v) for v in text.split(",")]
+    if not np.isfinite(values).all():
+        raise ValueError(f"expected finite numbers, not {text!r}")
+    return values
 
 
 def _sim_tau(text):
@@ -272,7 +276,12 @@ def _write_csv(path, header, rows):
 # subcommands
 
 def cmd_fit(args):
+    # --alpha and the values of --test-beta are checked before the read
+    check_alpha(args.alpha)
+    hyp = None if args.test_beta is None else np.array(_floats(args.test_beta))
     ds, cfg, report, transform = _prepare(args)
+    if hyp is not None and hyp.shape != (ds.p,):
+        raise CsvSchemaError("--test-beta needs p comma-separated values")
     fit = {"a1": fit_a1, "a2": fit_a2}[args.algorithm](ds, cfg)
     report.update({
         "command": "fit",
@@ -284,10 +293,7 @@ def cmd_fit(args):
         "ratio_at_beta": el_ratio(ds, cfg, fit.beta)[0],
         "standardized": transform,
     })
-    if args.test_beta is not None:
-        hyp = np.array(_floats(args.test_beta))
-        if hyp.shape != (ds.p,):
-            raise CsvSchemaError("--test-beta needs p comma-separated values")
+    if hyp is not None:
         t = wilks_test(ds, cfg, hyp, alpha=args.alpha)
         report["wilks_test"] = _test_dict(t, hyp)
     _emit(report, args.out, "fit_report.json")
@@ -305,6 +311,7 @@ def _test_dict(t, hyp):
 def cmd_select(args):
     # the default eta waits for n; any other setting is checked before the read
     PenaltyConfig(eta=0.0 if args.eta is None else args.eta, gamma=args.gamma)
+    check_alpha(args.alpha)
     ds, cfg, report, transform = _prepare(args)
     eta = PenaltyConfig.default_eta(ds.n) if args.eta is None else args.eta
     start = expectile_fit(ds, cfg.tau)  # shared by a same-mode pilot and the fit
@@ -344,6 +351,8 @@ def cmd_sweep(args):
         a_values = _floats(args.a_values)
     elif args.a_step <= 0:
         raise ValueError("--a-step must be positive")
+    elif not args.a_min <= args.a_max:
+        raise ValueError("--a-min must not exceed --a-max")
     else:
         a_values = [float(a) for a in np.arange(
             args.a_min, args.a_max + 0.5 * args.a_step, args.a_step)]

@@ -16,12 +16,9 @@ The solver is Newton's method on the dual (Owen, Empirical Likelihood,
 O(n p^2) cost of a step; it changes on every row with lambda, so no rows of
 it can be reused.  A step forms the factors 1 + lambda'g_i at full length
 as one product over G; a trial that the 1/n floor halves reads G step off
-them, w + size (w_full - w), so halving costs no further product.
-A sequence of solves at nearby betas (the cells of a BIC sweep) can hand
-each solve the ELState of the one before: its multiplier is the start and
-its last Hessian serves the first step, and every later step forms its
-own, so only the first step of such a warm solve is inexact and the
-stopping rule on the gradient is unchanged.
+them, w + size (w_full - w), so halving costs no further product.  The
+solves along nearby betas (the cells of a BIC sweep) can each start from
+the ELState of the one before (see solve_lambda_exact).
 """
 
 from dataclasses import dataclass
@@ -33,6 +30,7 @@ from .model import evaluate, g_matrix, moments
 from .numkit import solve_spd
 
 _LAMBDA_TOL = 1e-8
+_LAMBDA_MIN_ITER = 200  # least Newton budget of an attempt, see solve_lambda_exact
 _PROB_SUM_TOL = 1e-6
 _HESSIAN_BLOCK_ROWS = 4096  # rows per block of the multiplier Hessian
 
@@ -52,9 +50,7 @@ class ELState:
 
 def lambda_approx(ds, cfg, beta):
     """Closed-form multiplier S^{-1} gbar (the iterative algorithms' lambda),
-    read-only.  S and gbar come through moments, and the one solve is kept
-    with them in the evaluation at (ds, cfg, beta)."""
-    moments(ds, cfg, beta)
+    read-only; the one solve is kept in the evaluation at (ds, cfg, beta)."""
     return evaluate(ds, cfg, beta).lam
 
 
@@ -75,13 +71,12 @@ def el_ratio_exact(ds, cfg, beta, lam):
 def el_ratio_approx(ds, cfg, beta):
     """Quadratic approximation n * gbar' S^{-1} gbar of the ratio, with the
     closed-form multiplier S^{-1} gbar of lambda_approx."""
-    gbar, _, _ = moments(ds, cfg, beta)
+    gbar, _ = moments(ds, cfg, beta)
     val = ds.n * float(gbar @ evaluate(ds, cfg, beta).lam)
     return max(val, 0.0)
 
 
-def solve_lambda_exact(ds, cfg, beta, tol=_LAMBDA_TOL, max_iter=None,
-                       warm=None):
+def solve_lambda_exact(ds, cfg, beta, warm=None):
     """Solve the multiplier equation mean(g_i / (1 + lambda'g_i)) = 0.
 
     Damped Newton steps on the dual, halved until every factor satisfies
@@ -98,17 +93,18 @@ def solve_lambda_exact(ds, cfg, beta, tol=_LAMBDA_TOL, max_iter=None,
     zero, forms its own.  A cold solve is therefore the same computation
     whatever warm holds.  A warm solve that fails is retried once from
     zero, so a warm start raises only where a cold one does; `iterations`
-    then counts both attempts.  max_iter bounds each attempt.
+    then counts both attempts.  Each attempt takes at most
+    max(cfg.max_iter, _LAMBDA_MIN_ITER) steps to bring the gradient norm
+    to _LAMBDA_TOL.
 
     Raises
     ------
     HullViolationError
         If no multiplier keeps all factors positive (0 outside the hull).
     NoConvergenceError
-        If the residual does not reach tol within the iteration budget.
+        If the residual does not reach _LAMBDA_TOL within the budget.
     """
-    if max_iter is None:
-        max_iter = max(cfg.max_iter, 200)
+    tol, max_iter = _LAMBDA_TOL, max(cfg.max_iter, _LAMBDA_MIN_ITER)
     G = g_matrix(ds, cfg, beta)
     n = ds.n
     m, p = G.shape

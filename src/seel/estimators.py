@@ -25,18 +25,11 @@ dataset's memo, so fits that share a start form them once.  Since
 d g_i / d beta = c_i x_i x_i', M is the weighted Gram matrix
 Xo' diag(c * t) Xo / n with t_i = lam'g_i - 1.  Every fit on a dataset forms
 it through the one model.WeightedGram the dataset owns (Dataset.gram), which
-corrects its reference product on the rows whose weight changed.  At
-lam = 0 (t = -1) these are the rows in or crossing the kernel band
-|r_i| < h, a small share, and fits that start at the same beta (the pilot
-and the cells of a BIC sweep) find their first product already there; when
-lam is refreshed every row changes and each product is computed in full.
-Once a penalized fit has frozen a coordinate it asks only for the active
-block of M; until then, as in every unpenalized fit, for the whole matrix.
-The expectile fit's reweighted Gram matrix is formed through a
-WeightedGram of its own, and the fit stops when its weights repeat.  Its
-rank check reads the eigenvalues of the Gram matrix Xc'Xc that its first
-solve uses, and runs the SVD of np.linalg.matrix_rank only when they do not
-prove full rank, so its verdict is always matrix_rank's (see _full_rank).
+corrects its reference product on the rows whose weight changed: at lam = 0
+(t = -1, so M = -J with J the mean Jacobian) a few rows near the kernel
+band, when lam is refreshed every row.  Once a penalized fit has frozen a
+coordinate it asks only for the active block of M; until then, as in every
+unpenalized fit, for the whole matrix.
 """
 
 from dataclasses import dataclass, field
@@ -53,6 +46,8 @@ from .model import WeightedGram, evaluate
 from .numkit import solve_linear, solve_spd
 
 _DIVERGENCE_FACTOR = 1e6
+_EXPECTILE_TOL = 1e-8  # step norm at which the expectile fit stops
+_EXPECTILE_MAX_ITER = 500
 _RANK_CERTIFICATE = 4.0  # Gram eigenvalue ratio bound, in units of m p eps
 
 
@@ -72,15 +67,15 @@ class FitResult:
         return np.flatnonzero(self.beta)
 
 
-def expectile_fit(ds, tau, tol=1e-8, max_iter=500):
+def expectile_fit(ds, tau):
     """Expectile regression on the complete cases, by reweighted least squares.
 
     The weights are tau for nonnegative residuals and 1 - tau otherwise; at
     tau = 1/2 the first solve is already the least-squares solution.  The
-    fit stops when a step falls below tol or when the weights repeat those
-    of the step before: their system is the one just solved (the shared
-    WeightedGram returns it bit for bit), so a further solve would give
-    the same beta and a zero step.
+    fit stops when a step falls below _EXPECTILE_TOL or when the weights
+    repeat those of the step before: their system is the one just solved
+    (the shared WeightedGram returns it bit for bit), so a further solve
+    would give the same beta and a zero step.
 
     Raises
     ------
@@ -89,7 +84,7 @@ def expectile_fit(ds, tau, tol=1e-8, max_iter=500):
     RankDeficientError
         Complete-case design without full column rank.
     NoConvergenceError
-        If the step does not fall below tol within max_iter iterations.
+        If neither happens within _EXPECTILE_MAX_ITER iterations.
     """
     Xc, yc = ds.complete_cases()
     if Xc.shape[0] < ds.p:
@@ -105,7 +100,7 @@ def expectile_fit(ds, tau, tol=1e-8, max_iter=500):
         raise RankDeficientError("complete-case design is rank deficient") from None
     gram = WeightedGram(Xc)
     w_prev = None
-    for _ in range(max_iter):
+    for _ in range(_EXPECTILE_MAX_ITER):
         r = yc - Xc @ beta
         w = np.where(r >= 0.0, tau, 1.0 - tau)
         if w_prev is not None and np.array_equal(w, w_prev):
@@ -117,10 +112,11 @@ def expectile_fit(ds, tau, tol=1e-8, max_iter=500):
             raise RankDeficientError("weighted design is rank deficient") from None
         step = np.linalg.norm(beta_new - beta)
         beta = beta_new
-        if step < tol:
+        if step < _EXPECTILE_TOL:
             return beta
     raise NoConvergenceError(
-        f"expectile fit not converged to {tol:g} in {max_iter} iterations")
+        f"expectile fit not converged to {_EXPECTILE_TOL:g} in "
+        f"{_EXPECTILE_MAX_ITER} iterations")
 
 
 def _full_rank(Xc, K):

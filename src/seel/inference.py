@@ -64,6 +64,12 @@ def el_ratio(ds, cfg, beta):
         return el_ratio_approx(ds, cfg, beta), "quadratic"
 
 
+def check_alpha(alpha):
+    """Reject a test level outside (0, 1), NaN included."""
+    if not 0.0 < alpha < 1.0:
+        raise ValueError("alpha must lie in (0, 1)")
+
+
 def wilks_test(ds, cfg, beta_hypothesis, alpha=0.05, support=None):
     """Chi-square test of H0: beta = beta_hypothesis.
 

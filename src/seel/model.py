@@ -9,7 +9,7 @@ design and responses as Xo/yo, and every mean still divides by the full
 sample size n.
 
 One row pass at (dataset, cfg, beta) gives an Evaluation: the per-row
-scalars and, formed once on first use, the moments gbar, S and J and the
+scalars and, formed once on first use, the moments gbar and S and the
 closed-form multiplier S^{-1} gbar.  Each Dataset keeps its two most
 recent evaluations (see evaluate), so the fits that share a start and the
 ratios after a fit read one evaluation instead of repeating it.
@@ -43,11 +43,7 @@ class Dataset:
     the memo of its evaluations (see evaluate).  X is the
     design in the original row order, assembled on every read as a new
     read-only array when a response is missing: a loop should bind it once.
-
-    select_columns and head cut their datasets from these validated,
-    ordered rows, with no second validation or ordering; the rows they hold
-    have the memory layout that building the same dataset from its X
-    gives, so every product on them rounds as it would there.
+    select_columns and head cut their datasets from these validated rows.
     """
 
     def __init__(self, X, y, delta):
@@ -274,11 +270,11 @@ class Evaluation:
 
     a and c are the per-row scalars of the observed rows Xo, with
     g_i = a_i x_i and d g_i / d beta = c_i x_i x_i'.  gbar (the mean of
-    g_i), S (the mean of g_i g_i'), J (the mean Jacobian) and the
-    closed-form multiplier lam = S^{-1} gbar are formed on first use and
-    kept; each mean divides by the full sample size n.  Every array is
-    read-only.  It holds Xo and n, not the dataset, so a dataset and the
-    evaluations in its memo form no reference cycle.
+    g_i), S (the mean of g_i g_i') and the closed-form multiplier
+    lam = S^{-1} gbar are formed on first use and kept; each mean divides
+    by the full sample size n.  Every array is read-only.  It holds Xo and
+    n, not the dataset, so a dataset and the evaluations in its memo form no
+    reference cycle.
     """
 
     def __init__(self, Xo, n, a, c):
@@ -293,10 +289,6 @@ class Evaluation:
     def S(self):
         return _read_only(self.Xo.T @ (self.Xo * (self.a * self.a)[:, None])
                           / self.n)
-
-    @cached_property
-    def J(self):
-        return _read_only(self.Xo.T @ (self.Xo * self.c[:, None]) / self.n)
 
     @cached_property
     def lam(self):
@@ -338,16 +330,10 @@ def evaluate(ds, cfg, beta, memo=True):
 
 
 def moments(ds, cfg, beta):
-    """Sample moments (gbar, S, J) of the smoothed estimating functions,
-    read-only and formed once per evaluation.
-
-    gbar is the mean of g_i, S the mean of g_i g_i' (second-moment matrix)
-    and J the mean Jacobian.  The sums run over the observed rows and every
-    average divides by the full sample size n: rows with missing responses
-    contribute zero.
-    """
+    """Sample moments (gbar, S) of the smoothed estimating functions: the
+    mean of g_i and of g_i g_i' over all n rows (see Evaluation)."""
     ev = evaluate(ds, cfg, beta)
-    return ev.gbar, ev.S, ev.J
+    return ev.gbar, ev.S
 
 
 def g_matrix(ds, cfg, beta):

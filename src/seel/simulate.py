@@ -8,6 +8,7 @@ no matter how many workers execute it.
 """
 
 import json
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -17,7 +18,7 @@ from .el import el_ratio_approx
 from .errors import EstimationError
 from .estimators import (expectile_fit, fit_a1, fit_a2, fit_l1, fit_l2,
                          pilot_estimate)
-from .inference import el_ratio, zero_expectile_tau
+from .inference import check_alpha, el_ratio, zero_expectile_tau
 from .kernels import Kernel
 from .model import Dataset, ModelConfig, PenaltyConfig
 from .numkit import RngStream, chi2_quantile
@@ -78,8 +79,7 @@ class SimConfig:
             raise ValueError("need at least one replication")
         if self.pilot_mode not in ("same", "split"):
             raise ValueError("pilot mode must be 'same' or 'split'")
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError("alpha must lie in (0, 1)")
+        check_alpha(self.alpha)
         # the configs every replication builds, built once so that a bad
         # tau, h, kernel, tolerance, eta or gamma fails here
         self.model_config(0.5 if self.tau is None else self.tau)
@@ -160,8 +160,8 @@ class SimReport:
         header, row = zip(*cells)
         return list(header), ["NaN" if v is None else str(v) for v in row]
 
-    def to_json(self, indent=2):
-        return json.dumps(self.to_json_dict(), indent=indent)
+    def to_json(self):
+        return json.dumps(self.to_json_dict(), indent=2)
 
 
 def gen_design(design, n, p, rng):
@@ -290,10 +290,14 @@ def run_monte_carlo(sc, workers=1):
     """Run the full Monte Carlo cell and aggregate the summary metrics.
 
     Per-replication failures are counted and excluded from the averages; the
-    run aborts if more than 10% of the replications fail.
+    run aborts if more than 10% of the replications fail.  They run in
+    min(workers, replications, CPU count) processes when that exceeds 1.
     """
+    if workers < 1:
+        raise ValueError("workers must be at least 1")
     tau = sc.resolved_tau()
     jobs = [(sc, tau, m) for m in range(sc.replications)]
+    workers = min(workers, sc.replications, os.cpu_count() or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_replicate, *zip(*jobs), chunksize=8))

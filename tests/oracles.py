@@ -4,7 +4,8 @@ The package computes g_i(beta) = (tau + (1 - 2 tau) G((x_i'beta - y_i)/h))
 (y_i - x_i'beta) x_i for all rows at once (seel.model.moments and g_matrix).
 The per-row functions here evaluate one row at a time, straight from the
 formula, so the tests can check the vectorized path and its derivatives
-against them; implied_probabilities gives the empirical likelihood
+against them; mean_jacobian forms the mean Jacobian, which the package
+needs only as the Newton matrix of its fits and never forms as such; implied_probabilities gives the empirical likelihood
 probabilities of a multiplier, which seel.el does not form.  FullGram
 computes every weighted Gram matrix in full, where seel.model.WeightedGram
 corrects a reference product, and NoTermsMemo is a row-pass memo that
@@ -31,7 +32,7 @@ import csv
 import numpy as np
 
 from seel.errors import CsvSchemaError, NoConvergenceError, OneSidedSampleError
-from seel.model import Dataset, WeightedGram
+from seel.model import Dataset, WeightedGram, evaluate
 from seel.numkit import (_A, _B, _C, _D, _E, _F, _GOLDEN, RngStream, _mix64,
                          solve_spd)
 
@@ -113,6 +114,15 @@ def g_smooth_jacobian(ds, i, cfg, beta):
     w = cfg.tau + (1.0 - 2.0 * cfg.tau) * cfg.kernel.cdf(u)
     scal = (1.0 - 2.0 * cfg.tau) / h * cfg.kernel.pdf(u) * r - w
     return scal * np.outer(x, x)
+
+
+def mean_jacobian(ds, cfg, beta):
+    """Mean Jacobian J = Xo' diag(c) Xo / n of the smoothed estimating
+    functions, from the per-row scalars c of seel.model.evaluate (so
+    d g_i / d beta = c_i x_i x_i').  At lambda = 0 the Newton matrix of
+    seel.estimators' fits is -J."""
+    c = evaluate(ds, cfg, beta).c
+    return ds.Xo.T @ (ds.Xo * c[:, None]) / ds.n
 
 
 def g_smooth_hessian_slice(ds, i, j, cfg, beta):

@@ -6,7 +6,8 @@ total runtime is well under the ten-minute budget.
 
 import numpy as np
 
-from oracles import g_smooth, g_smooth_hessian_slice, g_smooth_jacobian
+from oracles import (g_smooth, g_smooth_hessian_slice, g_smooth_jacobian,
+                     mean_jacobian)
 from seel.cli import main
 from seel.el import el_ratio_approx, lambda_approx, solve_lambda_exact
 from seel.errors import HullViolationError
@@ -137,7 +138,7 @@ def test_criterion_6_inner_solver_oracle():
         beta = gen.uniform(-1, 1, size=p)
         y = X @ beta + gen.standard_normal(n)
         ds = Dataset(X, y, np.ones(n, dtype=np.uint8))
-        gbar, S, _ = moments(ds, cfg, beta)
+        gbar, S = moments(ds, cfg, beta)
         if np.linalg.eigvalsh(S).min() < 0.05:
             continue
         try:
@@ -173,7 +174,9 @@ def test_criterion_6_inner_solver_oracle():
 def test_criterion_7_derivative_correctness():
     gen = np.random.default_rng(700)
     # oracle: the per-row forms of tests/oracles.py; production: the mean
-    # Jacobian J of seel.model.moments against differences of its gbar
+    # Jacobian from the per-row scalars of seel.model.evaluate (the fits'
+    # Newton matrix at lambda = 0, negated) against differences of the gbar
+    # of seel.model.moments
     jac_err = hess_err = moments_err = 0.0
     for _ in range(120):
         p = int(gen.integers(1, 4))
@@ -185,7 +188,7 @@ def test_criterion_7_derivative_correctness():
         ds = Dataset(x[None, :], np.array([y]), np.ones(1))
         step = 1e-6
         J = g_smooth_jacobian(ds, 0, cfg, beta)
-        Jm = moments(ds, cfg, beta)[2]
+        Jm = mean_jacobian(ds, cfg, beta)
         fd = np.empty_like(J)
         fdm = np.empty_like(Jm)
         for k in range(p):

@@ -10,12 +10,12 @@ import numpy as np
 import pytest
 
 import seel
-from seel import cli, numkit
-from seel.el import ELState, solve_lambda_exact
-from seel.estimators import FitResult
+from seel import cli, el, model, numkit
+from seel.el import ELState, lambda_approx, solve_lambda_exact
+from seel.estimators import FitResult, expectile_fit
 from seel.inference import bic_sweep, penalized_ratio, wilks_test
 from seel.kernels import Kernel
-from seel.model import Dataset
+from seel.model import Dataset, Evaluation, ModelConfig
 from seel.simulate import SimReport
 
 PUBLIC = {
@@ -95,6 +95,35 @@ def test_removed_members_stay_removed():
     assert not {"lam0", "hessian0"} & set(solver)
     ratio = inspect.signature(penalized_ratio).parameters
     assert "warm" in ratio and "carry" not in ratio
+
+
+def test_test_only_api_stays_removed():
+    # the mean Jacobian is tests/oracles.py's mean_jacobian; moments gives
+    # (gbar, S)
+    assert not hasattr(Evaluation, "J")
+    # the solver tolerances and budgets are module constants, which tests
+    # set with monkeypatch, and reports are always indented by 2
+    for func, gone in ((solve_lambda_exact, {"tol", "max_iter"}),
+                       (expectile_fit, {"tol", "max_iter"}),
+                       (SimReport.to_json, {"indent"})):
+        assert not gone & set(inspect.signature(func).parameters)
+
+
+def test_lambda_approx_makes_no_moments_call(monkeypatch):
+    calls = []
+    moments = model.moments
+
+    def counted(*args):
+        calls.append(1)
+        return moments(*args)
+
+    monkeypatch.setattr(model, "moments", counted)
+    monkeypatch.setattr(el, "moments", counted)
+    rng = np.random.default_rng(3)
+    X = rng.standard_normal((40, 2))
+    ds = Dataset(X, X @ [1.0, -1.0] + rng.standard_normal(40), np.ones(40))
+    lam = lambda_approx(ds, ModelConfig(tau=0.4), np.zeros(2))
+    assert lam.shape == (2,) and calls == []
 
 
 def test_fit_result_holds_beta_iterations_and_trace():

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import first_row_error, read_dataset_rows
 
-from seel import cli, inference
+from seel import cli, inference, simulate
 from seel.cli import main, read_dataset, write_dataset
 from seel.errors import CsvSchemaError, NoConvergenceError, RankDeficientError
 from seel.estimators import fit_a2
@@ -646,6 +646,12 @@ def test_nonfinite_or_out_of_range_config_flags_exit_2(sparse_csv, capsys,
     ("select", ["--tau", "auto", "--eta", "-1"]),
     ("sweep", ["--gamma", "nan"]), ("sweep", ["--a-values", "1,nan"]),
     ("sweep", ["--a-values", "1,-2"]), ("sweep", ["--a-step", "0"]),
+    ("fit", ["--alpha", "1.5"]), ("fit", ["--alpha", "7"]),
+    ("fit", ["--alpha", "nan"]), ("select", ["--alpha", "0"]),
+    ("fit", ["--test-beta", "1.5,0,-1", "--alpha", "1.5"]),
+    ("fit", ["--test-beta", "abc"]), ("fit", ["--test-beta", "1.5,nan,-1"]),
+    ("fit", ["--test-beta", "1.5,0,inf"]),
+    ("sweep", ["--a-min", "5", "--a-max", "1"]),
 ])
 def test_bad_settings_are_rejected_before_the_read(sparse_csv, capsys,
                                                    monkeypatch, command,
@@ -661,6 +667,45 @@ def test_bad_settings_are_rejected_before_the_read(sparse_csv, capsys,
     path, _ = sparse_csv
     assert main([command, str(path), *flags]) == 2
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("command", ["fit", "select", "simulate"])
+def test_bad_alpha_is_named_as_simulate_names_it(sparse_csv, capsys, command):
+    path, _ = sparse_csv
+    where = ["--preset", "table1", "--reps", "2"] if command == "simulate" \
+        else [str(path)]
+    assert main([command, *where, "--alpha", "1.5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: alpha must lie in (0, 1)\n"
+
+
+@pytest.mark.parametrize("algorithm", ["a1", "a2"])
+def test_test_beta_of_wrong_length_is_rejected_before_the_fit(
+        sparse_csv, capsys, monkeypatch, algorithm):
+    # the length needs p, so the CSV is read, but nothing is fitted
+    def unreachable(*args, **kwargs):
+        raise AssertionError("reached")
+
+    for name in ("fit_a1", "fit_a2", "expectile_fit"):
+        monkeypatch.setattr(cli, name, unreachable)
+    path, _ = sparse_csv
+    assert main(["fit", str(path), "--algorithm", algorithm,
+                 "--test-beta", "1,2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--test-beta needs p" in captured.err
+
+
+@pytest.mark.parametrize("workers", ["0", "-4"])
+def test_simulate_rejects_fewer_than_one_worker(capsys, monkeypatch, workers):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("reached")
+
+    monkeypatch.setattr(simulate, "_replicate", unreachable)
+    assert main(["simulate", "--preset", "table1", "--reps", "2",
+                 "--workers", workers]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "workers must be at least 1" in captured.err
 
 
 def test_numerical_failure_exit_code(tmp_path, capsys):

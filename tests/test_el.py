@@ -184,7 +184,7 @@ def test_lambda_agreement_quadratic_in_gbar():
         y = X @ beta0 + gen.standard_normal(n)
         ds = Dataset(X, y, np.ones(n))
         cfg = ModelConfig(tau=0.5, h=0.4)
-        gbar, _, _ = moments(ds, cfg, beta0)
+        gbar, _ = moments(ds, cfg, beta0)
         norm2 = float(gbar @ gbar)
         if norm2 < 1e-8:
             continue
@@ -332,18 +332,21 @@ def warm_instance():
     return ds, cfg, beta, solve_lambda_exact(ds, cfg, beta)
 
 
-def test_lambda_exact_warm_start_matches_cold(hessians_formed):
+def test_lambda_exact_warm_start_matches_cold(hessians_formed, monkeypatch):
     # the multiplier at a nearby beta, without its Hessian
-    check_warm_start_matches_cold(hessians_formed, carry_hessian=False)
+    check_warm_start_matches_cold(hessians_formed, monkeypatch,
+                                  carry_hessian=False)
 
 
-def test_lambda_exact_warm_start_with_hessian_matches_cold(hessians_formed):
+def test_lambda_exact_warm_start_with_hessian_matches_cold(hessians_formed,
+                                                           monkeypatch):
     # the state of a solve at a nearby beta, as a sweep along a grid hands
     # it on: its last Hessian serves the first step
-    check_warm_start_matches_cold(hessians_formed, carry_hessian=True)
+    check_warm_start_matches_cold(hessians_formed, monkeypatch,
+                                  carry_hessian=True)
 
 
-def check_warm_start_matches_cold(hessians_formed, carry_hessian):
+def check_warm_start_matches_cold(hessians_formed, monkeypatch, carry_hessian):
     ds, cfg, beta, cold = warm_instance()
     near = solve_lambda_exact(ds, cfg, beta + 0.01)
     warm = near if carry_hessian else replace(near, hessian=None)
@@ -353,7 +356,8 @@ def check_warm_start_matches_cold(hessians_formed, carry_hessian):
     assert st.ratio == pytest.approx(cold.ratio, rel=1e-12)
     # at the default tolerance the cold multiplier is itself about 1e-10
     # from the root, which a tightly solved reference locates
-    root = solve_lambda_exact(ds, cfg, beta, tol=1e-14).lam
+    monkeypatch.setattr(el, "_LAMBDA_TOL", 1e-14)
+    root = solve_lambda_exact(ds, cfg, beta).lam
     np.testing.assert_allclose(cold.lam, root, rtol=0, atol=1e-9)
     np.testing.assert_allclose(st.lam, cold.lam, rtol=0, atol=1e-9)
     np.testing.assert_allclose(st.lam, root, rtol=0, atol=1e-10)
@@ -391,7 +395,7 @@ def test_lambda_exact_infeasible_start_is_cold(hessians_formed, scale,
     assert hessians_formed[0] == 2 * cold_formed
 
 
-def test_lambda_exact_failed_warm_start_retries_from_zero():
+def test_lambda_exact_failed_warm_start_retries_from_zero(monkeypatch):
     # a feasible start near the boundary, opposite the solution, needs more
     # iterations than the cold solve; with the cold count as the budget the
     # warm attempt fails and the retry from zero gives the cold solution
@@ -400,7 +404,9 @@ def test_lambda_exact_failed_warm_start_retries_from_zero():
     assert np.min(1.0 + g_matrix(ds, cfg, beta) @ warm.lam) > 1.0 / ds.n
     assert solve_lambda_exact(ds, cfg, beta, warm=warm).iterations \
         > cold.iterations
-    st = solve_lambda_exact(ds, cfg, beta, warm=warm, max_iter=cold.iterations)
+    monkeypatch.setattr(el, "_LAMBDA_MIN_ITER", 1)
+    st = solve_lambda_exact(ds, replace(cfg, max_iter=cold.iterations), beta,
+                            warm=warm)
     assert_same_state(st, cold, ds, cfg, beta)
     assert st.iterations == 2 * cold.iterations
 

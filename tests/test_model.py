@@ -13,10 +13,12 @@ from oracles import (
     g_smooth,
     g_smooth_hessian_slice,
     g_smooth_jacobian,
+    mean_jacobian,
     psi_h,
 )
 from seel.estimators import fit_a2
-from seel.model import Dataset, ModelConfig, PenaltyConfig, g_matrix, moments
+from seel.model import (Dataset, ModelConfig, PenaltyConfig, WeightedGram,
+                        evaluate, g_matrix, moments)
 
 
 def make_ds(X, y, delta=None):
@@ -425,14 +427,16 @@ def test_hessian_slice_matches_finite_differences():
 
 def test_moments_all_missing():
     ds = Dataset(np.ones((3, 2)), np.full(3, np.nan), np.zeros(3))
-    gbar, S, J = moments(ds, ModelConfig(tau=0.4, h=0.2), np.zeros(2))
+    cfg = ModelConfig(tau=0.4, h=0.2)
+    gbar, S = moments(ds, cfg, np.zeros(2))
+    J = mean_jacobian(ds, cfg, np.zeros(2))
     assert not gbar.any() and not S.any() and not J.any()
 
 
 def test_moments_single_row():
     cfg = ModelConfig(tau=0.3, h=0.2)
     ds = make_ds([[1.2, -0.5]], [0.8])
-    gbar, _, _ = moments(ds, cfg, np.zeros(2))
+    gbar, _ = moments(ds, cfg, np.zeros(2))
     assert np.allclose(gbar, g_smooth(ds, 0, cfg, np.zeros(2)))
 
 
@@ -450,7 +454,8 @@ def test_moments_match_oracle_row_means():
     h = cfg.bandwidth(n)
     inside = np.abs(ds.yo - ds.Xo @ beta) < h
     assert 0 < ds.n_complete < n and 0 < np.sum(inside) < ds.n_complete
-    gbar, S, J = moments(ds, cfg, beta)
+    gbar, S = moments(ds, cfg, beta)
+    J = mean_jacobian(ds, cfg, beta)
     g = np.array([g_smooth(ds, i, cfg, beta) for i in range(n)])
     jac = np.array([g_smooth_jacobian(ds, i, cfg, beta) for i in range(n)])
     assert np.allclose(gbar, g.mean(axis=0), rtol=1e-12, atol=1e-14)
@@ -462,7 +467,7 @@ def test_moments_hand_example():
     # ghat values {-1, 2}: x = 1, tau = 1/2, y = {-2, 4}, beta = 0
     ds = make_ds([[1.0], [1.0]], [-2.0, 4.0])
     cfg = ModelConfig(tau=0.5, h=0.1)
-    gbar, S, _ = moments(ds, cfg, np.zeros(1))
+    gbar, S = moments(ds, cfg, np.zeros(1))
     assert gbar[0] == pytest.approx(0.5)
     assert S[0, 0] == pytest.approx(2.5)
 
@@ -474,9 +479,9 @@ def test_moments_scale_equivariance():
     beta = rng.standard_normal(3)
     cfg = ModelConfig(tau=0.35, h=0.4)
     c = 2.5
-    g1, S1, _ = moments(Dataset(X, y, np.ones(40)), cfg, beta)
+    g1, S1 = moments(Dataset(X, y, np.ones(40)), cfg, beta)
     # residuals must match: scale X by c, coefficients by 1/c
-    g2, S2, _ = moments(Dataset(c * X, y, np.ones(40)), cfg, beta / c)
+    g2, S2 = moments(Dataset(c * X, y, np.ones(40)), cfg, beta / c)
     assert np.allclose(g2, c * g1, rtol=1e-12)
     assert np.allclose(S2, c * c * S1, rtol=1e-12)
 
@@ -486,7 +491,25 @@ def test_moments_jacobian_symmetry():
     X = rng.standard_normal((30, 4))
     y = rng.standard_normal(30)
     ds = Dataset(X, y, np.ones(30))
-    _, S, J = moments(ds, ModelConfig(tau=0.6, h=0.3), np.zeros(4))
+    cfg = ModelConfig(tau=0.6, h=0.3)
+    _, S = moments(ds, cfg, np.zeros(4))
+    J = mean_jacobian(ds, cfg, np.zeros(4))
     assert np.allclose(S, S.T)
     assert np.allclose(J, J.T)
     assert np.all(np.linalg.eigvalsh(S) >= -1e-12)
+
+
+def test_mean_jacobian_is_the_newton_matrix_at_lambda_zero():
+    # the fits' Newton matrix at lambda = 0 is Xo' diag(-c) Xo / n, formed
+    # through a WeightedGram; negating every weight negates each rounded
+    # product and sum, so it is the oracle's mean Jacobian negated, exactly
+    rng = np.random.default_rng(8)
+    n, p = 60, 3
+    X = rng.uniform(-2, 2, size=(n, p))
+    beta = rng.uniform(-1, 1, size=p)
+    delta = (rng.uniform(size=n) > 0.25).astype(np.uint8)
+    y = np.where(delta == 1, X @ beta + rng.standard_normal(n), np.nan)
+    ds = Dataset(X, y, delta)
+    cfg = ModelConfig(tau=0.3)
+    M = WeightedGram(ds.Xo)(evaluate(ds, cfg, beta).c * -1.0) / ds.n
+    np.testing.assert_array_equal(M, -mean_jacobian(ds, cfg, beta))

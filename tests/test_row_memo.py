@@ -141,7 +141,7 @@ def test_shared_evaluation_equals_a_fresh_one(monkeypatch):
     assert lam is shared.lam
     assert moments(ds, CFG, start)[1] is shared.S
     fresh = evaluate(_unmemoized(monkeypatch), CFG, start)
-    for name in ("a", "c", "gbar", "S", "J", "lam"):
+    for name in ("a", "c", "gbar", "S", "lam"):
         _same([getattr(shared, name)], [getattr(fresh, name)])
     # one multiplier solve serves the multiplier and the quadratic ratio
     ratio = el_ratio_approx(ds, CFG, start)
@@ -169,7 +169,7 @@ def test_each_quantity_is_formed_once_per_evaluation(monkeypatch):
 def test_memoized_terms_are_read_only():
     ds = Dataset(*_arrays())
     ev = evaluate(ds, CFG, np.zeros(ds.p))
-    for x in (ev.a, ev.c, ev.gbar, ev.S, ev.J, ev.lam):
+    for x in (ev.a, ev.c, ev.gbar, ev.S, ev.lam):
         with pytest.raises(ValueError, match="read-only"):
             x[0] = 1.0
 

@@ -234,6 +234,51 @@ def test_worker_count_does_not_change_report():
     assert serial.to_json() == parallel.to_json()
 
 
+@pytest.mark.parametrize("workers, cpus, pool", [
+    (5000, 64, 3),  # no more processes than replications
+    (5000, 2, 2),  # nor than CPUs
+    (2, 64, 2),
+    (1, 64, None),  # one process runs the replications in the caller
+    (4, 1, None),
+    (4, None, None),  # the CPU count is unknown
+])
+def test_pool_size_is_capped(monkeypatch, workers, cpus, pool):
+    # a pool that records its size and maps in this process, so no test
+    # starts many processes
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables, chunksize=1):
+            return map(fn, *iterables)
+
+    sc = base_config(replications=3)
+    serial = run_monte_carlo(sc).to_json()
+    monkeypatch.setattr(simulate, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(simulate.os, "cpu_count", lambda: cpus)
+    assert run_monte_carlo(sc, workers=workers).to_json() == serial
+    assert sizes == ([] if pool is None else [pool])
+
+
+@pytest.mark.parametrize("workers", [0, -4])
+def test_fewer_than_one_worker_is_rejected(monkeypatch, workers):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("reached")
+
+    monkeypatch.setattr(simulate, "_replicate", unreachable)
+    monkeypatch.setattr(simulate.SimConfig, "resolved_tau", unreachable)
+    with pytest.raises(ValueError, match="workers must be at least 1"):
+        run_monte_carlo(base_config(), workers=workers)
+
+
 def test_all_nonzero_truth_gives_undefined_selection_rate():
     sc = base_config(beta0=[1.0, 1.0, 2.0, 1.0, 1.0], replications=3)
     report = run_monte_carlo(sc)
