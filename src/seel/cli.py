@@ -35,6 +35,8 @@ from .simulate import (DESIGNS, ERROR_LAWS, MISSING_MECHANISMS, PRESETS,
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_NUMERIC = 3
+# a sweep grid of more cells is rejected before the read
+MAX_GRID_CELLS = 1000
 
 
 # ---------------------------------------------------------------------------
@@ -49,20 +51,8 @@ def read_dataset(path):
     "nan" differ, and only those with delta = 1 are converted.  An error
     about a row names the first line in the file that breaks any rule.
     """
-    try:
-        with open(path, encoding="utf-8") as fh:
-            lines = fh.read().split("\n")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise CsvSchemaError(f"cannot read {path}: {exc}") from None
-    if lines == [""]:
-        raise CsvSchemaError("empty file")
-    header = [c.strip() for c in next(csv.reader(lines[:1]), [])]
-    if len(header) < 3 or header[0] != "y" or header[1] != "delta":
-        raise CsvSchemaError("header must be y,delta,x1,...,xp")
-    p = len(header) - 2
-    expected = [f"x{j}" for j in range(1, p + 1)]
-    if header[2:] != expected:
-        raise CsvSchemaError("covariate columns must be named x1..xp in order")
+    lines = _read(path).split("\n")
+    p = _header_p(lines[0])
     linenos = [k for k in range(2, len(lines) + 1) if lines[k - 1].strip()]
     if not linenos:
         raise CsvSchemaError("no data rows")
@@ -86,6 +76,31 @@ def read_dataset(path):
             raise CsvSchemaError(f"line {linenos[lo]}: {exc}") from None
         raise
     return Dataset(X, y, delta)
+
+
+def _read(path, header_only=False):
+    """The text of a dataset CSV, or its first line only; raises
+    CsvSchemaError if it cannot be read or is empty."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.readline() if header_only else fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise CsvSchemaError(f"cannot read {path}: {exc}") from None
+    if not text:
+        raise CsvSchemaError("empty file")
+    return text
+
+
+def _header_p(line):
+    """p of a header line; raises CsvSchemaError unless it names
+    y,delta,x1,...,xp (cells may be padded or double-quoted)."""
+    header = [c.strip() for c in next(csv.reader([line]), [])]
+    if len(header) < 3 or header[0] != "y" or header[1] != "delta":
+        raise CsvSchemaError("header must be y,delta,x1,...,xp")
+    p = len(header) - 2
+    if header[2:] != [f"x{j}" for j in range(1, p + 1)]:
+        raise CsvSchemaError("covariate columns must be named x1..xp in order")
+    return p
 
 
 def _parse_rows(body, p):
@@ -125,15 +140,15 @@ def _parse_rows(body, p):
 
 
 def write_dataset(path, ds):
-    """Write a dataset CSV with full float round-trip precision."""
+    """Write a dataset CSV, streamed row by row: an unquoted header, CRLF
+    line ends (as csv.writer writes them), floats as repr (round-trip
+    precision) and an empty y cell where delta = 0."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["y", "delta"] + [f"x{j}" for j in range(1, ds.p + 1)])
-        X = ds.X
-        for i in range(ds.n):
-            y_cell = repr(float(ds.y[i])) if ds.delta[i] == 1 else ""
-            writer.writerow([y_cell, int(ds.delta[i])]
-                            + [repr(float(v)) for v in X[i]])
+        header = ["y", "delta"] + [f"x{j}" for j in range(1, ds.p + 1)]
+        fh.write(",".join(header) + "\r\n")
+        fh.writelines((f"{y!r},1," if d else ",0,") + ",".join(map(repr, x))
+                      + "\r\n" for x, y, d in zip(ds.X.tolist(), ds.y.tolist(),
+                                                  ds.delta.tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -276,12 +291,14 @@ def _write_csv(path, header, rows):
 # subcommands
 
 def cmd_fit(args):
-    # --alpha and the values of --test-beta are checked before the read
+    # --alpha and --test-beta are checked before any data row is parsed,
+    # the length of --test-beta against the p of the CSV header
     check_alpha(args.alpha)
     hyp = None if args.test_beta is None else np.array(_floats(args.test_beta))
-    ds, cfg, report, transform = _prepare(args)
-    if hyp is not None and hyp.shape != (ds.p,):
+    if (hyp is not None
+            and len(hyp) != _header_p(_read(args.data, header_only=True))):
         raise CsvSchemaError("--test-beta needs p comma-separated values")
+    ds, cfg, report, transform = _prepare(args)
     fit = {"a1": fit_a1, "a2": fit_a2}[args.algorithm](ds, cfg)
     report.update({
         "command": "fit",
@@ -349,13 +366,20 @@ def _bic_dict(rec):
 def cmd_sweep(args):
     if args.a_values:
         a_values = _floats(args.a_values)
-    elif args.a_step <= 0:
-        raise ValueError("--a-step must be positive")
+        cells = len(a_values)
+    elif not 0.0 < args.a_step < np.inf:
+        raise ValueError("--a-step must be positive and finite")
     elif not args.a_min <= args.a_max:
         raise ValueError("--a-min must not exceed --a-max")
     else:
-        a_values = [float(a) for a in np.arange(
-            args.a_min, args.a_max + 0.5 * args.a_step, args.a_step)]
+        # the length np.arange gives the range, known before it runs
+        stop = args.a_max + 0.5 * args.a_step
+        cells = np.ceil((stop - args.a_min) / args.a_step)
+    if cells > MAX_GRID_CELLS:
+        raise ValueError(f"the sweep grid has {cells:.15g} cells; at most "
+                         f"{MAX_GRID_CELLS} are allowed")
+    if not args.a_values:
+        a_values = [float(a) for a in np.arange(args.a_min, stop, args.a_step)]
     # eta = a * scale with a scale in (0, 1]: a finite nonnegative a gives
     # a valid eta, and any other a is rejected here, before the read
     for a in a_values:

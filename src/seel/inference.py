@@ -79,6 +79,7 @@ def wilks_test(ds, cfg, beta_hypothesis, alpha=0.05, support=None):
     by those covariate columns (coordinates outside it are fixed at zero)
     and df is their number; otherwise df is p.
     """
+    check_alpha(alpha)
     beta_hypothesis = np.asarray(beta_hypothesis, dtype=float)
     if support is not None:
         support = np.asarray(support, dtype=int)

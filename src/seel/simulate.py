@@ -9,7 +9,6 @@ no matter how many workers execute it.
 
 import json
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -299,6 +298,8 @@ def run_monte_carlo(sc, workers=1):
     jobs = [(sc, tau, m) for m in range(sc.replications)]
     workers = min(workers, sc.replications, os.cpu_count() or 1)
     if workers > 1:
+        # imported here, so that no serial run loads multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_replicate, *zip(*jobs), chunksize=8))
     else:

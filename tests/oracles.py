@@ -16,7 +16,9 @@ on the band |u| < 1 only.  design_d1_one_draw draws the d1 design in
 one call and design_d2_loop draws the d2 design one column at a time, where
 seel.simulate.gen_design draws both in batches.
 read_dataset_rows parses a dataset CSV one row at a time with csv and
-float()/int(), where seel.cli.read_dataset parses it in bulk, and
+float()/int(), where seel.cli.read_dataset parses it in bulk;
+write_dataset_rows writes one through csv.writer, where
+seel.cli.write_dataset formats each line itself; and
 first_row_error finds the first bad line of a CSV by parsing its lines one
 at a time, where read_dataset bisects.  OneShotStream
 hashes all counters of a draw in one array, and normal_quantile_masked and
@@ -186,6 +188,18 @@ def design_d2_loop(n, p, rng):
         else:
             X[:, j] = rng.chi2_1(n) + (j + 1) ** 2 / n
     return X
+
+
+def write_dataset_rows(path, ds):
+    """Write a dataset CSV one row at a time through csv.writer."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["y", "delta"] + [f"x{j}" for j in range(1, ds.p + 1)])
+        X = ds.X
+        for i in range(ds.n):
+            y_cell = repr(float(ds.y[i])) if ds.delta[i] == 1 else ""
+            writer.writerow([y_cell, int(ds.delta[i])]
+                            + [repr(float(v)) for v in X[i]])
 
 
 def read_dataset_rows(path):

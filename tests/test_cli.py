@@ -1,13 +1,17 @@
 import csv
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import first_row_error, read_dataset_rows
+from oracles import first_row_error, read_dataset_rows, write_dataset_rows
 
 from seel import cli, inference, simulate
 from seel.cli import main, read_dataset, write_dataset
@@ -261,6 +265,54 @@ def test_written_datasets_round_trip_through_both_readers(tmp_path_factory,
     _assert_same_dataset(new, ref)
 
 
+# values whose repr is easy to get wrong: signed zero, the smallest
+# subnormal and numbers near the top of the float range
+_edge_floats = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308,
+                                1.7976931348623157e308, 1e-300, 0.1])
+
+
+@settings(deadline=None, max_examples=60)
+@given(data=st.data(), n=st.integers(1, 12), p=st.integers(1, 4))
+def test_writer_matches_csv_writer_byte_for_byte(tmp_path_factory, data, n, p):
+    values = st.one_of(_edge_floats, _finite)
+    X = np.array(data.draw(st.lists(values, min_size=n * p,
+                                    max_size=n * p))).reshape(n, p)
+    delta = np.array(data.draw(st.lists(st.integers(0, 1), min_size=n,
+                                        max_size=n)))
+    # a missing row's y, NaN or not, is never written
+    y = np.array(data.draw(st.lists(values, min_size=n, max_size=n)))
+    if data.draw(st.booleans()):
+        y = np.where(delta == 1, y, np.nan)
+    ds = Dataset(X, y, delta)
+    where = tmp_path_factory.mktemp("writers")
+    write_dataset(where / "new.csv", ds)
+    write_dataset_rows(where / "ref.csv", ds)
+    assert (where / "new.csv").read_bytes() == (where / "ref.csv").read_bytes()
+
+
+@pytest.mark.parametrize("n, p", [(1, 1), (1, 5), (5, 1)])
+def test_writer_edge_values_and_shapes(tmp_path, n, p):
+    edges = [-0.0, 5e-324, 1e308, -1e308, 0.0]
+    X = np.resize(edges, n * p).reshape(n, p)
+    for delta in (np.ones(n), np.zeros(n)):
+        ds = Dataset(X, np.resize([1e308, -0.0, 5e-324], n), delta)
+        write_dataset(tmp_path / "new.csv", ds)
+        write_dataset_rows(tmp_path / "ref.csv", ds)
+        text = (tmp_path / "new.csv").read_bytes()
+        assert text == (tmp_path / "ref.csv").read_bytes()
+        assert text.endswith(b"\r\n") and text.count(b"\r\n") == n + 1
+
+
+def test_import_loads_no_multiprocessing():
+    src = Path(cli.__file__).resolve().parents[1]
+    code = ("import sys, seel.cli; print(sorted(m for m in sys.modules if m"
+            ".startswith(('multiprocessing', 'concurrent.futures.process'))))")
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    run = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert run.stdout == "[]\n"
+
+
 def test_undecodable_file_is_a_schema_error(tmp_path):
     path = tmp_path / "latin1.csv"
     path.write_bytes("y,delta,x1\n1.0,1,2.0\n\u00e9,0,1.0\n".encode("latin-1"))
@@ -489,6 +541,52 @@ def test_sweep_rejects_bad_flags(sparse_csv, flags):
     assert code == 2
 
 
+@pytest.mark.parametrize("flags, message", [
+    # the count np.arange would give
+    (["--a-step", "1e-6"],
+     f"has {np.arange(1.0, 8.0 + 0.5e-6, 1e-6).size} cells"),
+    (["--a-min", "0", "--a-max", "1e300"], "has 1e+300 cells"),
+    (["--a-max", "inf"], "has inf cells"),
+    (["--a-values", ",".join(["1"] * 1001)], "has 1001 cells"),
+    # a step that would make the count NaN
+    (["--a-step", "inf"], "--a-step must be positive and finite"),
+])
+def test_sweep_grid_over_the_bound_exits_before_the_read(sparse_csv, capsys,
+                                                         monkeypatch, flags,
+                                                         message):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("reached")
+
+    monkeypatch.setattr(cli, "read_dataset", unreachable)
+    path, _ = sparse_csv
+    assert main(["sweep", str(path), *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and message in captured.err
+
+
+@pytest.mark.parametrize("a_min, a_max, a_step", [
+    (1.0, 1000.0, 1.0), (1.0, 1001.0, 1.0), (0.0, 99.9, 0.1),
+    (0.0, 100.0, 0.1), (0.3, 1.0, 0.7 / 999), (0.3, 1.0, 0.7 / 1000),
+])
+def test_sweep_grid_bound_counts_as_arange_does(sparse_csv, capsys,
+                                                monkeypatch, a_min, a_max,
+                                                a_step):
+    # a grid within the bound reaches the read, a larger one does not
+    def sentinel(path):
+        raise CsvSchemaError("read reached")
+
+    monkeypatch.setattr(cli, "read_dataset", sentinel)
+    cells = np.arange(a_min, a_max + 0.5 * a_step, a_step).size
+    path, _ = sparse_csv
+    assert main(["sweep", str(path), "--a-min", repr(a_min), "--a-max",
+                 repr(a_max), "--a-step", repr(a_step)]) == 2
+    err = capsys.readouterr().err
+    if cells <= cli.MAX_GRID_CELLS:
+        assert err == "error: read reached\n"
+    else:
+        assert f"has {cells} cells" in err
+
+
 def test_sweep_selects_support_on_synthetic(sparse_csv, capsys):
     path, _ = sparse_csv
     code, rep = run_cli(capsys, "sweep", str(path), "--a-values",
@@ -694,6 +792,28 @@ def test_test_beta_of_wrong_length_is_rejected_before_the_fit(
                  "--test-beta", "1,2"]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "--test-beta needs p" in captured.err
+
+
+def test_test_beta_length_is_checked_against_the_header(sparse_csv, capsys,
+                                                       monkeypatch):
+    # the CSV header gives p, so no data row is parsed
+    def unreachable(*args, **kwargs):
+        raise AssertionError("reached")
+
+    monkeypatch.setattr(cli, "_parse_rows", unreachable)
+    path, _ = sparse_csv
+    assert main(["fit", str(path), "--test-beta", "1,2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--test-beta needs p" in captured.err
+
+
+def test_test_beta_with_a_bad_header_is_a_schema_error(tmp_path, capsys):
+    path = tmp_path / "bad.csv"
+    for text in ("", "resp,delta,x1\n1.0,1,2.0\n"):
+        path.write_text(text)
+        assert main(["fit", str(path), "--test-beta", "1"]) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: " + ("empty file" if not text else "header"))
 
 
 @pytest.mark.parametrize("workers", ["0", "-4"])

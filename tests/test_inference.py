@@ -94,6 +94,17 @@ def test_wilks_submodel_support():
     assert rep.critical == pytest.approx(chi2_quantile(0.95, 2))
 
 
+@pytest.mark.parametrize("alpha", [1.5, float("nan"), 0.0])
+def test_wilks_checks_alpha_before_the_ratio(monkeypatch, alpha):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("reached")
+
+    monkeypatch.setattr(inference, "el_ratio_approx", unreachable)
+    ds, beta0 = simulated()
+    with pytest.raises(ValueError, match=r"^alpha must lie in \(0, 1\)$"):
+        wilks_test(ds, ModelConfig(tau=0.5), beta0, alpha=alpha)
+
+
 # ---------------------------------------------------------------------------
 # penalized ratio and BIC
 

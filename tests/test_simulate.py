@@ -1,3 +1,5 @@
+import concurrent.futures
+
 import numpy as np
 import pytest
 
@@ -262,7 +264,8 @@ def test_pool_size_is_capped(monkeypatch, workers, cpus, pool):
 
     sc = base_config(replications=3)
     serial = run_monte_carlo(sc).to_json()
-    monkeypatch.setattr(simulate, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        RecordingPool)
     monkeypatch.setattr(simulate.os, "cpu_count", lambda: cpus)
     assert run_monte_carlo(sc, workers=workers).to_json() == serial
     assert sizes == ([] if pool is None else [pool])
