@@ -25,7 +25,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import HullViolationError, LogDomainError, NoConvergenceError
+from .errors import (
+    EstimationError,
+    HullViolationError,
+    LogDomainError,
+    NoConvergenceError,
+)
 from .model import evaluate, g_matrix, moments
 from .numkit import solve_spd
 
@@ -91,9 +96,10 @@ def solve_lambda_exact(ds, cfg, beta, warm=None):
     From warm.lam, the first Newton step uses warm.hessian (a fresh Hessian
     when that is None); every later step, and every step of a start from
     zero, forms its own.  A cold solve is therefore the same computation
-    whatever warm holds.  A warm solve that fails is retried once from
-    zero, so a warm start raises only where a cold one does; `iterations`
-    then counts both attempts.  Each attempt takes at most
+    whatever warm holds.  Each attempt raises where it fails, and any
+    EstimationError of the warm attempt is retried once from zero, so a
+    warm start raises only where a cold one does; `iterations` then counts
+    both attempts.  Each attempt takes at most
     max(cfg.max_iter, _LAMBDA_MIN_ITER) steps to bring the gradient norm
     to _LAMBDA_TOL.
 
@@ -103,28 +109,65 @@ def solve_lambda_exact(ds, cfg, beta, warm=None):
         If no multiplier keeps all factors positive (0 outside the hull).
     NoConvergenceError
         If the residual does not reach _LAMBDA_TOL within the budget.
+    SingularMatrixError
+        If a Newton system cannot be solved.
     """
-    tol, max_iter = _LAMBDA_TOL, max(cfg.max_iter, _LAMBDA_MIN_ITER)
+    max_iter = max(cfg.max_iter, _LAMBDA_MIN_ITER)
     G = g_matrix(ds, cfg, beta)
     n = ds.n
     m, p = G.shape
+    floor = 1.0 / n
     # rows of G scaled by 1/w, one block at a time, for the Hessian
     block = np.empty((max(1, min(m, _HESSIAN_BLOCK_ROWS)), p))
-    starts = [(np.zeros(p), np.ones(m), None)]
+    iterations = 0
+
+    def attempt(lam, w, H):
+        # Newton iteration from lam, with w = 1 + G lam; H, when not None,
+        # serves the first step and every other step forms its own
+        nonlocal iterations
+        for it in range(max_iter):
+            iterations += 1
+            winv = 1.0 / w
+            grad = winv @ G / n
+            if np.linalg.norm(grad) <= _LAMBDA_TOL:
+                break
+            if it or H is None:
+                H = _scaled_gram(G, winv, block) / n
+            step = solve_spd(H, grad)
+            w_full = 1.0 + G @ (lam + step)
+            size = 1.0
+            for _ in range(60):
+                # a halved trial reads G step off the full step's factors
+                w_cand = w_full if size == 1.0 else w + size * (w_full - w)
+                if np.all(w_cand > floor):
+                    break
+                size *= 0.5
+            else:
+                raise HullViolationError(
+                    "no multiplier step keeps all probabilities positive")
+            lam, w = lam + size * step, w_cand
+            if not np.all(np.isfinite(lam)):
+                raise NoConvergenceError(
+                    "multiplier iteration produced non-finite values")
+        else:
+            raise NoConvergenceError(f"multiplier equation not solved to "
+                                     f"{_LAMBDA_TOL:g} in {max_iter} iterations")
+        # each row with a missing response holds probability 1/n
+        total = (n - m) / n + (1.0 / (n * w)).sum()
+        if abs(total - 1.0) > _PROB_SUM_TOL:
+            # residual vanished only because lambda ran off to infinity
+            raise HullViolationError("zero lies outside the convex hull of the g_i")
+        return ELState(lam=lam, ratio=float(2.0 * np.log(w).sum()),
+                       iterations=iterations, hessian=H)
+
     if warm is not None and np.any(warm.lam):
         w0 = 1.0 + G @ warm.lam
-        if np.all(w0 > 1.0 / n):
-            starts.insert(0, (warm.lam, w0, warm.hessian))
-    iterations = 0
-    for lam, w, H in starts:
-        lam, w, H, it, error = _newton(G, n, block, lam, w, H, tol, max_iter)
-        iterations += it
-        if error is None:
-            break
-    else:
-        raise error
-    ratio = float(2.0 * np.log(w).sum())
-    return ELState(lam=lam, ratio=ratio, iterations=iterations, hessian=H)
+        if np.all(w0 > floor):
+            try:
+                return attempt(warm.lam, w0, warm.hessian)
+            except EstimationError:
+                pass
+    return attempt(np.zeros(p), np.ones(m), None)
 
 
 def _scaled_gram(G, winv, block):
@@ -136,52 +179,3 @@ def _scaled_gram(G, winv, block):
         np.einsum("ij,i->ij", G[start:stop], winv[start:stop], out=B)
         H += B.T @ B
     return H
-
-
-def _newton(G, n, block, lam, w, H, tol, max_iter):
-    """Newton iteration of solve_lambda_exact from lam, with w = 1 + G lam
-    over the observed rows G of a sample of size n.  H, when not None, is a
-    warm Hessian for the first step; every other step forms its own.
-
-    Returns (lam, w, H, iterations, error): H is the Hessian of the last
-    step (the one given when no step formed one), and error is None at a
-    solution, else the HullViolationError or NoConvergenceError that ended
-    the attempt.
-    """
-    floor = 1.0 / n
-    it = 0
-    for it in range(1, max_iter + 1):
-        winv = 1.0 / w
-        grad = winv @ G / n
-        if np.linalg.norm(grad) <= tol:
-            break
-        if it > 1 or H is None:
-            H = _scaled_gram(G, winv, block) / n
-        step = solve_spd(H, grad)
-        w_full = 1.0 + G @ (lam + step)
-        size = 1.0
-        for _ in range(60):
-            # a halved trial reads G step off the full step's factors
-            w_cand = w_full if size == 1.0 else w + size * (w_full - w)
-            if np.all(w_cand > floor):
-                break
-            size *= 0.5
-        else:
-            return lam, w, H, it, HullViolationError(
-                "no multiplier step keeps all probabilities positive"
-            )
-        lam, w = lam + size * step, w_cand
-        if not np.all(np.isfinite(lam)):
-            return lam, w, H, it, NoConvergenceError(
-                "multiplier iteration produced non-finite values")
-    else:
-        return lam, w, H, it, NoConvergenceError(
-            f"multiplier equation not solved to {tol:g} in {max_iter} iterations"
-        )
-    # each row with a missing response holds probability 1/n
-    total = (n - G.shape[0]) / n + (1.0 / (n * w)).sum()
-    if abs(total - 1.0) > _PROB_SUM_TOL:
-        # residual vanished only because lambda ran off to infinity
-        return lam, w, H, it, HullViolationError(
-            "zero lies outside the convex hull of the g_i")
-    return lam, w, H, it, None

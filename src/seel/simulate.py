@@ -311,8 +311,6 @@ def run_monte_carlo(sc, workers=1):
         raise EstimationError(
             f"{failed}/{sc.replications} replications failed; aborting"
         )
-    if not kept:
-        raise EstimationError("every replication failed")
 
     def mean_of(key):
         return float(np.mean([r[key] for r in kept]))

@@ -676,7 +676,9 @@ def test_simulate_rejects_tau_auto(tmp_path, capsys, via_config):
 
 def test_config_file_defaults_and_flag_override(tmp_path, capsys):
     cfg_file = tmp_path / "sim.cfg"
-    cfg_file.write_text("preset=table1\nn=90\nreps=2\nseed=5\n")
+    # comment and blank lines are skipped
+    cfg_file.write_text("# a desk run\n\npreset=table1\n  # n=5\n   \n"
+                        "n=90\nreps=2\nseed=5\n")
     code, rep = run_cli(capsys, "simulate", "--config", str(cfg_file))
     assert code == 0
     assert rep["n"] == 90
@@ -684,6 +686,17 @@ def test_config_file_defaults_and_flag_override(tmp_path, capsys):
                         "--n", "110")
     assert code == 0
     assert rep["n"] == 110
+
+
+def test_standardize_rejects_constant_covariate(tmp_path, capsys):
+    path = tmp_path / "constant.csv"
+    path.write_text("y,delta,x1,x2\n1.0,1,0.5,1.0\n2.0,1,1.5,1.0\n"
+                    ",0,2.5,1.0\n3.0,1,-1.0,1.0\n")
+    assert main(["fit", str(path), "--standardize"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == \
+        "error: constant covariate cannot be standardized\n"
 
 
 @pytest.mark.parametrize("off", ["false", "no", "No"])
@@ -718,6 +731,16 @@ def test_config_bad_values_rejected(sparse_csv, tmp_path, capsys):
     assert main(["fit", str(path), "--config", str(cfg_file)]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "'standardize'" in captured.err
+    cfg_file.write_text("tau = 0.3\nh 0.2\n")
+    assert main(["fit", str(path), "--config", str(cfg_file)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: config line without '=': 'h 0.2'\n"
+    missing = tmp_path / "absent.cfg"
+    assert main(["fit", str(path), "--config", str(missing)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot read config {missing}: ")
 
 
 @pytest.mark.parametrize("command, flags", [

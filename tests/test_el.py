@@ -12,9 +12,14 @@ from seel.el import (
     lambda_approx,
     solve_lambda_exact,
 )
-from seel.errors import HullViolationError, LogDomainError
-from seel.inference import bic_sweep
-from seel.model import Dataset, ModelConfig, g_matrix, moments
+from seel.errors import (
+    HullViolationError,
+    LogDomainError,
+    NoConvergenceError,
+    SingularMatrixError,
+)
+from seel.inference import bic_sweep, penalized_ratio
+from seel.model import Dataset, ModelConfig, PenaltyConfig, g_matrix, moments
 from seel.numkit import RngStream, solve_spd
 from seel.simulate import gen_design, gen_errors, gen_missing
 
@@ -454,3 +459,62 @@ def test_sweep_carried_hessian_saves_one_per_cell(hessians_formed):
         assert hessians_formed[0] - before == st.iterations - 1
     assert hessians_formed[0] - carried >= len(grid) - 1
     assert sum(r.multiplier_iterations for r in records) <= iterations
+
+
+@pytest.mark.parametrize("failing_call", [1, 2])
+def test_lambda_exact_singular_warm_step_retries_from_zero(monkeypatch,
+                                                           failing_call):
+    # a Newton system of the warm attempt that cannot be solved ends that
+    # attempt like any other failure: the cold solve gives the state, and
+    # the iterations of both attempts are counted
+    ds, cfg, beta, cold = warm_instance()
+    warm = solve_lambda_exact(ds, cfg, beta + 0.01)
+    assert solve_lambda_exact(ds, cfg, beta, warm=warm).iterations \
+        > failing_call
+    calls = [0]
+
+    def failing_once(H, grad):
+        calls[0] += 1
+        if calls[0] == failing_call:
+            raise SingularMatrixError("forced")
+        return solve_spd(H, grad)
+
+    monkeypatch.setattr(el, "solve_spd", failing_once)
+    st = solve_lambda_exact(ds, cfg, beta, warm=warm)
+    assert_same_state(st, cold, ds, cfg, beta)
+    assert st.iterations == failing_call + cold.iterations
+
+
+def one_row_ds():
+    # x = 1, tau = 1/2: the one g equals 1 at beta = 0, and the floor 1/n is
+    # 1, the factor the cold start begins at
+    ds = Dataset(np.ones((1, 1)), np.array([2.0]), np.ones(1))
+    assert g_matrix(ds, CFG, np.zeros(1)).tolist() == [[1.0]]
+    return ds
+
+
+def reversed_step(H, grad):
+    # every trial along it lowers the one factor below the floor 1
+    return -solve_spd(H, grad)
+
+
+def infinite_step(H, grad):
+    return np.full_like(grad, np.inf)
+
+
+@pytest.mark.parametrize("step, error, message", [
+    pytest.param(reversed_step, HullViolationError,
+                 "no multiplier step keeps", id="halving"),
+    pytest.param(infinite_step, NoConvergenceError, "non-finite", id="finite"),
+])
+def test_lambda_exact_failed_steps_raise(monkeypatch, step, error, message):
+    ds = one_row_ds()
+    pen = PenaltyConfig(eta=0.0, gamma=1.0, pilot=np.ones(1))
+    expected = inference.el_ratio(ds, CFG, np.zeros(1))
+    monkeypatch.setattr(el, "solve_spd", step)
+    with pytest.raises(error, match=message):
+        solve_lambda_exact(ds, CFG, np.zeros(1))
+    # the penalized ratio falls back to the closed-form multiplier
+    value, method, state = penalized_ratio(ds, CFG, pen, np.zeros(1))
+    assert (value, method) == expected
+    assert method == "closed_form" and state is None

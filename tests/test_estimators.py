@@ -9,6 +9,7 @@ from seel.errors import (
     InsufficientCompleteCasesError,
     NoConvergenceError,
     RankDeficientError,
+    SingularMatrixError,
 )
 from seel.estimators import (
     adaptive_weights,
@@ -306,6 +307,21 @@ def test_no_convergence_at_iteration_cap():
     cfg = ModelConfig(tau=0.2, h=0.05, nu=1e-13, max_iter=2)
     with pytest.raises(NoConvergenceError):
         fit_a2(ds, cfg)
+
+
+@pytest.mark.parametrize("fit", [fit_a1, fit_a2])
+def test_duplicated_covariate_makes_the_newton_system_singular(fit):
+    # an explicit start skips the expectile fit and its rank check, so the
+    # singular Newton matrix of a duplicated column reaches the solve
+    ds, beta0 = simulated(n=200, p=3, seed=5)
+    X = np.column_stack([ds.X, ds.X[:, 1]])
+    dup = Dataset(X, ds.y, ds.delta)
+    with pytest.raises(RankDeficientError):
+        expectile_fit(dup, 0.5)
+    for start in (np.zeros(4), np.append(beta0, 0.0)):
+        with pytest.raises(SingularMatrixError,
+                           match="^linear system is singular$"):
+            fit(dup, ModelConfig(tau=0.5), start)
 
 
 def test_determinism():

@@ -15,6 +15,7 @@ from seel.numkit import (
     chi2_sf,
     gamma_p,
     normal_quantile,
+    solve_linear,
     solve_spd,
 )
 
@@ -86,6 +87,21 @@ def test_solve_jitter_rescues_a_zero_pivot_after_cholesky():
 def test_solve_signals_indefinite():
     with pytest.raises(SingularMatrixError):
         solve_spd(np.array([[1.0, 2.0], [2.0, 1.0]]), np.array([1.0, 1.0]))
+
+
+@pytest.mark.parametrize("A, b, message", [
+    pytest.param(np.zeros((2, 2)), np.ones(2), "linear system is singular",
+                 id="zero"),
+    pytest.param(np.array([[1.0, 2.0], [2.0, 4.0]]), np.ones(2),
+                 "linear system is singular", id="rank-one"),
+    pytest.param(np.array([[1e-300]]), np.array([1e300]),
+                 "linear solve produced non-finite values", id="overflow"),
+    pytest.param(np.eye(2), np.array([np.inf, 1.0]),
+                 "linear solve produced non-finite values", id="infinite"),
+])
+def test_solve_linear_signals_failure(A, b, message):
+    with pytest.raises(SingularMatrixError, match=f"^{message}$"):
+        solve_linear(A, b)
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import pytest
 
 from oracles import design_d1_one_draw, design_d2_loop
 from seel import simulate
+from seel.errors import EstimationError, NoConvergenceError
 from seel.estimators import pilot_estimate
 from seel.numkit import RngStream
 from seel.simulate import (
@@ -280,6 +281,54 @@ def test_fewer_than_one_worker_is_rejected(monkeypatch, workers):
     monkeypatch.setattr(simulate.SimConfig, "resolved_tau", unreachable)
     with pytest.raises(ValueError, match="workers must be at least 1"):
         run_monte_carlo(base_config(), workers=workers)
+
+
+def failing_replications(monkeypatch, failing):
+    # the A2 fit of each replication in failing raises NoConvergenceError,
+    # as a diverging fit would; a serial run replicates in index order
+    current = []
+    generate, fit_a2 = simulate._generate_dataset, simulate.fit_a2
+
+    def generating(sc, m):
+        current.append(m)
+        return generate(sc, m)
+
+    def fitting(ds, cfg, beta0=None):
+        if current[-1] in failing:
+            raise NoConvergenceError("forced")
+        return fit_a2(ds, cfg, beta0)
+
+    monkeypatch.setattr(simulate, "_generate_dataset", generating)
+    monkeypatch.setattr(simulate, "fit_a2", fitting)
+
+
+def test_failed_replications_are_left_out_of_the_means(monkeypatch):
+    sc = base_config(replications=10, algorithms=("a1", "a2", "l2"))
+    tau = sc.resolved_tau()
+    failing = {3}
+    kept = [_replicate(sc, tau, m) for m in range(sc.replications)
+            if m not in failing]
+    failing_replications(monkeypatch, failing)
+    report = run_monte_carlo(sc)
+    assert report.replications_failed == 1
+    assert report.replications_used == 9
+
+    def mean_of(key):
+        return float(np.mean([r[key] for r in kept]))
+
+    assert (report.cp, report.cp_cr0) == (mean_of("cp"), mean_of("cp_cr0"))
+    for alg in sc.algorithms:
+        assert report.mean_norm[alg] == mean_of(f"norm_{alg}")
+        assert report.coverage[alg] == mean_of(f"cov_{alg}")
+    assert report.zero_selection["l2"] == mean_of("zero_l2")
+    assert report.support_recovery["l2"] == mean_of("supp_l2")
+
+
+def test_more_than_a_tenth_failed_aborts(monkeypatch):
+    failing_replications(monkeypatch, {0, 7})
+    with pytest.raises(EstimationError,
+                       match=r"^2/10 replications failed; aborting$"):
+        run_monte_carlo(base_config(replications=10))
 
 
 def test_all_nonzero_truth_gives_undefined_selection_rate():
