@@ -15,7 +15,7 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import fields, replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -248,8 +248,8 @@ def _prepare(args):
     standardizing transform)."""
     tau_auto = args.tau.lower() == "auto"
     cfg = ModelConfig(tau=0.5 if tau_auto else float(args.tau), h=args.h,
-                      kernel=Kernel(args.kernel), nu=args.nu,
-                      eps_zero=args.eps_zero, max_iter=args.max_iter)
+                      kernel=args.kernel, nu=args.nu, eps_zero=args.eps_zero,
+                      max_iter=args.max_iter)
     ds = read_dataset(args.data)
     transform = None
     if args.standardize:
@@ -318,11 +318,7 @@ def cmd_fit(args):
 
 
 def _test_dict(t, hyp):
-    return {
-        "hypothesis": np.asarray(hyp, dtype=float).tolist(),
-        "statistic": t.statistic, "df": t.df, "critical": t.critical,
-        "pvalue": t.pvalue, "reject": t.reject, "alpha": t.alpha,
-    }
+    return {"hypothesis": np.asarray(hyp, dtype=float).tolist(), **asdict(t)}
 
 
 def cmd_select(args):
@@ -356,11 +352,9 @@ def cmd_select(args):
 
 
 def _bic_dict(rec):
-    return {"eta": rec.eta, "bic": rec.bic,
-            "active_set": (rec.active_set + 1).tolist(),
-            "beta": rec.beta.tolist(),
-            "ratio_method": rec.ratio_method,
-            "multiplier_iterations": rec.multiplier_iterations}
+    # 1-based active set, matching x1..xp
+    return {**asdict(rec), "active_set": (rec.active_set + 1).tolist(),
+            "beta": rec.beta.tolist()}
 
 
 def cmd_sweep(args):
@@ -522,7 +516,7 @@ def main(argv=None):
     try:
         args = _parse_args(build_parser(), argv)
         return args.func(args)
-    except (CsvSchemaError, ValueError) as exc:
+    except ValueError as exc:  # CsvSchemaError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except EstimationError as exc:

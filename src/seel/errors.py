@@ -37,8 +37,9 @@ class OneSidedSampleError(EstimationError):
     """A sample does not take both signs; no interior expectile level exists."""
 
 
-class CsvSchemaError(EstimationError):
-    """Input file does not conform to the dataset CSV schema."""
+class CsvSchemaError(ValueError):
+    """Input file does not conform to the dataset CSV schema: bad input, not
+    a numerical failure, so no EstimationError handler takes it."""
 
 
 class InvalidProbabilityError(ValueError):

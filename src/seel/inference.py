@@ -132,12 +132,13 @@ def bic_sweep(ds, cfg, gamma, eta_grid, pilot_mode="same", failures=None):
     Neighbouring cells have nearly the same fit, so the exact multiplier
     solve of each cell's ratio is warm-started from the ELState of the last
     exact solve along the grid (the first cell starts from zero); the start
-    changes the multiplier only within the solver's tolerance.  Ties
-    in the criterion break toward the larger eta (the sparser model).  Grid
-    cells whose fit raises an EstimationError are reported through a
-    warning, appended as (eta, exception) to the `failures` list when one is
-    given, and excluded; any other exception propagates.  A grid or gamma
-    that PenaltyConfig rejects raises ValueError before any fit.
+    changes the multiplier only within the solver's tolerance.  Ties in the
+    criterion break toward the larger eta (the sparser model), and ties in
+    both toward the first record.  Grid cells whose fit raises an
+    EstimationError are reported through a warning, appended as (eta,
+    exception) to the `failures` list when one is given, and excluded; any
+    other exception propagates.  A grid or gamma that PenaltyConfig rejects
+    raises ValueError before any fit.
 
     Returns
     -------
@@ -172,11 +173,7 @@ def bic_sweep(ds, cfg, gamma, eta_grid, pilot_mode="same", failures=None):
             multiplier_iterations=0 if state is None else state.iterations))
     if not records:
         raise failed[-1][1]
-    best = records[0]
-    for rec in records[1:]:
-        if rec.bic < best.bic or (rec.bic == best.bic and rec.eta > best.eta):
-            best = rec
-    return best, records
+    return min(records, key=lambda r: (r.bic, -r.eta)), records
 
 
 def empirical_tau(y):

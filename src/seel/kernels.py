@@ -30,16 +30,20 @@ class Kernel:
         return isinstance(other, Kernel) and other.name == self.name
 
     def pdf(self, u):
+        """k(u); the polynomial is formed only on the support |u| <= 1, and
+        k is 0 outside it and at NaN."""
         u = np.asarray(u, dtype=float)
         inside = np.abs(u) <= 1.0
-        t = 1.0 - u * u
+        v = u[inside]
+        t = 1.0 - v * v
         if self.name == "epanechnikov":
             val = 0.75 * t
         elif self.name == "quartic":
             val = (15.0 / 16.0) * t * t
         else:
             val = (35.0 / 32.0) * t * t * t
-        out = np.where(inside, val, 0.0)
+        out = np.zeros(u.shape)
+        out[inside] = val
         return out if out.ndim else float(out)
 
     def cdf(self, u):

@@ -158,7 +158,8 @@ class Dataset:
 class ModelConfig:
     """Expectile level, smoothing bandwidth and solver tolerances.
 
-    h = None resolves to the default bandwidth n**(-1/4) at fit time.
+    h = None resolves to the default bandwidth n**(-1/4) at fit time, and a
+    kernel given by name becomes its Kernel.
     """
 
     tau: float = 0.5
@@ -169,6 +170,8 @@ class ModelConfig:
     max_iter: int = 200
 
     def __post_init__(self):
+        if not isinstance(self.kernel, Kernel):
+            self.kernel = Kernel(self.kernel)
         # each check is written to fail on NaN as well
         if not 0.0 < self.tau < 1.0:
             raise ValueError("tau must lie in (0, 1)")

@@ -26,6 +26,9 @@ DESIGNS = ("d1", "d2")
 ERROR_LAWS = ("normal", "shifted_exp")
 MISSING_MECHANISMS = ("complete", "constant", "covariate")
 ALGORITHMS = ("a1", "a2", "l1", "l2")
+# the per-algorithm metrics of a SimReport, each a dict keyed by algorithm;
+# the selection rates are defined for l1 and l2 only
+METRICS = ("mean_norm", "coverage", "zero_selection", "support_recovery")
 
 _EXP_MEAN = 1.5
 _TAU_STREAM = 2 ** 48 + 7  # reserved stream id for the tau calibration draw
@@ -103,8 +106,7 @@ class SimConfig:
         return zero_expectile_tau(sample)
 
     def model_config(self, tau):
-        return ModelConfig(tau=tau, h=self.h,
-                           kernel=Kernel(self.kernel), nu=self.nu,
+        return ModelConfig(tau=tau, h=self.h, kernel=self.kernel, nu=self.nu,
                            eps_zero=self.eps_zero, max_iter=self.max_iter)
 
 
@@ -137,25 +139,20 @@ class SimReport:
             "replications_used": self.replications_used,
             "replications_failed": self.replications_failed,
             "cp": self.cp, "cp_cr0": self.cp_cr0,
-            "mean_norm": self.mean_norm, "coverage": self.coverage,
-            "zero_selection": self.zero_selection,
-            "support_recovery": self.support_recovery,
+            **{key: getattr(self, key) for key in METRICS},
         }
 
     def csv_record(self):
-        """Header and row of the sim_cells.csv line, from to_json_dict; an
+        """Header and row of the sim_cells.csv line, from to_json_dict: per
+        algorithm, each metric it has, the column named without "mean_"; an
         undefined selection rate is written "NaN"."""
         d = self.to_json_dict()
         cells = [(k, d[k]) for k in (
             "n", "p", "design", "errors", "missing", "tau", "eta", "seed",
             "replications_used", "replications_failed", "cp", "cp_cr0")]
-        for alg in d["algorithms"]:
-            cells += [(f"norm_{alg}", d["mean_norm"][alg]),
-                      (f"coverage_{alg}", d["coverage"][alg])]
-            if alg in ("l1", "l2"):
-                cells += [(f"zero_selection_{alg}", d["zero_selection"][alg]),
-                          (f"support_recovery_{alg}",
-                           d["support_recovery"][alg])]
+        cells += [(f"{key.removeprefix('mean_')}_{alg}", d[key][alg])
+                  for alg in d["algorithms"] for key in METRICS
+                  if alg in d[key]]
         header, row = zip(*cells)
         return list(header), ["NaN" if v is None else str(v) for v in row]
 
@@ -234,11 +231,13 @@ def _generate_dataset(sc, stream_id):
 
 
 def _replicate(sc, tau, m):
-    """Metrics of replication m, or None when a fit fails."""
+    """Metrics of replication m, or None when a fit fails: cp, cp_cr0 and
+    one dict per METRICS entry keyed by algorithm."""
     cfg = sc.model_config(tau)
     ds = _generate_dataset(sc, m)
     crit_p = chi2_quantile(1.0 - sc.alpha, sc.p)
-    out = {}
+    out = {key: {} for key in METRICS}
+    norm, coverage, zero, support = (out[key] for key in METRICS)
     try:
         out["cp"] = el_ratio(ds, cfg, sc.beta0)[0] <= crit_p
         out["cp_cr0"] = el_ratio_approx(ds, cfg, sc.beta0) <= crit_p
@@ -251,7 +250,6 @@ def _replicate(sc, tau, m):
             fits["a1"] = fit_a1(ds, cfg, start)
         if "a2" in sc.algorithms or (needs_pilot and sc.pilot_mode == "same"):
             fits["a2"] = fit_a2(ds, cfg, start)
-        pilot = None
         if needs_pilot:
             pilot = fits["a2"].beta if sc.pilot_mode == "same" \
                 else pilot_estimate(ds, cfg, mode=sc.pilot_mode)
@@ -265,9 +263,9 @@ def _replicate(sc, tau, m):
         true_support = set(np.flatnonzero(sc.beta0).tolist())
         for alg in sc.algorithms:
             fit = fits[alg]
-            out[f"norm_{alg}"] = float(np.linalg.norm(fit.beta - sc.beta0))
+            norm[alg] = float(np.linalg.norm(fit.beta - sc.beta0))
             if alg in ("a1", "a2"):
-                out[f"cov_{alg}"] = el_ratio(ds, cfg, fit.beta)[0] <= crit_p
+                coverage[alg] = el_ratio(ds, cfg, fit.beta)[0] <= crit_p
             else:
                 active = fit.active_set
                 if len(active):
@@ -276,10 +274,10 @@ def _replicate(sc, tau, m):
                     covered = stat <= chi2_quantile(1.0 - sc.alpha, len(active))
                 else:
                     covered = True
-                out[f"cov_{alg}"] = covered
-                out[f"zero_{alg}"] = (sc.p - len(active)) / true_zero \
+                coverage[alg] = covered
+                zero[alg] = (sc.p - len(active)) / true_zero \
                     if true_zero else None
-                out[f"supp_{alg}"] = set(active.tolist()) == true_support
+                support[alg] = set(active.tolist()) == true_support
     except EstimationError:
         return None
     return out
@@ -312,26 +310,21 @@ def run_monte_carlo(sc, workers=1):
             f"{failed}/{sc.replications} replications failed; aborting"
         )
 
-    def mean_of(key):
-        return float(np.mean([r[key] for r in kept]))
+    def mean_of(values):
+        # a selection rate is None in every replication exactly when beta0
+        # has no zero, and stays None
+        return None if values[0] is None else float(np.mean(values))
 
-    report = SimReport(
+    return SimReport(
         config=sc,
         replications_used=len(kept),
         replications_failed=failed,
-        cp=mean_of("cp"),
-        cp_cr0=mean_of("cp_cr0"),
+        cp=mean_of([r["cp"] for r in kept]),
+        cp_cr0=mean_of([r["cp_cr0"] for r in kept]),
         tau_used=tau,
+        **{key: {alg: mean_of([r[key][alg] for r in kept])
+                 for alg in kept[0][key]} for key in METRICS},
     )
-    for alg in sc.algorithms:
-        report.mean_norm[alg] = mean_of(f"norm_{alg}")
-        report.coverage[alg] = mean_of(f"cov_{alg}")
-        if alg in ("l1", "l2"):
-            vals = [r[f"zero_{alg}"] for r in kept]
-            report.zero_selection[alg] = None if vals[0] is None \
-                else float(np.mean(vals))
-            report.support_recovery[alg] = mean_of(f"supp_{alg}")
-    return report
 
 
 def _sparse_beta(p, entries, fill=0.0):

@@ -15,7 +15,8 @@ from oracles import first_row_error, read_dataset_rows, write_dataset_rows
 
 from seel import cli, inference, simulate
 from seel.cli import main, read_dataset, write_dataset
-from seel.errors import CsvSchemaError, NoConvergenceError, RankDeficientError
+from seel.errors import (CsvSchemaError, EstimationError, NoConvergenceError,
+                         RankDeficientError)
 from seel.estimators import fit_a2
 from seel.inference import empirical_tau
 from seel.model import Dataset, ModelConfig
@@ -77,6 +78,12 @@ def test_schema_errors(tmp_path):
         path.write_text(text)
         with pytest.raises(CsvSchemaError, match=f"^{start}"):
             read_dataset(path)
+
+
+def test_schema_errors_are_input_errors_not_numerical_failures():
+    # no EstimationError handler (the sweep's, a replication's) takes one
+    assert issubclass(CsvSchemaError, ValueError)
+    assert not issubclass(CsvSchemaError, EstimationError)
 
 
 @pytest.mark.parametrize("bad, first", [

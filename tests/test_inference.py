@@ -178,15 +178,19 @@ def test_penalized_ratio_frozen_coordinate_contributes_nothing():
     assert np.isfinite(val)
 
 
-def sweep_records(monkeypatch, ds, fits, ratio):
-    """bic_sweep records with each cell's fit taken from fits (one per eta)
-    and a constant penalized ratio."""
+def sweep(monkeypatch, ds, fits, ratio, grid):
+    """bic_sweep over grid with each cell's fit taken from fits (one per
+    eta) and a constant penalized ratio."""
     cells = iter(fits)
     monkeypatch.setattr(inference, "fit_l2", lambda *a, **k: next(cells))
     monkeypatch.setattr(inference, "penalized_ratio",
                         lambda *a, **k: (ratio, "exact", None))
+    return bic_sweep(ds, ModelConfig(tau=0.5), 2.5, grid)
+
+
+def sweep_records(monkeypatch, ds, fits, ratio):
     grid = [0.01 * (k + 1) for k in range(len(fits))]
-    return bic_sweep(ds, ModelConfig(tau=0.5), 2.5, grid)[1]
+    return sweep(monkeypatch, ds, fits, ratio, grid)[1]
 
 
 def test_bic_formula(monkeypatch):
@@ -209,6 +213,29 @@ def test_bic_increasing_in_active_set(monkeypatch):
         fits.append(FitResult(beta=beta, iterations=1))
     vals = [rec.bic for rec in sweep_records(monkeypatch, ds, fits, 4.2)]
     assert all(b > a for a, b in zip(vals, vals[1:]))
+
+
+def one_active_fits(p):
+    """p fits whose active sets differ but all have size 1."""
+    return [FitResult(beta=np.eye(p)[j], iterations=1) for j in range(p)]
+
+
+@pytest.mark.parametrize("grid", [[0.01, 0.02, 0.03], [0.03, 0.02, 0.01]])
+def test_bic_sweep_breaks_a_bic_tie_toward_the_larger_eta(monkeypatch, grid):
+    ds, _ = simulated(n=50, p=3, seed=12)
+    best, records = sweep(monkeypatch, ds, one_active_fits(3), 4.2, grid)
+    assert len({rec.bic for rec in records}) == 1
+    assert best is records[grid.index(0.03)]
+
+
+def test_bic_sweep_breaks_a_bic_and_eta_tie_toward_the_first_record(
+        monkeypatch):
+    ds, _ = simulated(n=50, p=3, seed=12)
+    best, records = sweep(monkeypatch, ds, one_active_fits(3), 4.2,
+                          [0.02, 0.02, 0.01])
+    assert records[0].eta == records[1].eta
+    assert records[0].bic == records[1].bic == records[2].bic
+    assert best is records[0]
 
 
 def test_bic_sweep_single_and_duplicate_grid():

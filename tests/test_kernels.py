@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -32,6 +34,17 @@ def test_pdf_outside_support_and_boundary(kernel):
     assert kernel.pdf(-2.0) == 0.0
     assert kernel.pdf(1.0) == 0.0
     assert kernel.pdf(-1.0) == 0.0
+
+
+def test_pdf_far_outside_support_is_zero_without_warnings(kernel):
+    # the polynomial is formed only on the support, so 1 - u*u cannot overflow
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = kernel.pdf(np.array([1e200, -1e200, 0.5]))
+        assert got.tolist() == [0.0, 0.0, kernel.pdf(0.5)]
+        assert kernel.pdf(1e200) == 0.0
+        nan = kernel.pdf(np.nan)
+    assert type(nan) is float and nan == 0.0
 
 
 def test_pdf_integrates_to_one(kernel):

@@ -17,6 +17,7 @@ from oracles import (
     psi_h,
 )
 from seel.estimators import fit_a2
+from seel.kernels import Kernel
 from seel.model import (Dataset, ModelConfig, PenaltyConfig, WeightedGram,
                         evaluate, g_matrix, moments)
 
@@ -267,6 +268,14 @@ def test_model_config_defaults_and_validation():
         ModelConfig(tau=1.2)
     with pytest.raises(ValueError):
         ModelConfig(tau=0.5, h=-1.0)
+
+
+def test_model_config_takes_a_kernel_by_name():
+    assert ModelConfig(kernel="Quartic").kernel == Kernel("quartic")
+    kernel = Kernel("triweight")
+    assert ModelConfig(kernel=kernel).kernel is kernel
+    with pytest.raises(ValueError, match="unknown kernel"):
+        ModelConfig(kernel="gaussian")
 
 
 NAN, INF = float("nan"), float("inf")

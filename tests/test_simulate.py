@@ -313,15 +313,16 @@ def test_failed_replications_are_left_out_of_the_means(monkeypatch):
     assert report.replications_failed == 1
     assert report.replications_used == 9
 
-    def mean_of(key):
-        return float(np.mean([r[key] for r in kept]))
+    def mean_of(key, alg=None):
+        return float(np.mean([r[key] if alg is None else r[key][alg]
+                              for r in kept]))
 
     assert (report.cp, report.cp_cr0) == (mean_of("cp"), mean_of("cp_cr0"))
     for alg in sc.algorithms:
-        assert report.mean_norm[alg] == mean_of(f"norm_{alg}")
-        assert report.coverage[alg] == mean_of(f"cov_{alg}")
-    assert report.zero_selection["l2"] == mean_of("zero_l2")
-    assert report.support_recovery["l2"] == mean_of("supp_l2")
+        assert report.mean_norm[alg] == mean_of("mean_norm", alg)
+        assert report.coverage[alg] == mean_of("coverage", alg)
+    assert report.zero_selection["l2"] == mean_of("zero_selection", "l2")
+    assert report.support_recovery["l2"] == mean_of("support_recovery", "l2")
 
 
 def test_more_than_a_tenth_failed_aborts(monkeypatch):
