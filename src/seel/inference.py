@@ -208,8 +208,12 @@ def zero_expectile_tau(residuals):
     r = np.asarray(residuals, dtype=float).ravel()
     if not np.isfinite(r).all():
         raise ValueError("residuals must be finite")
-    s_pos = float(np.sum(np.compress(r > 0.0, r)))
-    s_neg = float(-np.sum(np.compress(r < 0.0, r)))
+    return _tau_of_masses(float(np.sum(np.compress(r > 0.0, r))),
+                          float(-np.sum(np.compress(r < 0.0, r))))
+
+
+def _tau_of_masses(s_pos, s_neg):
+    """S- / (S+ + S-), or OneSidedSampleError when it is not inside (0, 1)."""
     tau = s_neg / (s_pos + s_neg) if s_pos + s_neg > 0.0 else 0.0
     if not 0.0 < tau < 1.0:
         raise OneSidedSampleError(

@@ -17,7 +17,7 @@ from .el import el_ratio_approx
 from .errors import EstimationError
 from .estimators import (expectile_fit, fit_a1, fit_a2, fit_l1, fit_l2,
                          pilot_estimate)
-from .inference import check_alpha, el_ratio, zero_expectile_tau
+from .inference import _tau_of_masses, check_alpha, el_ratio
 from .kernels import Kernel
 from .model import Dataset, ModelConfig, PenaltyConfig
 from .numkit import RngStream, chi2_quantile
@@ -96,14 +96,34 @@ class SimConfig:
 
     def resolved_tau(self):
         """Default tau: 1/2 for normal errors, the zero-expectile level of a
-        large calibration sample for the shifted exponential."""
+        calibration sample of 10^6 draws for the shifted exponential.
+
+        The sample is drawn in blocks of _DRAW_BATCH, and each block's
+        positive and negative errors are compressed, in draw order, into
+        two buffers: their sums, and so tau, are the bits of one full draw
+        (zero_expectile_tau of gen_errors(..., 10 ** 6, ...)), but no
+        full-size sample or mask is ever formed.
+        """
         if self.tau is not None:
             return self.tau
         if self.errors == "normal":
             return 0.5
         rng = RngStream(self.seed, _TAU_STREAM)
-        sample = gen_errors("shifted_exp", 10 ** 6, rng)
-        return zero_expectile_tau(sample)
+        size = 10 ** 6
+        pos, neg = np.empty(size), np.empty(size)
+        n_pos = n_neg = 0
+        for i0 in range(0, size, _DRAW_BATCH):
+            e = gen_errors("shifted_exp", min(_DRAW_BATCH, size - i0), rng)
+            mask = e > 0.0
+            k = int(np.count_nonzero(mask))
+            np.compress(mask, e, out=pos[n_pos:n_pos + k])
+            n_pos += k
+            np.less(e, 0.0, out=mask)
+            k = int(np.count_nonzero(mask))
+            np.compress(mask, e, out=neg[n_neg:n_neg + k])
+            n_neg += k
+        return _tau_of_masses(float(np.sum(pos[:n_pos])),
+                              float(-np.sum(neg[:n_neg])))
 
     def model_config(self, tau):
         return ModelConfig(tau=tau, h=self.h, kernel=self.kernel, nu=self.nu,

@@ -24,7 +24,9 @@ at a time, where read_dataset bisects.  OneShotStream
 hashes all counters of a draw in one array, and normal_quantile_masked and
 zero_expectile_tau_masked split their input with boolean indexing, where
 seel.numkit and seel.inference work block by block, with np.compress and
-np.place, in place.  expectile_fit_confirming runs the expectile fit's
+np.place, in place.  resolved_tau_one_shot draws the tau calibration
+sample in one call, where seel.simulate.SimConfig.resolved_tau streams it
+in blocks.  expectile_fit_confirming runs the expectile fit's
 loop until a step falls below tol, with the confirming solve that
 seel.estimators.expectile_fit skips once the weights repeat.
 """
@@ -34,9 +36,11 @@ import csv
 import numpy as np
 
 from seel.errors import CsvSchemaError, NoConvergenceError, OneSidedSampleError
+from seel.inference import zero_expectile_tau
 from seel.model import Dataset, WeightedGram, evaluate
 from seel.numkit import (_A, _B, _C, _D, _E, _F, _GOLDEN, RngStream, _mix64,
                          solve_spd)
+from seel.simulate import _TAU_STREAM, gen_errors
 
 
 def expectile_loss(tau, x):
@@ -338,6 +342,13 @@ def zero_expectile_tau_masked(residuals):
     if s_pos == 0.0 or s_neg == 0.0:
         raise OneSidedSampleError("residuals must take both signs")
     return s_neg / (s_pos + s_neg)
+
+
+def resolved_tau_one_shot(seed):
+    """The shifted-exponential calibration tau of seed: 10^6 errors of the
+    calibration stream in one draw, then their zero-expectile level."""
+    sample = gen_errors("shifted_exp", 10 ** 6, RngStream(seed, _TAU_STREAM))
+    return zero_expectile_tau(sample)
 
 
 def expectile_fit_confirming(ds, tau, tol=1e-8, max_iter=500, gram=None):

@@ -1,9 +1,15 @@
 import concurrent.futures
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from oracles import design_d1_one_draw, design_d2_loop
+from oracles import design_d1_one_draw, design_d2_loop, resolved_tau_one_shot
 from seel import simulate
 from seel.errors import EstimationError, NoConvergenceError
 from seel.estimators import pilot_estimate
@@ -195,6 +201,71 @@ def test_config_defaults():
     assert tau == pytest.approx(0.5, abs=0.002)
     # calibration draw is deterministic in the seed
     assert tau == base_config().resolved_tau()
+
+
+@settings(deadline=None, max_examples=10)
+@given(st.integers(-2 ** 63, 2 ** 64 - 1))
+@example(0)
+@example(-1)
+@example(2 ** 64 - 1)
+def test_resolved_tau_equals_the_one_shot_draw(seed):
+    assert base_config(seed=seed).resolved_tau() == resolved_tau_one_shot(seed)
+
+
+def test_resolved_tau_streams_in_draw_batches(monkeypatch):
+    sizes = []
+
+    def recording(law, n, rng):
+        sizes.append(n)
+        return gen_errors(law, n, rng)
+
+    monkeypatch.setattr(simulate, "gen_errors", recording)
+    assert base_config().resolved_tau() == resolved_tau_one_shot(42)
+    # 15 full blocks and a partial one
+    batch = simulate._DRAW_BATCH
+    assert sizes == [batch] * 15 + [10 ** 6 - 15 * batch]
+    assert 0 < sizes[-1] < batch
+
+
+def test_resolved_tau_skips_the_draw(monkeypatch):
+    configs = [base_config(errors="normal"), base_config(tau=0.3),
+               base_config(tau=0.3, errors="normal")]
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("drew a calibration sample")
+
+    monkeypatch.setattr(simulate, "gen_errors", unreachable)
+    monkeypatch.setattr(simulate, "RngStream", unreachable)
+    assert [sc.resolved_tau() for sc in configs] == [0.5, 0.3, 0.3]
+
+
+_DRAW_RSS = """
+import resource, sys
+from oracles import resolved_tau_one_shot
+from seel.simulate import SimConfig
+sc = SimConfig(n=10, p=2, beta0=[1.0, 0.0], seed=7)
+draw = sc.resolved_tau if sys.argv[1] == "streamed" \
+    else lambda: resolved_tau_one_shot(7)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+draw()
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
+"""
+
+
+def test_streamed_draw_raises_peak_rss_less_than_one_shot():
+    # peak RSS, as the benchmark reads it: only the written pages of the
+    # streamed draw's buffers are resident (tracemalloc would count both
+    # buffers at full size)
+    pytest.importorskip("resource")
+    tests = Path(__file__).resolve().parent
+    src = Path(simulate.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), str(tests)])}
+    growth = {}
+    for mode in ("streamed", "one_shot"):
+        run = subprocess.run([sys.executable, "-c", _DRAW_RSS, mode], env=env,
+                             capture_output=True, text=True, check=True)
+        growth[mode] = int(run.stdout)
+    assert growth["streamed"] <= 0.75 * growth["one_shot"]
 
 
 def test_preset_configs():
