@@ -7,18 +7,23 @@ the closed form S^{-1} gbar that the iterative algorithms use.
 
 A row with a missing response has g_i = 0: it adds log(1) = 0 to the dual
 and nothing to its gradient or Hessian.  The solver and the ratio therefore
-run on the observed rows of model.g_matrix, while every mean, the
-probability floor 1/n and the implied probabilities keep the full sample
-size n.
+run on the observed rows, while every mean, the probability floor 1/n and
+the implied probabilities keep the full sample size n.
+
+The matrix G of the g_i is never formed.  g_i = a_i x_i, so model.g_matrix
+returns its factors (Xo, a), the observed design and the per-row scalars,
+and every product over G is one over Xo: G lambda = a (Xo lambda), the
+gradient mean(g_i / w_i) is Xo'(a / w) / n, and the Hessian
+mean(g_i g_i' / w_i^2) is that of the rows of Xo scaled by a / w.
 
 The solver is Newton's method on the dual (Owen, Empirical Likelihood,
-2001, section 3.14).  Its Hessian, the mean of g_i g_i' / w_i^2, is the one
-O(n p^2) cost of a step; it changes on every row with lambda, so no rows of
-it can be reused.  A step forms the factors 1 + lambda'g_i at full length
-as one product over G; a trial that the 1/n floor halves reads G step off
-them, w + size (w_full - w), so halving costs no further product.  The
-solves along nearby betas (the cells of a BIC sweep) can each start from
-the ELState of the one before (see solve_lambda_exact).
+2001, section 3.14).  Its Hessian is the one O(n p^2) cost of a step; it
+changes on every row with lambda, so no rows of it can be reused.  A step
+forms the factors 1 + lambda'g_i at full length as one product over Xo; a
+trial that the 1/n floor halves reads G step off them,
+w + size (w_full - w), so halving costs no further product.  The solves
+along nearby betas (the cells of a BIC sweep) can each start from the
+ELState of the one before (see solve_lambda_exact).
 """
 
 from dataclasses import dataclass
@@ -66,8 +71,8 @@ def el_ratio_exact(ds, cfg, beta, lam):
     the sum runs over the observed rows.
     Raises LogDomainError when any factor is nonpositive.
     """
-    G = g_matrix(ds, cfg, beta)
-    w = 1.0 + G @ np.asarray(lam, dtype=float)
+    Xo, a = g_matrix(ds, cfg, beta)
+    w = 1.0 + a * (Xo @ np.asarray(lam, dtype=float))
     if np.any(w <= 0.0):
         raise LogDomainError("1 + lambda'g_i must stay positive on every row")
     return float(2.0 * np.log(w).sum())
@@ -113,11 +118,11 @@ def solve_lambda_exact(ds, cfg, beta, warm=None):
         If a Newton system cannot be solved.
     """
     max_iter = max(cfg.max_iter, _LAMBDA_MIN_ITER)
-    G = g_matrix(ds, cfg, beta)
+    Xo, a = g_matrix(ds, cfg, beta)
     n = ds.n
-    m, p = G.shape
+    m, p = Xo.shape
     floor = 1.0 / n
-    # rows of G scaled by 1/w, one block at a time, for the Hessian
+    # rows of Xo scaled by a/w, one block at a time, for the Hessian
     block = np.empty((max(1, min(m, _HESSIAN_BLOCK_ROWS)), p))
     iterations = 0
 
@@ -127,14 +132,14 @@ def solve_lambda_exact(ds, cfg, beta, warm=None):
         nonlocal iterations
         for it in range(max_iter):
             iterations += 1
-            winv = 1.0 / w
-            grad = winv @ G / n
+            s = a / w
+            grad = s @ Xo / n
             if np.linalg.norm(grad) <= _LAMBDA_TOL:
                 break
             if it or H is None:
-                H = _scaled_gram(G, winv, block) / n
+                H = _scaled_gram(Xo, s, block) / n
             step = solve_spd(H, grad)
-            w_full = 1.0 + G @ (lam + step)
+            w_full = 1.0 + a * (Xo @ (lam + step))
             size = 1.0
             for _ in range(60):
                 # a halved trial reads G step off the full step's factors
@@ -161,7 +166,7 @@ def solve_lambda_exact(ds, cfg, beta, warm=None):
                        iterations=iterations, hessian=H)
 
     if warm is not None and np.any(warm.lam):
-        w0 = 1.0 + G @ warm.lam
+        w0 = 1.0 + a * (Xo @ warm.lam)
         if np.all(w0 > floor):
             try:
                 return attempt(warm.lam, w0, warm.hessian)
@@ -170,12 +175,13 @@ def solve_lambda_exact(ds, cfg, beta, warm=None):
     return attempt(np.zeros(p), np.ones(m), None)
 
 
-def _scaled_gram(G, winv, block):
-    """(G / w)'(G / w), summed over row blocks scaled in place in block."""
-    H = np.zeros((G.shape[1], G.shape[1]))
-    for start in range(0, G.shape[0], block.shape[0]):
-        stop = min(start + block.shape[0], G.shape[0])
+def _scaled_gram(Xo, s, block):
+    """(Xo s)'(Xo s), the Gram matrix of the rows of Xo each scaled by its
+    entry of s, summed over row blocks scaled in place in block."""
+    H = np.zeros((Xo.shape[1], Xo.shape[1]))
+    for start in range(0, Xo.shape[0], block.shape[0]):
+        stop = min(start + block.shape[0], Xo.shape[0])
         B = block[:stop - start]
-        np.einsum("ij,i->ij", G[start:stop], winv[start:stop], out=B)
+        np.einsum("ij,i->ij", Xo[start:stop], s[start:stop], out=B)
         H += B.T @ B
     return H

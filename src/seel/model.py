@@ -340,6 +340,8 @@ def moments(ds, cfg, beta):
 
 
 def g_matrix(ds, cfg, beta):
-    """The smoothed estimating functions of the observed rows, stacked as an
-    (n_complete, p) matrix in row order; every row left out has g_i = 0."""
-    return ds.Xo * evaluate(ds, cfg, beta).a[:, None]
+    """The smoothed estimating functions of the observed rows as their
+    factors (Xo, a): g_i = a_i x_i, so the matrix G of the g_i is
+    a[:, None] * Xo, which is never formed.  Both arrays are read-only and
+    shared, not copied; every row left out has g_i = 0."""
+    return ds.Xo, evaluate(ds, cfg, beta).a

@@ -1,12 +1,15 @@
 """Reference forms that the tests check the package's faster paths against.
 
 The package computes g_i(beta) = (tau + (1 - 2 tau) G((x_i'beta - y_i)/h))
-(y_i - x_i'beta) x_i for all rows at once (seel.model.moments and g_matrix).
+(y_i - x_i'beta) x_i for all rows at once (seel.model.moments, and
+g_matrix, which returns the factors (Xo, a) of g_i = a_i x_i).
 The per-row functions here evaluate one row at a time, straight from the
 formula, so the tests can check the vectorized path and its derivatives
 against them; mean_jacobian forms the mean Jacobian, which the package
 needs only as the Newton matrix of its fits and never forms as such; implied_probabilities gives the empirical likelihood
-probabilities of a multiplier, which seel.el does not form.  FullGram
+probabilities of a multiplier, which seel.el does not form, and dense_g
+stacks the g_i of the observed rows as the matrix G, which seel.el never
+forms either.  FullGram
 computes every weighted Gram matrix in full, where seel.model.WeightedGram
 corrects a reference product, and NoTermsMemo is a row-pass memo that
 never holds an entry, so every pass is computed where seel.model reads
@@ -151,6 +154,12 @@ def implied_probabilities(ds, cfg, beta, lam):
     lam = np.asarray(lam, dtype=float)
     w = [1.0 + float(lam @ g_smooth(ds, i, cfg, beta)) for i in range(ds.n)]
     return 1.0 / (ds.n * np.array(w))
+
+
+def dense_g(ds, cfg, beta):
+    """The (n_complete, p) matrix G of the observed rows' g_i = a_i x_i, in
+    row order, formed as a product; rows left out have g_i = 0."""
+    return ds.Xo * evaluate(ds, cfg, beta).a[:, None]
 
 
 class NoTermsMemo:

@@ -6,13 +6,13 @@ total runtime is well under the ten-minute budget.
 
 import numpy as np
 
-from oracles import (g_smooth, g_smooth_hessian_slice, g_smooth_jacobian,
-                     mean_jacobian)
+from oracles import (dense_g, g_smooth, g_smooth_hessian_slice,
+                     g_smooth_jacobian, mean_jacobian)
 from seel.cli import main
 from seel.el import el_ratio_approx, lambda_approx, solve_lambda_exact
 from seel.errors import HullViolationError
 from seel.estimators import fit_a1, fit_a2, fit_l1, fit_l2, pilot_estimate
-from seel.model import Dataset, ModelConfig, PenaltyConfig, g_matrix, moments
+from seel.model import Dataset, ModelConfig, PenaltyConfig, moments
 from seel.numkit import RngStream, chi2_quantile, gamma_p
 from seel.simulate import SimConfig, preset_config, run_monte_carlo
 
@@ -145,7 +145,7 @@ def test_criterion_6_inner_solver_oracle():
             st = solve_lambda_exact(ds, cfg, beta)
         except HullViolationError:
             continue
-        G = g_matrix(ds, cfg, beta)
+        G = dense_g(ds, cfg, beta)
         resid = np.linalg.norm((G / (1.0 + G @ st.lam)[:, None]).mean(axis=0))
         residual_ok &= resid <= 1e-8
         err = np.linalg.norm(st.lam - lambda_approx(ds, cfg, beta))

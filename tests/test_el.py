@@ -2,7 +2,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from oracles import implied_probabilities
+from hypothesis import assume, given, settings
+from hypothesis import strategies as hst
+from oracles import dense_g, implied_probabilities
 
 from seel import el, inference
 from seel.el import (
@@ -13,13 +15,14 @@ from seel.el import (
     solve_lambda_exact,
 )
 from seel.errors import (
+    EstimationError,
     HullViolationError,
     LogDomainError,
     NoConvergenceError,
     SingularMatrixError,
 )
 from seel.inference import bic_sweep, penalized_ratio
-from seel.model import Dataset, ModelConfig, PenaltyConfig, g_matrix, moments
+from seel.model import Dataset, ModelConfig, PenaltyConfig, evaluate, moments
 from seel.numkit import RngStream, solve_spd
 from seel.simulate import gen_design, gen_errors, gen_missing
 
@@ -108,7 +111,7 @@ def test_hull_violation_with_missing_rows(lam0, hessian0):
     # cold or a warm start
     y = np.array([np.nan, 2.0, np.nan, 4.0])
     ds = Dataset(np.ones((4, 1)), y, np.array([0, 1, 0, 1]))
-    G = g_matrix(ds, CFG, np.zeros(1))
+    G = dense_g(ds, CFG, np.zeros(1))
     assert G.shape == (2, 1) and np.all(G > 0.0)
     warm = None if lam0 is None else warm_state([lam0], hessian0)
     if warm is not None:
@@ -229,33 +232,50 @@ def missing_d2_ds(seed, n, p, beta0):
     return Dataset(X, y, delta)
 
 
-def reference_lambda(ds, cfg, beta, tol=1e-8, max_iter=200):
-    # the solver written out with a mean-based gradient and the G / w^2
-    # Hessian, recomputing w from lambda after each accepted step; G holds
-    # the observed rows, and the means and the floor 1/n use the full n
-    G = g_matrix(ds, cfg, beta)
+def reference_lambda(ds, cfg, beta, tol=1e-8, max_iter=200, start=None,
+                     hessians=None):
+    # the solver written out on the dense G of oracles.dense_g, with a
+    # mean-based gradient and the G / w^2 Hessian, recomputing w from lambda
+    # after each accepted step; G holds the observed rows, and the means and
+    # the floor 1/n use the full n.  start is an ELState whose multiplier
+    # and Hessian begin the iteration, as in a warm attempt of the solver;
+    # each Hessian solved with is appended to hessians, and the reference
+    # raises where an attempt of the solver raises
+    G = dense_g(ds, cfg, beta)
     n, p = ds.n, G.shape[1]
-    lam, w = np.zeros(p), np.ones(G.shape[0])
+    lam, H = (np.zeros(p), None) if start is None else (start.lam, start.hessian)
+    w = 1.0 + G @ lam
     halvings = 0
     for it in range(1, max_iter + 1):
         grad = (G / w[:, None]).sum(axis=0) / n
         if np.linalg.norm(grad) <= tol:
             break
-        H = G.T @ (G / (w * w)[:, None]) / n
+        if it > 1 or H is None:
+            H = G.T @ (G / (w * w)[:, None]) / n
+        if hessians is not None:
+            hessians.append(H)
         step = solve_spd(H, grad)
-        size = 1.0
+        size, trials = 1.0, 1
         while not np.all(1.0 + G @ (lam + size * step) > 1.0 / n):
-            size *= 0.5
-            halvings += 1
+            if trials == 60:
+                raise HullViolationError("no step keeps every factor above 1/n")
+            size, trials = 0.5 * size, trials + 1
+        halvings += trials - 1
         lam = lam + size * step
+        if not np.all(np.isfinite(lam)):
+            raise NoConvergenceError("non-finite multiplier")
         w = 1.0 + G @ lam
+    else:
+        raise NoConvergenceError(f"not solved in {max_iter} iterations")
+    if abs((n - G.shape[0]) / n + (1.0 / (n * w)).sum() - 1.0) > 1e-6:
+        raise HullViolationError("zero lies outside the convex hull")
     return lam, float(2.0 * np.log(w).sum()), it, halvings
 
 
 def assert_ratio_of_own_multiplier(st, ds, cfg, beta):
     # after a halved step the factors are updated along G step, not formed
     # from lambda again; the ratio must still be that of the multiplier
-    w = 1.0 + g_matrix(ds, cfg, beta) @ st.lam
+    w = 1.0 + dense_g(ds, cfg, beta) @ st.lam
     assert st.ratio == pytest.approx(2.0 * np.log(w).sum(), rel=1e-12)
 
 
@@ -279,6 +299,111 @@ def test_lambda_exact_matches_reference_loop(hessians_formed):
     assert_same_state(solve_lambda_exact(ds, cfg, beta, warm=warm),
                       st, ds, cfg, beta)
     assert hessians_formed[0] == 2 * (iterations - 1)
+
+
+def solved_or_raised(solve):
+    # the result of solve(hessians), or the EstimationError it raised, with
+    # the Hessians of the Newton systems it solved
+    hessians = []
+    try:
+        return solve(hessians), hessians
+    except EstimationError as exc:
+        return exc, hessians
+
+
+def solver_run(ds, cfg, beta, warm=None):
+    def solve(hessians):
+        def recording(H, grad):
+            hessians.append(np.array(H))
+            return solve_spd(H, grad)
+
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(el, "solve_spd", recording)
+            return solve_lambda_exact(ds, cfg, beta, warm=warm)
+
+    return solved_or_raised(solve)
+
+
+def reference_run(ds, cfg, beta, start=None):
+    return solved_or_raised(lambda hessians: reference_lambda(
+        ds, cfg, beta, start=start, hessians=hessians))
+
+
+def assert_same_path(hessians, ref_hessians):
+    # a Hessian depends on the factors w of its iterate, so equal Hessians
+    # at every step mean equal steps, halvings included; a halving moves it
+    # by far more than 1e-8, while near the floor 1/n the cancellation in
+    # 1 + lambda'g_i lets rounding move it by a few 1e-10
+    assert len(hessians) == len(ref_hessians)
+    for H, ref in zip(hessians, ref_hessians):
+        np.testing.assert_allclose(H, ref, rtol=1e-8,
+                                   atol=1e-8 * np.abs(ref).max())
+
+
+def assert_solves_as_reference(run, ref):
+    # a failed solve is compared by its error alone: as the multiplier runs
+    # off, the Hessians lose rank and rounding no longer fixes the path
+    (st, hessians), (expected, ref_hessians) = run, ref
+    if isinstance(expected, EstimationError):
+        assert type(st) is type(expected)
+        return
+    assert_same_path(hessians, ref_hessians)
+    lam, ratio, iterations, _ = expected
+    assert isinstance(st, ELState) and st.iterations == iterations
+    np.testing.assert_allclose(st.lam, lam, rtol=1e-10)
+    assert st.ratio == pytest.approx(ratio, rel=1e-12, abs=1e-14)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=hst.integers(2, 80), p=hst.integers(1, 6),
+       missing=hst.floats(0.0, 0.4), tau=hst.floats(0.05, 0.95),
+       h=hst.floats(0.05, 2.0), shift=hst.floats(0.0, 0.5),
+       seed=hst.integers(0, 2 ** 16))
+def test_matrix_free_solve_matches_the_dense_reference(n, p, missing, tau, h,
+                                                       shift, seed):
+    # the solver and the ratio never form G; on the dense G a cold and a
+    # warm solve take the same Newton steps and halvings, reach the same
+    # multiplier, and raise where the reference raises
+    gen = np.random.default_rng(seed)
+    X = gen.standard_normal((n, p))
+    beta0 = gen.uniform(-1.0, 1.0, p)
+    delta = (gen.uniform(size=n) >= missing).astype(np.uint8)
+    y = np.where(delta == 1, X @ beta0 + gen.standard_normal(n), np.nan)
+    ds = Dataset(X, y, delta)
+    assume(ds.n_complete > p)  # else S is singular and no path is fixed
+    cfg = ModelConfig(tau=tau, h=h)
+    beta = beta0 + shift * gen.standard_normal(p)
+    G = dense_g(ds, cfg, beta)
+    cold = reference_run(ds, cfg, beta)
+    assert_solves_as_reference(solver_run(ds, cfg, beta), cold)
+    if not isinstance(cold[0], EstimationError):
+        lam = cold[0][0]
+        assert el_ratio_exact(ds, cfg, beta, lam) == pytest.approx(
+            2.0 * np.log(1.0 + G @ lam).sum(), rel=1e-12, abs=1e-14)
+    # a multiplier that takes some factor 1 + lambda'g_i to -1
+    k = int(np.argmax(np.abs(G).sum(axis=1)))
+    with pytest.raises(LogDomainError):
+        el_ratio_exact(ds, cfg, beta, -2.0 * G[k] / (G[k] @ G[k]))
+    warm = solver_run(ds, cfg, beta + 0.01 * gen.standard_normal(p))[0]
+    if isinstance(warm, EstimationError):
+        return
+    run = solver_run(ds, cfg, beta, warm=warm)
+    if not (np.any(warm.lam) and np.all(1.0 + G @ warm.lam > 1.0 / ds.n)):
+        assert_solves_as_reference(run, cold)  # the start is dropped
+        return
+    ref = reference_run(ds, cfg, beta, start=warm)
+    if not isinstance(ref[0], EstimationError):
+        assert_solves_as_reference(run, ref)
+        return
+    # the warm attempt fails as the reference does, and the retry from
+    # zero is the cold solve
+    st = run[0]
+    if isinstance(cold[0], EstimationError):
+        assert type(st) is type(cold[0])
+    else:
+        assert_same_path(run[1][len(run[1]) - len(cold[1]):], cold[1])
+        np.testing.assert_allclose(st.lam, cold[0][0], rtol=1e-10)
+        assert st.iterations > cold[0][2]
 
 
 def test_sweep_ratios_are_those_of_their_multipliers(monkeypatch):
@@ -307,9 +432,10 @@ def test_sweep_ratios_are_those_of_their_multipliers(monkeypatch):
         assert_ratio_of_own_multiplier(st, ds, cfg, beta)
 
 
-def test_lambda_exact_memory_stays_near_two_matrices():
-    # G plus one reused n x p work buffer; a fresh scaled copy per iteration
-    # would keep a third n x p array alive
+def test_lambda_exact_forms_no_n_by_p_array():
+    # the solve works on the factors (Xo, a) and never forms G: beyond its
+    # n-vectors it holds one Hessian block of at most 4096 rows, so its
+    # peak stays below one observed design, where G alone would fill it
     import tracemalloc
 
     n, p = 20_000, 20
@@ -318,7 +444,7 @@ def test_lambda_exact_memory_stays_near_two_matrices():
     ds = missing_d2_ds(4, n, p, beta0)
     cfg = ModelConfig(tau=0.25)
     beta = beta0 + 0.05
-    nbytes = g_matrix(ds, cfg, beta).nbytes
+    evaluate(ds, cfg, beta)  # the row pass is memoized, not traced
     tracemalloc.start()
     try:
         st = solve_lambda_exact(ds, cfg, beta)
@@ -326,7 +452,7 @@ def test_lambda_exact_memory_stays_near_two_matrices():
     finally:
         tracemalloc.stop()
     assert st.iterations > 2
-    assert peak <= 2.75 * nbytes
+    assert peak <= 0.75 * ds.Xo.nbytes
 
 
 def warm_instance():
@@ -393,7 +519,7 @@ def test_lambda_exact_infeasible_start_is_cold(hessians_formed, scale,
     cold_formed = hessians_formed[0]
     warm = warm_state(scale * cold.lam,
                       3.0 * cold.hessian if carry_hessian else None)
-    assert np.min(1.0 + g_matrix(ds, cfg, beta) @ warm.lam) <= 1.0 / ds.n
+    assert np.min(1.0 + dense_g(ds, cfg, beta) @ warm.lam) <= 1.0 / ds.n
     st = solve_lambda_exact(ds, cfg, beta, warm=warm)
     assert_same_state(st, cold, ds, cfg, beta)
     assert st.iterations == cold.iterations
@@ -406,7 +532,7 @@ def test_lambda_exact_failed_warm_start_retries_from_zero(monkeypatch):
     # warm attempt fails and the retry from zero gives the cold solution
     ds, cfg, beta, cold = warm_instance()
     warm = warm_state(-0.2 * cold.lam)
-    assert np.min(1.0 + g_matrix(ds, cfg, beta) @ warm.lam) > 1.0 / ds.n
+    assert np.min(1.0 + dense_g(ds, cfg, beta) @ warm.lam) > 1.0 / ds.n
     assert solve_lambda_exact(ds, cfg, beta, warm=warm).iterations \
         > cold.iterations
     monkeypatch.setattr(el, "_LAMBDA_MIN_ITER", 1)
@@ -428,7 +554,7 @@ def test_hull_violation_with_warm_start(lam0, hessian0):
     # a carried positive definite Hessian serves only the first step, so
     # the hull test still sees the multiplier run off
     ds = Dataset(np.ones((2, 1)), np.array([2.0, 4.0]), np.ones(2))
-    G = g_matrix(ds, CFG, np.zeros(1))
+    G = dense_g(ds, CFG, np.zeros(1))
     assert np.all(1.0 + G @ np.array([lam0]) > 0.5)
     with pytest.raises(HullViolationError):
         solve_lambda_exact(ds, CFG, np.zeros(1),
@@ -489,7 +615,7 @@ def one_row_ds():
     # x = 1, tau = 1/2: the one g equals 1 at beta = 0, and the floor 1/n is
     # 1, the factor the cold start begins at
     ds = Dataset(np.ones((1, 1)), np.array([2.0]), np.ones(1))
-    assert g_matrix(ds, CFG, np.zeros(1)).tolist() == [[1.0]]
+    assert dense_g(ds, CFG, np.zeros(1)).tolist() == [[1.0]]
     return ds
 
 

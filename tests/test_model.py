@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from oracles import (
+    dense_g,
     expectile_loss,
     g_raw,
     g_smooth,
@@ -187,9 +188,25 @@ def test_g_matrix_has_the_rows_of_the_complete_case_dataset():
     complete = Dataset(X[delta == 1], y[delta == 1], np.ones(ds.n_complete))
     cfg = ModelConfig(tau=0.3, h=0.4)
     beta = rng.normal(size=p)
-    G = g_matrix(ds, cfg, beta)
+    G = dense_g(ds, cfg, beta)
     assert G.shape == (ds.n_complete, p)
-    assert G.tobytes() == g_matrix(complete, cfg, beta).tobytes()
+    assert G.tobytes() == dense_g(complete, cfg, beta).tobytes()
+
+
+def test_g_matrix_returns_the_shared_factors():
+    # G = a[:, None] * Xo is never formed: g_matrix hands out the observed
+    # design and the evaluation's a themselves, read-only, with no copy
+    rng = np.random.default_rng(13)
+    n, p = 40, 3
+    X = rng.normal(size=(n, p))
+    delta = (rng.uniform(size=n) > 0.3).astype(np.uint8)
+    y = np.where(delta == 1, X.sum(axis=1) + rng.normal(size=n), np.nan)
+    ds = Dataset(X, y, delta)
+    cfg = ModelConfig(tau=0.3, h=0.4)
+    beta = rng.normal(size=p)
+    Xo, a = g_matrix(ds, cfg, beta)
+    assert Xo is ds.Xo and a is evaluate(ds, cfg, beta).a
+    assert not (Xo.flags.writeable or a.flags.writeable)
 
 
 def test_dataset_column_selection():

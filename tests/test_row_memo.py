@@ -7,7 +7,7 @@ start where the pilot started, add no row pass for their start."""
 import numpy as np
 import pytest
 
-from oracles import NoTermsMemo
+from oracles import NoTermsMemo, dense_g
 from seel import estimators, inference, model
 from seel.el import el_ratio_approx, lambda_approx
 from seel.estimators import expectile_fit, fit_a1, fit_a2, fit_l1, fit_l2
@@ -63,7 +63,8 @@ def test_moments_and_g_matrix_equal_those_without_a_memo(monkeypatch):
     beta = expectile_fit(ds, CFG.tau)
     for _ in range(2):  # the second round reads the memo
         _same(moments(ds, CFG, beta), moments(fresh, CFG, beta))
-        _same([g_matrix(ds, CFG, beta)], [g_matrix(fresh, CFG, beta)])
+        _same(g_matrix(ds, CFG, beta), g_matrix(fresh, CFG, beta))
+        _same([dense_g(ds, CFG, beta)], [dense_g(fresh, CFG, beta)])
     assert ds.terms.entries and fresh.terms.entries == ()
 
 
