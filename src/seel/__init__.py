@@ -18,6 +18,7 @@ from .errors import (
     InvalidProbabilityError,
     LogDomainError,
     NoConvergenceError,
+    NonFiniteError,
     OneSidedSampleError,
     RankDeficientError,
     SingularMatrixError,

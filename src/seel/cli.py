@@ -378,7 +378,7 @@ def cmd_sweep(args):
     # a valid eta, and any other a is rejected here, before the read
     for a in a_values:
         PenaltyConfig(eta=a, gamma=args.gamma)
-    ds, cfg, report, _ = _prepare(args)
+    ds, cfg, report, transform = _prepare(args)
     scale = {"n56": PenaltyConfig.default_eta(ds.n),
              "n67": float(ds.n) ** (-6.0 / 7.0)}[args.grid_form]
     grid = [a * scale for a in a_values]
@@ -404,6 +404,7 @@ def cmd_sweep(args):
         "records": records,
         "failed_cells": failed_cells,
         "best": None if best is None else _bic_dict(best),
+        "standardized": transform,
     })
     _emit(report, args.out, "sweep_report.json")
     if args.out:

@@ -23,7 +23,12 @@ forms the factors 1 + lambda'g_i at full length as one product over Xo; a
 trial that the 1/n floor halves reads G step off them,
 w + size (w_full - w), so halving costs no further product.  The solves
 along nearby betas (the cells of a BIC sweep) can each start from the
-ELState of the one before (see solve_lambda_exact).
+ELState of the one before, and from a multiplier predicted along the path
+of those solves: the start moves from the carried multiplier toward the
+prediction as a Newton step would, halved until every factor clears the
+floor, and the carried Hessian serves its first step (see
+solve_lambda_exact).  Any start ends at a root within the same gradient
+tolerance.
 """
 
 from dataclasses import dataclass
@@ -86,7 +91,7 @@ def el_ratio_approx(ds, cfg, beta):
     return max(val, 0.0)
 
 
-def solve_lambda_exact(ds, cfg, beta, warm=None):
+def solve_lambda_exact(ds, cfg, beta, warm=None, predicted=None):
     """Solve the multiplier equation mean(g_i / (1 + lambda'g_i)) = 0.
 
     Damped Newton steps on the dual, halved until every factor satisfies
@@ -98,10 +103,17 @@ def solve_lambda_exact(ds, cfg, beta, warm=None):
     warm is an optional ELState of a solve at a nearby beta.  Its
     multiplier is the start only when it is nonzero and every factor
     1 + warm.lam'g_i exceeds 1/n; otherwise the solve starts from zero.
-    From warm.lam, the first Newton step uses warm.hessian (a fresh Hessian
-    when that is None); every later step, and every step of a start from
-    zero, forms its own.  A cold solve is therefore the same computation
-    whatever warm holds.  Each attempt raises where it fails, and any
+    predicted, used only with such a warm start, is a multiplier predicted
+    for this beta (a sweep extrapolates it along its path, see
+    inference.bic_sweep).  The start then moves from warm.lam toward it by
+    the rule of a Newton step: the largest of size = 1, 1/2, ... (60
+    trials) that keeps every factor of warm.lam + size (predicted -
+    warm.lam) above 1/n, or warm.lam itself when none does, so an
+    infeasible prediction never forces a start from zero.  From the warm
+    start, the first Newton step uses warm.hessian (a fresh Hessian when
+    that is None); every later step, and every step of a start from zero,
+    forms its own.  A cold solve is therefore the same computation whatever
+    warm and predicted hold.  Each attempt raises where it fails, and any
     EstimationError of the warm attempt is retried once from zero, so a
     warm start raises only where a cold one does; `iterations` then counts
     both attempts.  Each attempt takes at most
@@ -139,18 +151,11 @@ def solve_lambda_exact(ds, cfg, beta, warm=None):
             if it or H is None:
                 H = _scaled_gram(Xo, s, block) / n
             step = solve_spd(H, grad)
-            w_full = 1.0 + a * (Xo @ (lam + step))
-            size = 1.0
-            for _ in range(60):
-                # a halved trial reads G step off the full step's factors
-                w_cand = w_full if size == 1.0 else w + size * (w_full - w)
-                if np.all(w_cand > floor):
-                    break
-                size *= 0.5
-            else:
+            trial = _feasible_step(Xo, a, lam, w, step, floor)
+            if trial is None:
                 raise HullViolationError(
                     "no multiplier step keeps all probabilities positive")
-            lam, w = lam + size * step, w_cand
+            lam, w = trial
             if not np.all(np.isfinite(lam)):
                 raise NoConvergenceError(
                     "multiplier iteration produced non-finite values")
@@ -166,13 +171,37 @@ def solve_lambda_exact(ds, cfg, beta, warm=None):
                        iterations=iterations, hessian=H)
 
     if warm is not None and np.any(warm.lam):
-        w0 = 1.0 + a * (Xo @ warm.lam)
-        if np.all(w0 > floor):
+        lam, w = warm.lam, 1.0 + a * (Xo @ warm.lam)
+        if np.all(w > floor):
+            if predicted is not None:
+                # a prediction that overflows the factors fails every trial
+                # (0 inside the hull leaves some factor at -inf or NaN)
+                with np.errstate(over="ignore", invalid="ignore"):
+                    trial = _feasible_step(Xo, a, lam, w, predicted - lam,
+                                           floor)
+                if trial is not None:
+                    lam, w = trial
             try:
-                return attempt(warm.lam, w0, warm.hessian)
+                return attempt(lam, w, warm.hessian)
             except EstimationError:
                 pass
     return attempt(np.zeros(p), np.ones(m), None)
+
+
+def _feasible_step(Xo, a, lam, w, step, floor):
+    """(lam + size step, its factors) for the largest size = 1, 1/2, ...
+    (60 trials) that keeps every factor 1 + (lam + size step)'g_i above
+    floor, or None when no trial does; w holds the factors of lam.  A
+    halved trial reads G step off the full step's factors,
+    w + size (w_full - w), so halving costs no further product."""
+    w_full = 1.0 + a * (Xo @ (lam + step))
+    size = 1.0
+    for _ in range(60):
+        w_cand = w_full if size == 1.0 else w + size * (w_full - w)
+        if np.all(w_cand > floor):
+            return lam + size * step, w_cand
+        size *= 0.5
+    return None
 
 
 def _scaled_gram(Xo, s, block):

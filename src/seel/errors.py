@@ -29,6 +29,11 @@ class InsufficientCompleteCasesError(EstimationError):
     """Fewer observed responses than parameters to estimate."""
 
 
+class NonFiniteError(EstimationError):
+    """A moment or multiplier overflowed: the data's scale leaves the float
+    range (for example responses above about 1e154, whose squares overflow)."""
+
+
 class DegenerateSampleError(EstimationError):
     """Sample statistic undefined (e.g. zero mean absolute deviation)."""
 

@@ -32,6 +32,7 @@ coordinate it asks only for the active block of M; until then, as in every
 unpenalized fit, for the whole matrix.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -195,7 +196,8 @@ def _fit_engine(ds, cfg, beta0, refresh_lambda, pen=None):
         active = np.isfinite(weights) & (beta != 0.0)
         beta[~active] = 0.0
 
-    guard = _DIVERGENCE_FACTOR * (1.0 + np.linalg.norm(beta))
+    # math.hypot scales as it sums, so no norm here overflows on the way
+    guard = _DIVERGENCE_FACTOR * (1.0 + math.hypot(*beta))
     Xo = ds.Xo
     trace = []
     while active.any():
@@ -236,7 +238,7 @@ def _fit_engine(ds, cfg, beta0, refresh_lambda, pen=None):
         step = np.linalg.norm(beta_new - beta)
         trace.append(step)
         beta = beta_new
-        if np.linalg.norm(beta) > guard or not np.all(np.isfinite(beta)):
+        if math.hypot(*beta) > guard or not np.all(np.isfinite(beta)):
             raise NoConvergenceError("iterates diverged")
         if step < cfg.nu and not collapsing:
             break

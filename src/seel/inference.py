@@ -20,6 +20,8 @@ from .estimators import adaptive_weights, expectile_fit, fit_l2, pilot_estimate
 from .model import PenaltyConfig
 from .numkit import chi2_quantile, chi2_sf
 
+_PATH_POINTS = 3  # exact cells through which bic_sweep predicts a multiplier
+
 
 @dataclass
 class TestReport:
@@ -92,7 +94,7 @@ def wilks_test(ds, cfg, beta_hypothesis, alpha=0.05, support=None):
                       pvalue=pvalue, reject=bool(stat > critical), alpha=alpha)
 
 
-def penalized_ratio(ds, cfg, pen, beta, warm=None):
+def penalized_ratio(ds, cfg, pen, beta, warm=None, predicted=None):
     """Ratio plus the adaptive-LASSO penalty n eta sum(w_j |beta_j|).
 
     The ratio part prefers the exact multiplier; when the multiplier
@@ -102,13 +104,16 @@ def penalized_ratio(ds, cfg, pen, beta, warm=None):
     zero coefficient) are well defined.
 
     warm is an optional ELState of an exact solve at a nearby beta, the
-    start of this one (see solve_lambda_exact).  Returns (value, method,
-    state): method is "exact", "closed_form" or "quadratic", and state is
-    the ELState of the exact solve, None after a fallback.
+    start of this one, and predicted an optional multiplier predicted for
+    beta, which the start moves toward (see solve_lambda_exact).  Returns
+    (value, method, state): method is "exact", "closed_form" or
+    "quadratic", and state is the ELState of the exact solve, None after a
+    fallback.
     """
     beta = np.asarray(beta, dtype=float)
     try:
-        state = solve_lambda_exact(ds, cfg, beta, warm=warm)
+        state = solve_lambda_exact(ds, cfg, beta, warm=warm,
+                                   predicted=predicted)
     except (HullViolationError, NoConvergenceError, SingularMatrixError):
         state = None
         ratio, method = el_ratio(ds, cfg, beta)
@@ -131,8 +136,14 @@ def bic_sweep(ds, cfg, gamma, eta_grid, pilot_mode="same", failures=None):
     its penalized ratio plus log(n) times the size of its active set.
     Neighbouring cells have nearly the same fit, so the exact multiplier
     solve of each cell's ratio is warm-started from the ELState of the last
-    exact solve along the grid (the first cell starts from zero); the start
-    changes the multiplier only within the solver's tolerance.  Ties in the
+    exact solve along the grid (the first cell starts from zero), and from
+    a predicted multiplier: the Lagrange polynomial in eta through the
+    multipliers of the last (up to) three exact cells of distinct eta,
+    evaluated at the cell's eta (a cell whose eta repeats an earlier one
+    takes that cell's multiplier; with one exact cell before it there is no
+    prediction).  Cells that fall back or fail add nothing to that path.
+    The start changes the multiplier only within the solver's tolerance.
+    Ties in the
     criterion break toward the larger eta (the sparser model), and ties in
     both toward the first record.  Grid cells whose fit raises an
     EstimationError are reported through a warning, appended as (eta,
@@ -152,20 +163,24 @@ def bic_sweep(ds, cfg, gamma, eta_grid, pilot_mode="same", failures=None):
         PenaltyConfig(eta=float(eta), gamma=gamma)
     start = expectile_fit(ds, cfg.tau)
     pilot = pilot_estimate(ds, cfg, mode=pilot_mode, beta0=start)
-    warm = None
+    warm, path = None, []  # path: (eta, lam) of the last exact cells
     records = []
     failed = [] if failures is None else failures
     for eta in etas:
         pen = PenaltyConfig(eta=float(eta), gamma=gamma, pilot=pilot)
         try:
             fit = fit_l2(ds, cfg, pen, start)
-            value, method, state = penalized_ratio(ds, cfg, pen, fit.beta,
-                                                   warm=warm)
+            value, method, state = penalized_ratio(
+                ds, cfg, pen, fit.beta, warm=warm,
+                predicted=_extrapolate(path, pen.eta))
         except EstimationError as exc:
             failed.append((eta, exc))
             warnings.warn(f"BIC sweep cell eta={eta:g} failed: {exc}")
             continue
-        warm = warm if state is None else state
+        if state is not None:
+            warm = state
+            path = [pt for pt in path if pt[0] != pen.eta][1 - _PATH_POINTS:]
+            path.append((pen.eta, state.lam))
         records.append(BicRecord(
             eta=pen.eta, bic=float(value + np.log(ds.n) * len(fit.active_set)),
             active_set=np.asarray(fit.active_set, dtype=int),
@@ -174,6 +189,25 @@ def bic_sweep(ds, cfg, gamma, eta_grid, pilot_mode="same", failures=None):
     if not records:
         raise failed[-1][1]
     return min(records, key=lambda r: (r.bic, -r.eta)), records
+
+
+def _extrapolate(path, eta):
+    """The Lagrange polynomial through the (eta_k, lam_k) of path, whose
+    eta_k are distinct, evaluated at eta; None for fewer than two points.
+    At eta = eta_k the weights are exactly 1 and 0, so it returns lam_k."""
+    if len(path) < 2:
+        return None
+    lam = 0.0
+    # a weight that overflows gives a non-finite prediction, which the
+    # solver drops
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, (eta_k, lam_k) in enumerate(path):
+            weight = 1.0
+            for j, (eta_j, _) in enumerate(path):
+                if j != k:
+                    weight *= (eta - eta_j) / (eta_k - eta_j)
+            lam = lam + weight * lam_k
+    return lam
 
 
 def empirical_tau(y):

@@ -20,6 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .errors import NonFiniteError
 from .kernels import Kernel
 from .numkit import solve_spd
 
@@ -275,7 +276,9 @@ class Evaluation:
     g_i = a_i x_i and d g_i / d beta = c_i x_i x_i'.  gbar (the mean of
     g_i), S (the mean of g_i g_i') and the closed-form multiplier
     lam = S^{-1} gbar are formed on first use and kept; each mean divides
-    by the full sample size n.  Every array is read-only.  It holds Xo and
+    by the full sample size n, and each raises NonFiniteError when it is
+    not finite, as when a response near the float maximum overflows S.
+    Every array is read-only.  It holds Xo and
     n, not the dataset, so a dataset and the evaluations in its memo form no
     reference cycle.
     """
@@ -284,22 +287,26 @@ class Evaluation:
         self.Xo, self.n, self.a, self.c = Xo, n, a, c
         a.flags.writeable = c.flags.writeable = False
 
+    # a read that raises keeps nothing, so the next read raises again
     @cached_property
     def gbar(self):
-        return _read_only(self.Xo.T @ self.a / self.n)
+        return _finite(self.Xo.T @ self.a / self.n, "gbar")
 
     @cached_property
     def S(self):
-        return _read_only(self.Xo.T @ (self.Xo * (self.a * self.a)[:, None])
-                          / self.n)
+        return _finite(self.Xo.T @ (self.Xo * (self.a * self.a)[:, None])
+                       / self.n, "S")
 
     @cached_property
     def lam(self):
-        # a solve that raises keeps nothing, so the next read raises again
-        return _read_only(solve_spd(self.S, self.gbar))
+        return _finite(solve_spd(self.S, self.gbar), "the multiplier")
 
 
-def _read_only(x):
+def _finite(x, name):
+    """x, read-only, or NonFiniteError when an entry is not finite."""
+    if not np.isfinite(x).all():
+        raise NonFiniteError(f"{name} is not finite: the data overflow the "
+                             f"float range")
     x.flags.writeable = False
     return x
 

@@ -35,7 +35,7 @@ _TAU_STREAM = 2 ** 48 + 7  # reserved stream id for the tau calibration draw
 _MAX_FAILURE_SHARE = 0.10
 _DRAW_BATCH = 2 ** 16  # design draws per batch, see gen_design
 
-SCHEMA_VERSION = 4  # of every JSON report the package writes
+SCHEMA_VERSION = 5  # of every JSON report the package writes
 
 
 @dataclass

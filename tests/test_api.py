@@ -26,7 +26,8 @@ PUBLIC = {
     "CsvSchemaError", "DegenerateSampleError", "EstimationError",
     "HullViolationError", "InsufficientCompleteCasesError",
     "InvalidProbabilityError", "LogDomainError", "NoConvergenceError",
-    "OneSidedSampleError", "RankDeficientError", "SingularMatrixError",
+    "NonFiniteError", "OneSidedSampleError", "RankDeficientError",
+    "SingularMatrixError",
     # functions
     "adaptive_weights", "bic_sweep", "chi2_quantile", "chi2_sf",
     "el_ratio", "el_ratio_approx", "el_ratio_exact", "empirical_tau",

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -404,6 +405,44 @@ def test_fit_standardize_records_transform(sparse_csv, capsys):
     assert len(rep["standardized"]["center"]) == 3
 
 
+def huge_response_csv(tmp_path):
+    # every response 1e200: a * a overflows S, though each value is finite
+    path = tmp_path / "huge.csv"
+    path.write_text("y,delta,x1\n" + "".join(
+        f"1e200,1,{x}\n" for x in ("1", "2", "-1", "0.5", "3")))
+    return path
+
+
+@pytest.mark.parametrize("argv", [["fit"], ["fit", "--algorithm", "a1"],
+                                  ["select"]])
+def test_overflowing_moments_are_a_numerical_failure(tmp_path, capsys, argv):
+    # an infinite S once gave exit 0 with "lambda": [0.0] and a zero ratio
+    path = huge_response_csv(tmp_path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        code = main([argv[0], str(path), *argv[1:]])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err == ("numerical failure: S is not finite: the data "
+                            "overflow the float range\n")
+
+
+def test_overflowing_moments_stop_at_the_overflow(tmp_path, capsys):
+    # with overflow warnings as errors the run ends where S overflows, not
+    # in the norms of the fit's divergence guard
+    path = huge_response_csv(tmp_path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(RuntimeWarning, match="overflow") as info:
+            main(["fit", str(path), "--algorithm", "a1"])
+    assert info.traceback[-1].name == "S"
+    ds = read_dataset(path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        fit = fit_a2(ds, ModelConfig())
+    assert np.all(np.isfinite(fit.beta)) and abs(fit.beta[0]) > 1e199
+
+
 # ---------------------------------------------------------------------------
 # select
 
@@ -439,6 +478,20 @@ def test_sweep_single_point(sparse_csv, capsys):
     assert len(rep["records"]) == 1
     assert rep["best"]["eta"] == rep["records"][0]["eta"]
     assert rep["failed_cells"] == []
+
+
+def test_sweep_standardize_records_transform(sparse_csv, capsys):
+    # as fit and select do, since schema version 5
+    path, _ = sparse_csv
+    code, plain = run_cli(capsys, "sweep", str(path), "--a-values", "1")
+    assert code == 0 and plain["standardized"] is None
+    code, rep = run_cli(capsys, "sweep", str(path), "--a-values", "1",
+                        "--standardize")
+    assert code == 0
+    assert rep["schema_version"] == SCHEMA_VERSION == 5
+    X = read_dataset(path).X
+    assert rep["standardized"] == {"center": X.mean(axis=0).tolist(),
+                                   "scale": X.std(axis=0).tolist()}
 
 
 def test_sweep_csv_row_count(sparse_csv, tmp_path, capsys):

@@ -587,6 +587,108 @@ def test_sweep_carried_hessian_saves_one_per_cell(hessians_formed):
     assert sum(r.multiplier_iterations for r in records) <= iterations
 
 
+def test_sweep_predicted_start_forms_fewer_hessians(hessians_formed):
+    # the sweep above: starting each warm cell from the multiplier predicted
+    # along the eta path forms fewer Hessians than starting it from the
+    # last exact state alone (14 against 18 here: the cold first cell forms
+    # 7, and every predicted warm cell one)
+    beta0 = np.zeros(10)
+    beta0[[2, 4, 6]] = [1.0, 2.0, -1.0]
+    ds = missing_d2_ds(5, 2000, 10, beta0)
+    cfg = ModelConfig(tau=0.25)
+    grid = [a * ds.n ** (-5.0 / 6.0) for a in range(1, 9)]
+    _, records = bic_sweep(ds, cfg, 2.5, grid)
+    predicted = hessians_formed[0]
+    assert all(r.ratio_method == "exact" for r in records)
+    hessians_formed[0] = 0
+    warm, iterations = None, []
+    for rec in records:
+        warm = solve_lambda_exact(ds, cfg, rec.beta, warm=warm)
+        iterations.append(warm.iterations)
+    carried = hessians_formed[0]
+    assert predicted < carried
+    assert (predicted, carried) == (14, 18)
+    assert sum(r.multiplier_iterations for r in records) < sum(iterations)
+
+
+def predicted_instance():
+    # a solve at beta warm-started from the state at a nearby beta, with
+    # the Newton systems it solves recorded
+    ds, cfg, beta, cold = warm_instance()
+    near = solve_lambda_exact(ds, cfg, beta + 0.01)
+    return ds, cfg, beta, cold, near
+
+
+def recorded_solve(ds, cfg, beta, **kwargs):
+    systems = []
+
+    def recording(H, grad):
+        systems.append((np.array(H), np.array(grad)))
+        return solve_spd(H, grad)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(el, "solve_spd", recording)
+        return solve_lambda_exact(ds, cfg, beta, **kwargs), systems
+
+
+def test_lambda_exact_infeasible_prediction_halves_toward_the_carried_one(
+        hessians_formed):
+    # a prediction that takes a factor below 1/n is halved back toward the
+    # carried multiplier, as a Newton step is; the first step starts there
+    # with the carried Hessian, and no cold solve follows
+    ds, cfg, beta, cold, near = predicted_instance()
+    G = dense_g(ds, cfg, beta)
+    direction = -40.0 * cold.lam
+    assert np.min(1.0 + G @ (near.lam + direction)) <= 1.0 / ds.n
+    size = 1.0
+    while not np.all(1.0 + G @ (near.lam + size * direction) > 1.0 / ds.n):
+        size *= 0.5
+    assert size < 0.5
+    start = near.lam + size * direction
+    hessians_formed[0] = 0
+    st, systems = recorded_solve(ds, cfg, beta, warm=near,
+                                 predicted=near.lam + direction)
+    H, grad = systems[0]
+    np.testing.assert_array_equal(H, near.hessian)
+    np.testing.assert_allclose(
+        grad, (G / (1.0 + G @ start)[:, None]).sum(axis=0) / ds.n,
+        rtol=1e-10, atol=1e-14)
+    assert st.iterations >= 2
+    # one attempt: each step but the first forms its Hessian
+    assert hessians_formed[0] == st.iterations - 2 == len(systems) - 1
+    np.testing.assert_allclose(st.lam, cold.lam, rtol=0, atol=1e-9)
+    assert st.ratio == pytest.approx(cold.ratio, rel=1e-12)
+
+
+@pytest.mark.parametrize("prediction", [
+    pytest.param(lambda lam: np.full_like(lam, np.inf), id="inf"),
+    pytest.param(lambda lam: np.full_like(lam, np.nan), id="nan"),
+    pytest.param(lambda lam: np.full_like(lam, 1e300), id="overflow"),
+    pytest.param(lambda lam: lam - 1e25 * np.abs(lam).max(), id="far"),
+])
+def test_lambda_exact_unusable_prediction_keeps_the_carried_start(prediction):
+    # a prediction whose factors are not finite, or that no halving brings
+    # above 1/n, leaves the start at the carried multiplier, silently
+    ds, cfg, beta, _, near = predicted_instance()
+    carried, carried_systems = recorded_solve(ds, cfg, beta, warm=near)
+    st, systems = recorded_solve(ds, cfg, beta, warm=near,
+                                 predicted=prediction(near.lam))
+    assert_same_state(st, carried, ds, cfg, beta)
+    assert st.iterations == carried.iterations
+    for (H, grad), (H0, grad0) in zip(systems, carried_systems, strict=True):
+        np.testing.assert_array_equal(H, H0)
+        np.testing.assert_array_equal(grad, grad0)
+
+
+def test_lambda_exact_prediction_needs_a_warm_start():
+    # a cold solve ignores the prediction
+    ds, cfg, beta, cold, near = predicted_instance()
+    for warm in (None, warm_state(np.zeros(4), near.hessian)):
+        st = solve_lambda_exact(ds, cfg, beta, warm=warm, predicted=near.lam)
+        assert_same_state(st, cold, ds, cfg, beta)
+        assert st.iterations == cold.iterations
+
+
 @pytest.mark.parametrize("failing_call", [1, 2])
 def test_lambda_exact_singular_warm_step_retries_from_zero(monkeypatch,
                                                            failing_call):

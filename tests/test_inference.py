@@ -367,11 +367,11 @@ def test_bic_sweep_fallback_cell_keeps_the_last_exact_state(monkeypatch):
     warms, states = [], []
     real = inference.solve_lambda_exact
 
-    def solve(ds, cfg, beta, warm=None):
+    def solve(ds, cfg, beta, warm=None, predicted=None):
         warms.append(warm)
         if len(warms) == 2:
             raise HullViolationError("forced")
-        states.append(real(ds, cfg, beta, warm=warm))
+        states.append(real(ds, cfg, beta, warm=warm, predicted=predicted))
         return states[-1]
 
     monkeypatch.setattr(inference, "solve_lambda_exact", solve)
@@ -385,6 +385,110 @@ def test_bic_sweep_fallback_cell_keeps_the_last_exact_state(monkeypatch):
     assert warms[3] is states[1]
     assert [r.multiplier_iterations for r in records] == \
         [states[0].iterations, 0, states[1].iterations, states[2].iterations]
+
+
+_PATH_CASE = {}
+
+
+def path_case():
+    # d2 design, about 20% of responses missing, tau = 0.3, with the shared
+    # start and pilot of a sweep and a cache of cold cells by (eta, fallback)
+    if not _PATH_CASE:
+        rng = RngStream(11, 0)
+        n, p = 400, 4
+        X = gen_design("d2", n, p, rng)
+        eps = gen_errors("shifted_exp", n, rng)
+        delta = gen_missing("constant", X, rng, 0.8)
+        y = np.where(delta == 1, X @ np.array([1.5, 0.0, -1.0, 0.0]) + eps,
+                     np.nan)
+        ds = Dataset(X, y, delta)
+        cfg = ModelConfig(tau=0.3)
+        start = expectile_fit(ds, cfg.tau)
+        _PATH_CASE.update(ds=ds, cfg=cfg, start=start, cold={},
+                          pilot=pilot_estimate(ds, cfg, "same", beta0=start))
+    return _PATH_CASE
+
+
+def cold_cell(eta, fallback):
+    # the record of one cell fitted and solved on its own, its multiplier
+    # from zero, or from the closed form when fallback forces the chain
+    case = path_case()
+    key = (eta, fallback)
+    if key not in case["cold"]:
+        ds, cfg = case["ds"], case["cfg"]
+        pen = PenaltyConfig(eta=eta, gamma=2.5, pilot=case["pilot"])
+        fit = fit_l2(ds, cfg, pen, case["start"])
+        with pytest.MonkeyPatch.context() as m:
+            if fallback:
+                m.setattr(inference, "solve_lambda_exact", hull_violation)
+            value, method, _ = penalized_ratio(ds, cfg, pen, fit.beta)
+        case["cold"][key] = (value + np.log(ds.n) * len(fit.active_set),
+                             fit.beta, fit.active_set, method)
+    return case["cold"][key]
+
+
+def hull_violation(*args, **kwargs):
+    raise HullViolationError("forced")
+
+
+@settings(max_examples=30, deadline=None)
+@given(a_values=st.lists(st.sampled_from([1.0, 2.0, 3.0, 5.0, 8.0]),
+                         min_size=2, max_size=7),
+       data=st.data())
+@example(a_values=[4.0, 1.0, 2.0, 2.0, 8.0], data=None)
+@example(a_values=[1.0, 2.0, 3.0, 4.0, 5.0], data=None)
+def test_bic_sweep_predicted_start_matches_cold_cells(a_values, data):
+    # grids in any order, with repeated etas, and with the exact solve of
+    # one middle cell forced to fail: every record equals its cell fitted
+    # and solved on its own, whatever multiplier the path predicted for it
+    case = path_case()
+    ds, cfg = case["ds"], case["cfg"]
+    grid = [a * ds.n ** (-5.0 / 6.0) for a in a_values]
+    fallback = None
+    if len(grid) > 2:
+        fallback = (len(grid) // 2 if data is None
+                    else data.draw(st.none() | st.integers(1, len(grid) - 2)))
+    calls, states = [], []
+    real = inference.solve_lambda_exact
+
+    def solve(*args, **kwargs):
+        calls.append(kwargs["predicted"])
+        if len(calls) - 1 == fallback:
+            hull_violation()
+        states.append(real(*args, **kwargs))
+        return states[-1]
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(inference, "solve_lambda_exact", solve)
+        _, records = bic_sweep(ds, cfg, 2.5, grid)
+    assert [r.eta for r in records] == grid
+    # each cell's prediction is the polynomial in eta through the last three
+    # exact cells of distinct eta (none before two), a repeated eta's
+    # multiplier exactly; a cell that fell back adds nothing
+    path = {}
+    exact = iter(states)
+    for i, (eta, predicted) in enumerate(zip(grid, calls, strict=True)):
+        etas = list(path)[-3:]
+        if len(etas) < 2:
+            assert predicted is None
+        elif eta in etas:
+            np.testing.assert_array_equal(predicted, path[eta])
+        else:
+            V = np.vander(etas)
+            coef = np.linalg.solve(V, np.array([path[e] for e in etas]))
+            np.testing.assert_allclose(
+                predicted, np.vander([eta], len(etas))[0] @ coef,
+                rtol=1e-9, atol=1e-12)
+        if i != fallback:
+            path.pop(eta, None)
+            path[eta] = next(exact).lam
+    for i, rec in enumerate(records):
+        bic, beta, active, method = cold_cell(rec.eta, i == fallback)
+        assert rec.bic == pytest.approx(bic, rel=1e-12)
+        assert np.array_equal(rec.beta, beta)
+        assert np.array_equal(rec.active_set, active)
+        assert rec.ratio_method == method
+        assert (method == "exact") == (i != fallback)
 
 
 @pytest.mark.parametrize("gamma, grid", [
