@@ -139,13 +139,12 @@ def bic_sweep(ds, cfg, gamma, eta_grid, pilot_mode="same", failures=None):
     exact solve along the grid (the first cell starts from zero), and from
     a predicted multiplier: the Lagrange polynomial in eta through the
     multipliers of the last (up to) three exact cells of distinct eta,
-    evaluated at the cell's eta (a cell whose eta repeats an earlier one
-    takes that cell's multiplier; with one exact cell before it there is no
+    evaluated at the cell's eta (at an eta already on that path, the
+    multiplier of its cell; with one exact cell before it there is no
     prediction).  Cells that fall back or fail add nothing to that path.
     The start changes the multiplier only within the solver's tolerance.
-    Ties in the
-    criterion break toward the larger eta (the sparser model), and ties in
-    both toward the first record.  Grid cells whose fit raises an
+    Ties in the criterion break toward the larger eta (the sparser model),
+    and ties in both toward the first record.  Grid cells whose fit raises an
     EstimationError are reported through a warning, appended as (eta,
     exception) to the `failures` list when one is given, and excluded; any
     other exception propagates.  A grid or gamma that PenaltyConfig rejects

@@ -491,6 +491,31 @@ def test_bic_sweep_predicted_start_matches_cold_cells(a_values, data):
         assert (method == "exact") == (i != fallback)
 
 
+def test_bic_sweep_drops_a_prediction_that_overflows(monkeypatch):
+    # etas a subnormal apart give Lagrange weights that overflow to +-inf:
+    # the prediction is NaN, no warning escapes, and the cell starts from
+    # the last exact multiplier
+    case = path_case()
+    ds, cfg = case["ds"], case["cfg"]
+    scale = ds.n ** (-5.0 / 6.0)
+    grid = [0.0, 1e-310 * scale, scale]
+    calls = []
+    real = inference.solve_lambda_exact
+
+    def solve(*args, **kwargs):
+        calls.append(kwargs["predicted"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(inference, "solve_lambda_exact", solve)
+    _, records = bic_sweep(ds, cfg, 2.5, grid)
+    assert np.isnan(calls[2]).all()
+    for rec in records:
+        bic, beta, _, method = cold_cell(rec.eta, False)
+        assert rec.bic == pytest.approx(bic, rel=1e-12)
+        assert np.array_equal(rec.beta, beta)
+        assert rec.ratio_method == method == "exact"
+
+
 @pytest.mark.parametrize("gamma, grid", [
     (2.5, [0.01, float("nan")]), (2.5, [0.01, float("inf")]),
     (2.5, [0.01, -0.1]), (float("nan"), [0.01]), (0.0, [0.01]),
