@@ -8,13 +8,18 @@ reports are JSON on stdout; --out additionally writes files.  Exit codes:
 Dataset CSV schema: header row "y,delta,x1,...,xp"; a missing response is an
 empty y cell with delta = 0; UTF-8, '.' decimal, comma separator.  Blank
 lines are skipped, cells may be padded or double-quoted, and covariates are
-parsed by numpy, which takes no digit underscores.
+parsed by numpy, which takes no digit underscores.  A file in the writer's
+form is parsed in one pass over the open file; other accepted forms, and a
+file that breaks a rule, take a line-by-line path that names the first bad
+line.
 """
 
 import argparse
 import csv
 import json
+import math
 import sys
+import warnings
 from dataclasses import asdict, fields, replace
 from pathlib import Path
 
@@ -45,11 +50,63 @@ MAX_GRID_CELLS = 1000
 def read_dataset(path):
     """Parse a dataset CSV; raises CsvSchemaError on any schema violation.
 
+    A file in the writer's form is parsed in one pass (_read_bulk).  Any
+    other file takes the line path (_read_lines), which also accepts quoted
+    cells and whitespace-only lines and names the first bad line of a bad
+    file.  Both give the same arrays, bit for bit, where both accept.
+    """
+    ds = _read_bulk(path)
+    return _read_lines(path) if ds is None else ds
+
+
+def _read_bulk(path):
+    """The dataset of a CSV in the writer's form, or None for any other file.
+
+    One np.loadtxt call reads the body from the open file, so no copy of the
+    text is made.  A covariate goes through numpy's float parser, delta
+    through int and y through float, as on the line path.  Anything this
+    pass does not take (quotes, whitespace-only lines, a broken rule, a
+    file that cannot be read) is left to the line path to read or reject.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            p = _header_p(fh.readline().rstrip("\n"))
+            with warnings.catch_warnings():
+                # a body without rows is for the line path to name
+                warnings.filterwarnings("ignore", "loadtxt: input contained "
+                                        "no data", UserWarning)
+                numbers = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2,
+                                     converters={0: _y_cell, 1: int})
+    except (OSError, ValueError):
+        return None
+    if numbers.shape[1] != p + 2 or not len(numbers):
+        return None
+    y, delta, X = numbers[:, 0], numbers[:, 1], numbers[:, 2:]
+    if (((delta != 0) & (delta != 1)).any()
+            or not np.isfinite(X).all()
+            or (np.isnan(y) != (delta == 0)).any()):
+        return None
+    return Dataset(X, y, delta)
+
+
+def _y_cell(cell):
+    # NaN marks an empty cell, so an observed y must be finite
+    if not cell:
+        return np.nan
+    y = float(cell)
+    if not math.isfinite(y):
+        raise ValueError("y must be finite")
+    return y
+
+
+def _read_lines(path):
+    """Parse a dataset CSV line by line; raises CsvSchemaError naming the
+    first line in the file that breaks any rule.
+
     The header is checked with csv.  Blank and whitespace-only lines are
     skipped.  delta and x1..xp of every other line are parsed in one
     np.loadtxt call; the y cells stay text, so an empty cell and a literal
-    "nan" differ, and only those with delta = 1 are converted.  An error
-    about a row names the first line in the file that breaks any rule.
+    "nan" differ, and only those with delta = 1 are converted.
     """
     lines = _read(path).split("\n")
     p = _header_p(lines[0])

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -138,6 +139,8 @@ READER_CORPUS = {
     "nan_y": "y,delta,x1,x2\n1,1,2,3\nnan,1,2.0,3.0\n",
     "inf_y": "y,delta,x1,x2\n-inf,1,2.0,3.0\n",
     "nan_y_missing": "y,delta,x1,x2\n1,1,2,3\nnan,0,2.0,3.0\n",
+    "y_on_missing": "y,delta,x1,x2\n1,1,2,3\n1.5,0,2.0,3.0\n",
+    "no_y_observed": "y,delta,x1,x2\n1,1,2,3\n,1,2.0,3.0\n",
     "nan_x": "y,delta,x1,x2\n1.5,1,nan,3.0\n",
     "inf_x": "y,delta,x1,x2\n1.5,1,2.0,inf\n",
     "malformed_x": "y,delta,x1,x2\n1,1,2,3\n1,1,2,3\n1.5,1,2.0,abc\n",
@@ -147,6 +150,15 @@ READER_CORPUS = {
     "short_row": "y,delta,x1,x2\n1,1,2,3\n1.5,1,2.0\n",
     "long_row": "y,delta,x1,x2\n1.5,1,2.0,3.0,4.0\n",
     "blank_then_bad": "y,delta,x1,x2\n1,1,2,3\n\n  \n1,1,2,oops\n",
+    "bad_last_line": "y,delta,x1,x2\n1,1,2,3\n,0,1,2\n1,1,2,3,4",
+    "form_feed_line": "y,delta,x1,x2\n1,1,2,3\n\f\n,0,1,2\n",
+    "cr_whitespace_line": "y,delta,x1,x2\r1,1,2,3\r \r,0,1,2",
+    "writer_edge_values": ("y,delta,x1,x2\r\n5e-324,1,-0.0,1e+308\r\n"
+                           ",0,5e-324,-1e+308\r\n-0.0,1,1e+308,-5e-324\r\n"),
+    # y goes through Python's float, which takes both
+    "y_underscores": "y,delta,x1,x2\n1_0,1,2,3\n",
+    "y_non_ascii_digit": "y,delta,x1,x2\n\uff11,1,2,3\n",
+    "inf_x_missing_y": "y,delta,x1,x2\n1,1,2,3\n,0,2,-inf\n",
     # a malformed y on line 4 comes before a malformed covariate on line 8,
     # and a bad delta on line 3 before a short row on line 4
     "bad_y_then_bad_x": ("y,delta,x1,x2\n1,1,2,3\n1,1,2,3\n1e,1,2,3\n1,1,2,3\n"
@@ -160,15 +172,17 @@ READER_CORPUS = {
 }
 
 
+def _outcome(reader, path):
+    """reader's Dataset of the file at path, or its error message."""
+    try:
+        return reader(path)
+    except CsvSchemaError as exc:
+        return str(exc)
+
+
 def _read_both(path):
     """Each reader's Dataset, or its error message."""
-    out = []
-    for reader in (read_dataset, read_dataset_rows):
-        try:
-            out.append(reader(path))
-        except CsvSchemaError as exc:
-            out.append(str(exc))
-    return out
+    return [_outcome(reader, path) for reader in (read_dataset, read_dataset_rows)]
 
 
 def _assert_same_dataset(new, ref):
@@ -214,11 +228,13 @@ def test_bulk_reader_declared_differences(tmp_path, name):
         read_dataset(path)
 
 
-@pytest.mark.parametrize("name", sorted({**READER_CORPUS, **DECLARED_DIFFERENCES}))
+ALL_TEXTS = {**READER_CORPUS, **DECLARED_DIFFERENCES}
+
+
+@pytest.mark.parametrize("name", sorted(ALL_TEXTS))
 def test_bisection_names_the_line_a_line_by_line_scan_names(tmp_path, name):
     path = tmp_path / "data.csv"
-    path.write_bytes({**READER_CORPUS, **DECLARED_DIFFERENCES}[name]
-                     .encode("utf-8"))
+    path.write_bytes(ALL_TEXTS[name].encode("utf-8"))
     try:
         read_dataset(path)
     except CsvSchemaError as exc:
@@ -226,6 +242,70 @@ def test_bisection_names_the_line_a_line_by_line_scan_names(tmp_path, name):
             assert str(exc) == first_row_error(path, cli._parse_rows)
     else:
         assert first_row_error(path, cli._parse_rows) is None
+
+
+def _assert_bulk_matches_line_path(path):
+    # read_dataset, which tries the one-pass read first, against the line
+    # path called on its own: the same bits or the same message
+    new, ref = _outcome(read_dataset, path), _outcome(cli._read_lines, path)
+    if isinstance(ref, str):
+        assert new == ref
+    else:
+        assert not isinstance(new, str), new
+        _assert_same_dataset(new, ref)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name", sorted(ALL_TEXTS))
+def test_one_pass_read_matches_the_line_path(tmp_path, name):
+    path = tmp_path / "data.csv"
+    path.write_bytes(ALL_TEXTS[name].encode("utf-8"))
+    _assert_bulk_matches_line_path(path)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("text", ["y,delta,x1\n", "y,delta,x1",
+                                  "y,delta,x1\r\n\r\n\n\r",
+                                  "y,delta,x1\n \n\t\n"])
+def test_no_data_rows_raises_without_a_warning(tmp_path, text):
+    # numpy warns on a body without rows; that warning must not escape
+    path = tmp_path / "data.csv"
+    path.write_bytes(text.encode("utf-8"))
+    with pytest.raises(CsvSchemaError, match="^no data rows$"):
+        read_dataset(path)
+
+
+def test_written_files_take_the_one_pass_read(tmp_path, monkeypatch):
+    # a reader that always fell back to the line path would give the same
+    # datasets; here the line path is not there to fall back to
+    ds = _generate_dataset(preset_config("fig-coverage", n=200,
+                                         replications=1), 0)
+    edges = Dataset(np.array([[-0.0, 5e-324], [1e308, -1e308], [0.1, 2.0]]),
+                    np.array([5e-324, np.nan, -0.0]), np.array([1, 0, 1]))
+    monkeypatch.setattr(cli, "_read_lines", None)
+    for k, written in enumerate((ds, edges)):
+        path = tmp_path / f"data{k}.csv"
+        write_dataset(path, written)
+        _assert_same_dataset(read_dataset(path), written)
+
+
+def test_one_pass_read_peak_memory(tmp_path):
+    # a reader that holds the text and a line list peaks at about 7x the
+    # dataset's bytes at this size
+    rng = RngStream(5, 0)
+    n, p = 5000, 20
+    X = rng.normals(n * p).reshape(n, p)
+    delta = (rng.uniforms(n) > 0.2).astype(np.uint8)
+    y = np.where(delta == 1, rng.normals(n), np.nan)
+    path = tmp_path / "data.csv"
+    write_dataset(path, Dataset(X, y, delta))
+    tracemalloc.start()
+    try:
+        read_dataset(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * (X.nbytes + y.nbytes + delta.nbytes)
 
 
 @pytest.mark.parametrize("bad", [(0,), (2500,), (4999,), (1234, 4000)])
@@ -309,6 +389,77 @@ def test_writer_edge_values_and_shapes(tmp_path, n, p):
         text = (tmp_path / "new.csv").read_bytes()
         assert text == (tmp_path / "ref.csv").read_bytes()
         assert text.endswith(b"\r\n") and text.count(b"\r\n") == n + 1
+
+
+# what each rule breaks a cell with; the field count goes last, after every
+# cell has been placed
+_FAULTS = {
+    "number": st.sampled_from(["x", "1e", "", "1_0", "\uff11", "--1"]),
+    "delta": st.sampled_from(["2", "-1", "1.0", "", "0x1"]),
+    "finite_x": st.sampled_from(["inf", "-inf", "nan"]),
+    "needs_y": st.sampled_from(["", " "]),
+    "empty_y": st.sampled_from(["1.5", "nan", "0"]),
+    "malformed_y": st.sampled_from(["1e", "y", "1..0"]),
+    "finite_y": st.sampled_from(["inf", "nan", "-inf"]),
+    "fields": st.sampled_from(["drop", "extra"]),
+}
+# accepted forms: blank lines and padded cells stay on the one-pass read,
+# whitespace-only lines and quoted cells send a file to the line path
+_FORMS = ("blank", "whitespace", "padded", "quoted")
+
+
+@st.composite
+def _dataset_texts(draw):
+    """The text of a dataset CSV; half the files mix in accepted forms other
+    than the writer's, and half break one or two rules, each at a line of
+    its own."""
+    p, n = draw(st.integers(1, 3)), draw(st.integers(1, 8))
+    values = st.one_of(_edge_floats, _finite).map(repr)
+    rows = []
+    for _ in range(n):
+        observed = draw(st.booleans())
+        rows.append([draw(values) if observed else "", "01"[observed]]
+                    + [draw(values) for _ in range(p)])
+    faults = (draw(st.sets(st.sampled_from(list(_FAULTS)), min_size=1,
+                           max_size=2)) if draw(st.booleans()) else ())
+    for rule in (r for r in _FAULTS if r in faults):
+        row, cell = rows[draw(st.integers(0, n - 1))], draw(_FAULTS[rule])
+        if rule == "fields":
+            row[:] = row[:-1] if cell == "drop" else row + ["1.0"]
+        elif rule in ("number", "finite_x"):
+            row[draw(st.integers(2, len(row) - 1))] = cell
+        elif rule == "delta":
+            row[1] = cell
+        elif rule == "empty_y":
+            row[:2] = [cell, "0"]
+        else:  # a rule of an observed y
+            row[:2] = [cell, "1"]
+    forms = draw(st.sets(st.sampled_from(_FORMS))) if draw(st.booleans()) else ()
+    gaps = [g for f, g in (("blank", ""), ("whitespace", " \t")) if f in forms]
+    cell_forms = ["plain"] + [f for f in ("padded", "quoted") if f in forms]
+    lines = []
+    for row in rows:
+        if gaps and draw(st.booleans()):
+            lines.append(draw(st.sampled_from(gaps)))
+        cells = []
+        for cell in row:
+            form = draw(st.sampled_from(cell_forms))
+            cells.append(f" {cell}\t" if form == "padded"
+                         else f'"{cell}"' if form == "quoted" else cell)
+        lines.append(",".join(cells))
+    header = ",".join(["y", "delta"] + [f"x{j}" for j in range(1, p + 1)])
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return end.join([header] + lines) + draw(st.sampled_from([end, ""]))
+
+
+@pytest.mark.filterwarnings("error")
+@settings(deadline=None, max_examples=200)
+@given(text=_dataset_texts())
+def test_one_pass_read_matches_the_line_path_on_generated_files(
+        tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("generated") / "data.csv"
+    path.write_bytes(text.encode("utf-8"))
+    _assert_bulk_matches_line_path(path)
 
 
 def test_import_loads_no_multiprocessing():
