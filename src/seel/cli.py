@@ -20,7 +20,7 @@ import json
 import math
 import sys
 import warnings
-from dataclasses import asdict, fields, replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -31,8 +31,8 @@ from .estimators import (expectile_fit, fit_a1, fit_a2, fit_l1, fit_l2,
                          pilot_estimate)
 from .inference import (bic_sweep, check_alpha, el_ratio, empirical_tau,
                         wilks_test)
-from .kernels import KERNEL_NAMES, Kernel
-from .model import Dataset, ModelConfig, PenaltyConfig
+from .kernels import KERNEL_NAMES
+from .model import SOLVER_FIELDS, Dataset, ModelConfig, PenaltyConfig
 from .simulate import (DESIGNS, ERROR_LAWS, MISSING_MECHANISMS, PRESETS,
                        SCHEMA_VERSION, SimConfig, _generate_dataset,
                        preset_config, run_monte_carlo)
@@ -230,42 +230,6 @@ def _sim_tau(text):
             f"expected a number or 'default', not {text!r}") from None
 
 
-def _add_dataset_flags(sub):
-    sub.add_argument("data", help="dataset CSV path")
-    sub.add_argument("--tau", default=str(ModelConfig.tau),
-                     help="expectile level in (0,1), or 'auto' for the "
-                          "empirical rule (default %(default)s)")
-    sub.add_argument("--standardize", action="store_true",
-                     help="center and scale covariates before fitting")
-
-
-def _add_solver_flags(sub, alpha=True):
-    sub.add_argument("--h", type=float, default=None,
-                     help="bandwidth (default n^(-1/4))")
-    sub.add_argument("--kernel", default=Kernel().name, choices=KERNEL_NAMES)
-    sub.add_argument("--nu", type=float, default=ModelConfig.nu,
-                     help="outer stopping tolerance")
-    sub.add_argument("--eps-zero", type=float, default=ModelConfig.eps_zero,
-                     help="coefficient-zeroing threshold")
-    sub.add_argument("--max-iter", type=int, default=ModelConfig.max_iter)
-    if alpha:
-        sub.add_argument("--alpha", type=float, default=SimConfig.alpha)
-    sub.add_argument("--out", default=None, help="directory for report files")
-    sub.add_argument("--config", default=None,
-                     help="flat key=value file; flags override its values")
-
-
-def _add_penalty_flags(sub, pilot, eta=True):
-    if eta:
-        sub.add_argument("--eta", type=float, default=None,
-                         help="penalty level (default n^(-5/6))")
-    sub.add_argument("--gamma", type=float, default=PenaltyConfig.gamma,
-                     help="adaptive weight power")
-    sub.add_argument("--pilot", dest="pilot_mode", default=pilot,
-                     choices=("same", "split"),
-                     help="pilot estimate from the same data or a half split")
-
-
 def _parse_args(parser, argv):
     """Parse argv; the entries of a --config file become flags right after
     the subcommand, so explicit flags (parsed later) override them."""
@@ -283,9 +247,11 @@ def _parse_args(parser, argv):
                 raise CsvSchemaError(f"config line without '=': {line!r}")
             key, value = (part.strip() for part in line.split("=", 1))
             flag = "--" + key.replace("_", "-")
-            # only the store_true switches parse to a bool
+            # only the store_true switches parse to a bool; any other entry
+            # is one --flag=value token, so a value such as -1,0,2 is not
+            # taken for an option
             if not isinstance(getattr(args, key.replace("-", "_"), None), bool):
-                injected.extend([flag, value])
+                injected.append(f"{flag}={value}")
             elif value.lower() in ("true", "yes"):
                 injected.append(flag)
             elif value.lower() not in ("false", "no"):
@@ -304,9 +270,8 @@ def _prepare(args):
     responses give the real one.  Returns (ds, cfg, report head,
     standardizing transform)."""
     tau_auto = args.tau.lower() == "auto"
-    cfg = ModelConfig(tau=0.5 if tau_auto else float(args.tau), h=args.h,
-                      kernel=args.kernel, nu=args.nu, eps_zero=args.eps_zero,
-                      max_iter=args.max_iter)
+    cfg = ModelConfig(tau=0.5 if tau_auto else float(args.tau),
+                      **{k: getattr(args, k) for k in SOLVER_FIELDS})
     ds = read_dataset(args.data)
     transform = None
     if args.standardize:
@@ -479,18 +444,18 @@ def cmd_sweep(args):
 
 
 def cmd_simulate(args):
-    # every SimConfig field the user set; flags left unset parse to None
-    overrides = {f.name: getattr(args, f.name) for f in fields(SimConfig)
-                 if getattr(args, f.name) is not None}
+    if args.dump and not args.out:
+        raise ValueError("--dump needs --out")
+    # every setting the user set; flags left unset parse to None
+    overrides = {name: getattr(args, name) for name in _SETTINGS
+                 if getattr(args, name) is not None}
     if "beta0" in overrides:
         overrides.setdefault("p", len(overrides["beta0"]))
-    if args.preset:
-        sc = preset_config(args.preset, **overrides)
-    else:
-        if not {"n", "p", "beta0"} <= set(overrides):
-            raise CsvSchemaError("without --preset, --n, --p and --beta0 "
-                                 "are required")
-        sc = SimConfig(**overrides)
+    if not args.preset and not {"n", "p", "beta0"} <= set(overrides):
+        raise CsvSchemaError("without --preset, --n, --p and --beta0 "
+                             "are required")
+    sc = (preset_config(args.preset, **overrides) if args.preset
+          else SimConfig(**overrides))
 
     report = run_monte_carlo(sc, workers=args.workers)
     _emit(report.to_json_dict(), args.out, "sim_report.json")
@@ -506,6 +471,38 @@ def cmd_simulate(args):
 # ---------------------------------------------------------------------------
 # entry point
 
+# The flag of every setting, keyed by the SimConfig field it sets (SimConfig
+# holds every ModelConfig and PenaltyConfig setting): what argparse needs,
+# and the flag where it is not the field's name.  build_parser adds the
+# named settings to each subcommand; an unset flag parses to None.
+_SETTINGS = {
+    "n": dict(type=int),
+    "p": dict(type=int),
+    "beta0": dict(type=_floats, help="comma-separated true coefficients; "
+                  "write -1,0,2 as --beta0=-1,0,2"),
+    "design": dict(choices=DESIGNS),
+    "errors": dict(choices=ERROR_LAWS),
+    "missing": dict(choices=MISSING_MECHANISMS),
+    "pi": dict(type=float),
+    "tau": dict(type=_sim_tau, help="expectile level as a number, or "
+                "'default' for the error-law rule (no 'auto' here)"),
+    "h": dict(type=float, help="bandwidth (default n^(-1/4))"),
+    "eta": dict(type=float, help="penalty level (default n^(-5/6))"),
+    "gamma": dict(type=float, help="adaptive weight power"),
+    "alpha": dict(type=float),
+    "replications": dict(flag="--reps", type=int),
+    "algorithms": dict(type=lambda text: text.split(","),
+                       help="comma-separated subset of a1,a2,l1,l2"),
+    "seed": dict(type=int),
+    "kernel": dict(choices=KERNEL_NAMES),
+    "nu": dict(type=float, help="outer stopping tolerance"),
+    "eps_zero": dict(type=float, help="coefficient-zeroing threshold"),
+    "max_iter": dict(type=int),
+    "pilot_mode": dict(flag="--pilot", choices=("same", "split"),
+                       help="pilot estimate from the same data or a half split"),
+}
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="seel",
@@ -515,22 +512,14 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_fit = sub.add_parser("fit", help="fit the unpenalized estimator")
-    _add_dataset_flags(p_fit)
     p_fit.add_argument("--algorithm", default="a2", choices=("a1", "a2"))
-    p_fit.add_argument("--test-beta", default=None,
-                       help="comma-separated hypothesis vector for a Wilks test")
-    _add_solver_flags(p_fit)
-    p_fit.set_defaults(func=cmd_fit)
+    p_fit.add_argument("--test-beta", help="comma-separated hypothesis vector "
+                       "for a Wilks test; write -1,2 as --test-beta=-1,2")
 
     p_sel = sub.add_parser("select", help="penalized variable selection")
-    _add_dataset_flags(p_sel)
     p_sel.add_argument("--algorithm", default="l2", choices=("l1", "l2"))
-    _add_penalty_flags(p_sel, pilot="same")
-    _add_solver_flags(p_sel)
-    p_sel.set_defaults(func=cmd_select)
 
     p_sw = sub.add_parser("sweep", help="BIC scan over the tuning parameter")
-    _add_dataset_flags(p_sw)
     p_sw.add_argument("--grid-form", default="n56", choices=("n56", "n67"),
                       help="eta = a*n^(-5/6) or a*n^(-6/7)")
     p_sw.add_argument("--a-min", type=float, default=1.0)
@@ -538,34 +527,40 @@ def build_parser():
     p_sw.add_argument("--a-step", type=float, default=1.0)
     p_sw.add_argument("--a-values", default=None,
                       help="explicit comma-separated multipliers (overrides range)")
-    _add_penalty_flags(p_sw, pilot="same", eta=False)
-    _add_solver_flags(p_sw, alpha=False)
-    p_sw.set_defaults(func=cmd_sweep)
 
     p_sim = sub.add_parser("simulate", help="run a Monte Carlo cell")
     p_sim.add_argument("--preset", default=None, choices=tuple(PRESETS))
-    p_sim.add_argument("--n", type=int, default=None)
-    p_sim.add_argument("--p", type=int, default=None)
-    p_sim.add_argument("--beta0", type=_floats, default=None,
-                       help="comma-separated true coefficients")
-    p_sim.add_argument("--design", default=None, choices=DESIGNS)
-    p_sim.add_argument("--errors", default=None, choices=ERROR_LAWS)
-    p_sim.add_argument("--missing", default=None, choices=MISSING_MECHANISMS)
-    p_sim.add_argument("--pi", type=float, default=None)
-    p_sim.add_argument("--reps", dest="replications", type=int, default=None)
-    p_sim.add_argument("--seed", type=int, default=SimConfig.seed)
-    p_sim.add_argument("--algorithms", type=lambda text: text.split(","),
-                       default=None,
-                       help="comma-separated subset of a1,a2,l1,l2")
     p_sim.add_argument("--workers", type=int, default=1)
     p_sim.add_argument("--dump", action="store_true",
-                       help="also write replication 0 as a dataset CSV")
-    p_sim.add_argument("--tau", type=_sim_tau, default="default",
-                       help="expectile level as a number, or 'default' for "
-                            "the error-law rule (no 'auto' here)")
-    _add_penalty_flags(p_sim, pilot=SimConfig.pilot_mode)
-    _add_solver_flags(p_sim)
-    p_sim.set_defaults(func=cmd_simulate)
+                       help="also write replication 0 as a dataset CSV "
+                            "(needs --out)")
+
+    # the dataset commands take SimConfig's defaults (its class attributes),
+    # but their pilot shares the data; simulate's settings stay None when
+    # unset, so its preset's values hold
+    defaults = {**vars(SimConfig), "pilot_mode": "same"}
+    for p, func, names in (
+            (p_fit, cmd_fit, (*SOLVER_FIELDS, "alpha")),
+            (p_sel, cmd_select,
+             ("eta", "gamma", "pilot_mode", *SOLVER_FIELDS, "alpha")),
+            (p_sw, cmd_sweep, ("gamma", "pilot_mode", *SOLVER_FIELDS)),
+            (p_sim, cmd_simulate, tuple(_SETTINGS))):
+        if p is not p_sim:
+            p.add_argument("data", help="dataset CSV path")
+            p.add_argument("--tau", default=str(ModelConfig.tau),
+                           help="expectile level in (0,1), or 'auto' for the "
+                                "empirical rule (default %(default)s)")
+            p.add_argument("--standardize", action="store_true",
+                           help="center and scale covariates before fitting")
+            p.set_defaults(**{name: defaults[name] for name in names})
+        for name in names:
+            spec = dict(_SETTINGS[name])
+            p.add_argument(spec.pop("flag", "--" + name.replace("_", "-")),
+                           dest=name, **spec)
+        p.add_argument("--out", default=None, help="directory for report files")
+        p.add_argument("--config", default=None,
+                       help="flat key=value file; flags override its values")
+        p.set_defaults(func=func)
 
     return parser
 

@@ -15,7 +15,7 @@ recent evaluations (see evaluate), so the fits that share a start and the
 ratios after a fit read one evaluation instead of repeating it.
 """
 
-from dataclasses import FrozenInstanceError, dataclass, field
+from dataclasses import FrozenInstanceError, dataclass, field, fields
 from functools import cached_property
 
 import numpy as np
@@ -185,6 +185,11 @@ class ModelConfig:
 
     def bandwidth(self, n):
         return self.h if self.h is not None else float(n) ** -0.25
+
+
+# the ModelConfig settings other than tau, which SimConfig and the CLI's
+# flags hold under the same names
+SOLVER_FIELDS = tuple(f.name for f in fields(ModelConfig) if f.name != "tau")
 
 
 @dataclass

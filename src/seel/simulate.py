@@ -19,7 +19,7 @@ from .estimators import (expectile_fit, fit_a1, fit_a2, fit_l1, fit_l2,
                          pilot_estimate)
 from .inference import _tau_of_masses, check_alpha, el_ratio
 from .kernels import Kernel
-from .model import Dataset, ModelConfig, PenaltyConfig
+from .model import SOLVER_FIELDS, Dataset, ModelConfig, PenaltyConfig
 from .numkit import RngStream, chi2_quantile
 
 DESIGNS = ("d1", "d2")
@@ -87,9 +87,9 @@ class SimConfig:
         self.model_config(0.5 if self.tau is None else self.tau)
         PenaltyConfig(eta=self.resolved_eta(), gamma=self.gamma)
         self.algorithms = tuple(str(a).lower() for a in self.algorithms)
-        for a in self.algorithms:
-            if a not in ALGORITHMS:
-                raise ValueError(f"unknown algorithm {a!r}")
+        for i, a in enumerate(self.algorithms):
+            if a not in ALGORITHMS or a in self.algorithms[:i]:
+                raise ValueError(f"unknown or repeated algorithm {a!r}")
 
     def resolved_eta(self):
         return PenaltyConfig.default_eta(self.n) if self.eta is None else self.eta
@@ -126,8 +126,7 @@ class SimConfig:
                               float(-np.sum(neg[:n_neg])))
 
     def model_config(self, tau):
-        return ModelConfig(tau=tau, h=self.h, kernel=self.kernel, nu=self.nu,
-                           eps_zero=self.eps_zero, max_iter=self.max_iter)
+        return ModelConfig(tau=tau, **{k: getattr(self, k) for k in SOLVER_FIELDS})
 
 
 @dataclass

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import math
@@ -1062,6 +1063,39 @@ def test_simulate_rejects_fewer_than_one_worker(capsys, monkeypatch, workers):
     assert captured.out == "" and "workers must be at least 1" in captured.err
 
 
+@pytest.mark.parametrize("via_config", [False, True])
+def test_simulate_dump_needs_out(tmp_path, capsys, monkeypatch, via_config):
+    # without --out the dump has nowhere to go: an input error, not a run
+    def unreachable(*args, **kwargs):
+        raise AssertionError("reached")
+
+    monkeypatch.setattr(cli, "run_monte_carlo", unreachable)
+    argv = ["simulate", "--preset", "table1", "--reps", "2"]
+    if via_config:
+        cfg_file = tmp_path / "sim.cfg"
+        cfg_file.write_text("dump = yes\n")
+        argv += ["--config", str(cfg_file)]
+    else:
+        argv.append("--dump")
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: --dump needs --out\n"
+
+
+def test_config_values_that_start_with_a_minus(sparse_csv, tmp_path, capsys):
+    # a config entry is injected as one --flag=value token, so argparse
+    # does not take a value such as -1,0,2 for an option
+    path, _ = sparse_csv
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text("n = 80\nbeta0 = -1,0,2\nreps = 2\nalgorithms = a2\n")
+    code, rep = run_cli(capsys, "simulate", "--config", str(cfg_file))
+    assert code == 0 and rep["beta0"] == [-1.0, 0.0, 2.0]
+    cfg_file.write_text("test_beta = -0.5,1,0\n")
+    code, rep = run_cli(capsys, "fit", str(path), "--config", str(cfg_file))
+    assert code == 0
+    assert rep["wilks_test"]["hypothesis"] == [-0.5, 1.0, 0.0]
+
+
 def test_numerical_failure_exit_code(tmp_path, capsys):
     # fewer complete rows than parameters: a numerical (not schema) failure
     path = tmp_path / "thin.csv"
@@ -1088,3 +1122,178 @@ def test_flag_combinations_smoke(sparse_csv, tmp_path, capsys):
         code, rep = run_cli(capsys, *argv)
         assert code == 0, argv
         assert rep["schema_version"] == SCHEMA_VERSION
+
+
+# ---------------------------------------------------------------------------
+# parser parity: the flags and the configs they build
+
+def _inventory(parser):
+    """{subcommand: {option strings, or the dest of a positional: (dest,
+    choices, whether it is a store_true switch)}} of a parser."""
+    sub = next(a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return {name: {(" ".join(a.option_strings) or a.dest): (
+        a.dest, None if a.choices is None else tuple(a.choices),
+        isinstance(a, argparse._StoreTrueAction))
+        for a in p._actions if not isinstance(a, argparse._HelpAction)}
+        for name, p in sub.choices.items()}
+
+
+_KERNELS = ("epanechnikov", "quartic", "triweight")
+_PILOTS = ("same", "split")
+_DATASET_FLAGS = {
+    "data": ("data", None, False), "--tau": ("tau", None, False),
+    "--standardize": ("standardize", None, True),
+}
+_SHARED_FLAGS = {
+    "--h": ("h", None, False), "--kernel": ("kernel", _KERNELS, False),
+    "--nu": ("nu", None, False), "--eps-zero": ("eps_zero", None, False),
+    "--max-iter": ("max_iter", None, False), "--out": ("out", None, False),
+    "--config": ("config", None, False),
+}
+# every flag of every subcommand: a change here changes the command line
+PARSER_INVENTORY = {
+    "fit": {
+        **_DATASET_FLAGS, **_SHARED_FLAGS,
+        "--algorithm": ("algorithm", ("a1", "a2"), False),
+        "--test-beta": ("test_beta", None, False),
+        "--alpha": ("alpha", None, False),
+    },
+    "select": {
+        **_DATASET_FLAGS, **_SHARED_FLAGS,
+        "--algorithm": ("algorithm", ("l1", "l2"), False),
+        "--eta": ("eta", None, False), "--gamma": ("gamma", None, False),
+        "--pilot": ("pilot_mode", _PILOTS, False),
+        "--alpha": ("alpha", None, False),
+    },
+    "sweep": {
+        **_DATASET_FLAGS, **_SHARED_FLAGS,
+        "--grid-form": ("grid_form", ("n56", "n67"), False),
+        "--a-min": ("a_min", None, False), "--a-max": ("a_max", None, False),
+        "--a-step": ("a_step", None, False),
+        "--a-values": ("a_values", None, False),
+        "--gamma": ("gamma", None, False),
+        "--pilot": ("pilot_mode", _PILOTS, False),
+    },
+    "simulate": {
+        **_SHARED_FLAGS,
+        "--preset": ("preset", ("table1", "table1-caption", "table2",
+                                "fig-coverage", "fig-selection"), False),
+        "--n": ("n", None, False), "--p": ("p", None, False),
+        "--beta0": ("beta0", None, False),
+        "--design": ("design", ("d1", "d2"), False),
+        "--errors": ("errors", ("normal", "shifted_exp"), False),
+        "--missing": ("missing", ("complete", "constant", "covariate"),
+                      False),
+        "--pi": ("pi", None, False), "--reps": ("replications", None, False),
+        "--seed": ("seed", None, False),
+        "--algorithms": ("algorithms", None, False),
+        "--workers": ("workers", None, False),
+        "--dump": ("dump", None, True), "--tau": ("tau", None, False),
+        "--eta": ("eta", None, False), "--gamma": ("gamma", None, False),
+        "--pilot": ("pilot_mode", _PILOTS, False),
+        "--alpha": ("alpha", None, False),
+    },
+}
+
+
+def test_parser_inventory_is_pinned():
+    assert _inventory(cli.build_parser()) == PARSER_INVENTORY
+
+
+def test_every_subcommand_help_builds():
+    # a stray '%' in a help string fails here, not at a user's --help
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert parser.format_help()
+    for name, p in sub.choices.items():
+        text = p.format_help()
+        assert text.startswith(f"usage: seel {name} ")
+        for option in PARSER_INVENTORY[name]:
+            assert option in text
+
+
+_CONFIG_TEXT = "kernel = triweight\nmax_iter = 40\ngamma = 3\npilot = split\n"
+
+
+@pytest.mark.parametrize("argv, model, penalty", [
+    (["fit"], {}, {"alpha": 0.05}),
+    (["fit", "--tau", "0.3", "--h", "0.4", "--kernel", "quartic", "--nu",
+      "0.001", "--eps-zero", "1e-5", "--max-iter", "50", "--alpha", "0.1",
+      "--algorithm", "a1"],
+     dict(tau=0.3, h=0.4, kernel="quartic", nu=0.001, eps_zero=1e-5,
+          max_iter=50), {"alpha": 0.1}),
+    (["select"], {},
+     {"eta": None, "gamma": 2.5, "pilot_mode": "same", "alpha": 0.05}),
+    (["select", "--eta", "0.02", "--gamma", "1.5", "--pilot", "split",
+      "--kernel", "triweight", "--tau", "0.7"],
+     dict(tau=0.7, kernel="triweight"),
+     {"eta": 0.02, "gamma": 1.5, "pilot_mode": "split", "alpha": 0.05}),
+    (["sweep"], {}, {"gamma": 2.5, "pilot_mode": "same"}),
+    (["sweep", "--config", "CONFIG", "--gamma", "2"],
+     dict(kernel="triweight", max_iter=40),
+     {"gamma": 2.0, "pilot_mode": "split"}),
+])
+def test_dataset_commands_build_the_configs_of_their_flags(
+        sparse_csv, tmp_path, argv, model, penalty):
+    path, _ = sparse_csv
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text(_CONFIG_TEXT)
+    argv = [str(cfg_file) if a == "CONFIG" else a for a in argv]
+    args = cli._parse_args(cli.build_parser(), [argv[0], str(path), *argv[1:]])
+    _, cfg, _, _ = cli._prepare(args)
+    assert cfg == ModelConfig(**model)
+    names = ("eta", "gamma", "pilot_mode", "alpha")
+    assert {k: getattr(args, k) for k in names if hasattr(args, k)} == penalty
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["--preset", "table1"],
+     dict(n=500, p=5, beta0=[0.0, 0.0, 1.0, 0.0, 2.0], design="d1",
+          errors="shifted_exp", missing="complete",
+          algorithms=("a1", "a2", "l1", "l2"), replications=50)),
+    (["--preset", "fig-coverage", "--n", "300", "--reps", "3", "--seed", "4",
+      "--missing", "covariate", "--pilot", "same", "--tau", "0.4", "--h",
+      "0.2", "--kernel", "quartic", "--nu", "0.001", "--eps-zero", "1e-5",
+      "--max-iter", "9", "--eta", "0.02", "--gamma", "2", "--alpha", "0.1",
+      "--algorithms", "a1,l2"],
+     dict(n=300, p=10, beta0=[0, 0, 1, 0, 2, 0, -1, 0, 0, 0], design="d2",
+          errors="shifted_exp", missing="covariate", pi=0.8, tau=0.4, h=0.2,
+          eta=0.02, gamma=2.0, alpha=0.1, replications=3,
+          algorithms=("a1", "l2"), seed=4, kernel="quartic", nu=0.001,
+          eps_zero=1e-5, max_iter=9, pilot_mode="same")),
+    (["--preset", "table2", "--tau", "default", "--errors", "normal",
+      "--design", "d2", "--missing", "constant", "--pi", "0.5"],
+     dict(n=500, p=5, beta0=[1.0, 1.0, 2.0, 1.0, 1.0], design="d2",
+          errors="normal", missing="constant", pi=0.5,
+          algorithms=("a2", "l2"), replications=50)),
+    (["--n", "80", "--beta0", "1,0,2", "--reps", "2"],
+     dict(n=80, p=3, beta0=[1.0, 0.0, 2.0], replications=2)),
+    (["--n", "80", "--p", "3", "--beta0=-1,0,2", "--config", "CONFIG"],
+     dict(n=80, p=3, beta0=[-1.0, 0.0, 2.0], kernel="triweight",
+          max_iter=40, gamma=3.0)),
+])
+def test_simulate_builds_the_sim_config_of_its_flags(tmp_path, monkeypatch,
+                                                     argv, expected):
+    # the config file sets pilot = split, SimConfig's default as well
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text(_CONFIG_TEXT)
+    argv = [str(cfg_file) if a == "CONFIG" else a for a in argv]
+    built = []
+
+    class Built(Exception):
+        pass
+
+    def record(sc, workers=1):
+        built.append(sc)
+        raise Built
+
+    monkeypatch.setattr(cli, "run_monte_carlo", record)
+    with pytest.raises(Built):
+        main(["simulate", *argv])
+
+    def settings(sc):
+        return {**vars(sc), "beta0": sc.beta0.tolist()}
+
+    assert settings(built[0]) == settings(simulate.SimConfig(**expected))

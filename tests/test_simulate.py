@@ -168,6 +168,7 @@ def test_config_validation():
     ({"gamma": -1.0, "algorithms": ("a2",)}, "gamma"),
     ({"eta": -1.0, "algorithms": ("a2",)}, "eta"),
     ({"tau": 1.0}, "tau"),
+    ({"algorithms": ("a2", "A2")}, "repeated algorithm"),
 ])
 def test_config_rejects_bad_values_up_front(overrides, message):
     # each is rejected when the config is built, not at a replication
