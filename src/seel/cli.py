@@ -8,10 +8,9 @@ reports are JSON on stdout; --out additionally writes files.  Exit codes:
 Dataset CSV schema: header row "y,delta,x1,...,xp"; a missing response is an
 empty y cell with delta = 0; UTF-8, '.' decimal, comma separator.  Blank
 lines are skipped, cells may be padded or double-quoted, and covariates are
-parsed by numpy, which takes no digit underscores.  A file in the writer's
-form is parsed in one pass over the open file; other accepted forms, and a
-file that breaks a rule, take a line-by-line path that names the first bad
-line.
+parsed by numpy, which takes no digit underscores.  Every file is parsed in
+one pass over the open file; a file that breaks a rule is then bisected
+with the same parse to name its first bad line.
 """
 
 import argparse
@@ -19,8 +18,9 @@ import csv
 import json
 import math
 import sys
-import warnings
+from contextlib import contextmanager
 from dataclasses import asdict, replace
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -48,109 +48,42 @@ MAX_GRID_CELLS = 1000
 # dataset CSV
 
 def read_dataset(path):
-    """Parse a dataset CSV; raises CsvSchemaError on any schema violation.
+    """Parse a dataset CSV; raises CsvSchemaError on any schema violation,
+    naming the first line in the file that breaks a rule.
 
-    A file in the writer's form is parsed in one pass (_read_bulk).  Any
-    other file takes the line path (_read_lines), which also accepts quoted
-    cells and whitespace-only lines and names the first bad line of a bad
-    file.  Both give the same arrays, bit for bit, where both accept.
+    One _parse reads the body from the open file, with whitespace-only
+    lines filtered out, so no copy of the text is made.  A file it rejects
+    is read again and its lines are bisected with the same _parse.
     """
-    ds = _read_bulk(path)
-    return _read_lines(path) if ds is None else ds
-
-
-def _read_bulk(path):
-    """The dataset of a CSV in the writer's form, or None for any other file.
-
-    One np.loadtxt call reads the body from the open file, so no copy of the
-    text is made.  A covariate goes through numpy's float parser, delta
-    through int and y through float, as on the line path.  Anything this
-    pass does not take (quotes, whitespace-only lines, a broken rule, a
-    file that cannot be read) is left to the line path to read or reject.
-    """
-    try:
-        with open(path, encoding="utf-8") as fh:
-            p = _header_p(fh.readline().rstrip("\n"))
-            with warnings.catch_warnings():
-                # a body without rows is for the line path to name
-                warnings.filterwarnings("ignore", "loadtxt: input contained "
-                                        "no data", UserWarning)
-                numbers = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2,
-                                     converters={0: _y_cell, 1: int})
-    except (OSError, ValueError):
-        return None
-    if numbers.shape[1] != p + 2 or not len(numbers):
-        return None
-    y, delta, X = numbers[:, 0], numbers[:, 1], numbers[:, 2:]
-    if (((delta != 0) & (delta != 1)).any()
-            or not np.isfinite(X).all()
-            or (np.isnan(y) != (delta == 0)).any()):
-        return None
-    return Dataset(X, y, delta)
-
-
-def _y_cell(cell):
-    # NaN marks an empty cell, so an observed y must be finite
-    if not cell:
-        return np.nan
-    y = float(cell)
-    if not math.isfinite(y):
-        raise ValueError("y must be finite")
-    return y
-
-
-def _read_lines(path):
-    """Parse a dataset CSV line by line; raises CsvSchemaError naming the
-    first line in the file that breaks any rule.
-
-    The header is checked with csv.  Blank and whitespace-only lines are
-    skipped.  delta and x1..xp of every other line are parsed in one
-    np.loadtxt call; the y cells stay text, so an empty cell and a literal
-    "nan" differ, and only those with delta = 1 are converted.
-    """
-    lines = _read(path).split("\n")
-    p = _header_p(lines[0])
-    linenos = [k for k in range(2, len(lines) + 1) if lines[k - 1].strip()]
-    if not linenos:
-        raise CsvSchemaError("no data rows")
-    body = [lines[k - 1] for k in linenos]
-    try:
-        X, y, delta = _parse_rows(body, p)
-    except ValueError:
-        # each rule is per line, so a block fails iff it holds a bad line;
-        # bisect body[lo:hi], which holds the first one, in two bulk parses
-        lo, hi = 0, len(body)
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            try:
-                _parse_rows(body[lo:mid], p)
-                lo = mid
-            except ValueError:
-                hi = mid
+    with _opened(path) as fh:
+        p = _header_p(fh.readline())
         try:
-            _parse_rows(body[lo:hi], p)
-        except ValueError as exc:
-            raise CsvSchemaError(f"line {linenos[lo]}: {exc}") from None
-        raise
+            X, y, delta = _parse(filter(str.strip, fh), p)
+        except ValueError:
+            fh.seek(0)
+            _raise_first_bad_line(fh.read().split("\n"), p)
+            raise  # unreachable: a block fails only if one of its lines does
+    if not len(y):
+        raise CsvSchemaError("no data rows")
     return Dataset(X, y, delta)
 
 
-def _read(path, header_only=False):
-    """The text of a dataset CSV, or its first line only; raises
-    CsvSchemaError if it cannot be read or is empty."""
+@contextmanager
+def _opened(path):
+    """The dataset CSV at path, open as UTF-8 text; raises CsvSchemaError
+    if it cannot be read."""
     try:
         with open(path, encoding="utf-8") as fh:
-            text = fh.readline() if header_only else fh.read()
+            yield fh
     except (OSError, UnicodeDecodeError) as exc:
         raise CsvSchemaError(f"cannot read {path}: {exc}") from None
-    if not text:
-        raise CsvSchemaError("empty file")
-    return text
 
 
 def _header_p(line):
     """p of a header line; raises CsvSchemaError unless it names
     y,delta,x1,...,xp (cells may be padded or double-quoted)."""
+    if not line:
+        raise CsvSchemaError("empty file")
     header = [c.strip() for c in next(csv.reader([line]), [])]
     if len(header) < 3 or header[0] != "y" or header[1] != "delta":
         raise CsvSchemaError("header must be y,delta,x1,...,xp")
@@ -160,40 +93,68 @@ def _header_p(line):
     return p
 
 
-def _parse_rows(body, p):
+def _raise_first_bad_line(lines, p):
+    """Raise the CsvSchemaError of the first data line of a file's lines
+    (the header first) that _parse rejects on its own, if there is one."""
+    rows = [k for k, line in enumerate(lines) if k and line.strip()]
+    # each rule is per line, so a block fails iff it holds a bad line;
+    # bisect rows[lo:hi], which holds the first one, parsing lower halves
+    lo, hi = 0, len(rows)
+    while lo < hi:
+        mid = lo + max(1, (hi - lo) // 2)
+        try:
+            _parse([lines[k] for k in rows[lo:mid]], p)
+            lo = mid
+        except ValueError as exc:
+            if mid - lo == 1:
+                raise CsvSchemaError(f"line {rows[lo] + 1}: {exc}") from None
+            hi = mid
+
+
+def _parse(lines, p):
     """(X, y, delta) of data lines; raises ValueError naming the first rule
-    in this order that some line breaks.  delta and x1..xp go through one
-    np.loadtxt call, delta through int, so "1.0" is rejected."""
-    if (np.array([ln.count(",") for ln in body]) != p + 1).any():
-        raise ValueError(f"expected {p + 2} fields")
+    that some line breaks, in this order: the field count, the numbers,
+    delta, the covariates' range, then the rules of y.
+
+    One np.loadtxt call parses every cell: x1..xp with numpy's float
+    parser and delta with int, so "1.0" is rejected.  A first row of p + 2
+    cells makes numpy check each line's field count before its numbers.
+    The y converter never raises, so the y rules come last.
+    """
     try:
-        numbers = np.loadtxt(body, delimiter=",", quotechar='"', comments=None,
-                             ndmin=2, usecols=range(1, p + 2),
-                             converters={1: int})
-    except ValueError:
-        raise ValueError("malformed number") from None
-    delta, X = numbers[:, 0], numbers[:, 1:]
-    if ((delta != 0) & (delta != 1)).any():
-        raise ValueError("delta must be 0 or 1")
-    if not np.isfinite(X).all():
-        raise ValueError("covariates must be finite")
-    # a quoted y cell is unquoted by csv, as in the header
-    y_cells = [(next(csv.reader([ln]))[0] if ln.startswith('"')
-                else ln.partition(",")[0]).strip() for ln in body]
-    empty = np.array([not c for c in y_cells])
+        numbers = np.loadtxt(chain([",0" * (p + 1)], lines), delimiter=",",
+                             quotechar='"', comments=None, ndmin=2,
+                             converters={0: _y_code, 1: int})[1:]
+    except ValueError as exc:
+        # numpy's message for a line whose field count differs from the
+        # first row's; any other is a cell it could not convert
+        raise ValueError(f"expected {p + 2} fields"
+                         if str(exc).startswith("the number of columns")
+                         else "malformed number") from None
+    y, delta, X = numbers[:, 0], numbers[:, 1], numbers[:, 2:]
     observed = delta == 1
-    if (observed & empty).any():
-        raise ValueError("delta=1 needs a y value")
-    if (~observed & ~empty).any():
-        raise ValueError("delta=0 needs an empty y")
-    y = np.full(len(body), np.nan)
-    try:
-        y[observed] = [float(y_cells[i]) for i in np.flatnonzero(observed)]
-    except ValueError:
-        raise ValueError("malformed y") from None
-    if (observed & ~np.isfinite(y)).any():
-        raise ValueError("y must be finite")
+    for broken, rule in (
+            ((delta != 0) & ~observed, "delta must be 0 or 1"),
+            (~np.isfinite(X).all(axis=1), "covariates must be finite"),
+            (observed & np.isnan(y), "delta=1 needs a y value"),
+            (~observed & ~np.isnan(y), "delta=0 needs an empty y"),
+            (observed & (y == -np.inf), "malformed y"),
+            (observed & (y == np.inf), "y must be finite")):
+        if broken.any():
+            raise ValueError(rule)
     return X, y, delta
+
+
+def _y_code(cell):
+    # NaN for an empty cell, -inf for a malformed one and +inf for one that
+    # is not finite, so that y breaks no rule before the y rules run
+    if not cell.strip():
+        return math.nan
+    try:
+        y = float(cell)
+    except ValueError:
+        return -math.inf
+    return y if math.isfinite(y) else math.inf
 
 
 def write_dataset(path, ds):
@@ -218,16 +179,17 @@ def _floats(text):
     return values
 
 
-def _sim_tau(text):
-    # 'default' leaves tau to SimConfig's error-law rule; simulate has no
-    # empirical rule, so 'auto' is not a valid value here
-    if text.lower() == "default":
-        return None
-    try:
-        return float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected a number or 'default', not {text!r}") from None
+def _tau(word):
+    """The argparse type of a --tau that takes a number, or word for a rule
+    that sets tau later, which parses to None: 'auto' (the empirical rule)
+    for the dataset commands, 'default' (the error-law rule) for simulate."""
+    def tau(text):
+        try:
+            return None if text.lower() == word else float(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected a number or {word!r}, not {text!r}") from None
+    return tau
 
 
 def _parse_args(parser, argv):
@@ -269,8 +231,8 @@ def _prepare(args):
     before the read: with --tau auto a placeholder tau stands in until the
     responses give the real one.  Returns (ds, cfg, report head,
     standardizing transform)."""
-    tau_auto = args.tau.lower() == "auto"
-    cfg = ModelConfig(tau=0.5 if tau_auto else float(args.tau),
+    tau_auto = args.tau is None
+    cfg = ModelConfig(tau=0.5 if tau_auto else args.tau,
                       **{k: getattr(args, k) for k in SOLVER_FIELDS})
     ds = read_dataset(args.data)
     transform = None
@@ -317,9 +279,11 @@ def cmd_fit(args):
     # the length of --test-beta against the p of the CSV header
     check_alpha(args.alpha)
     hyp = None if args.test_beta is None else np.array(_floats(args.test_beta))
-    if (hyp is not None
-            and len(hyp) != _header_p(_read(args.data, header_only=True))):
-        raise CsvSchemaError("--test-beta needs p comma-separated values")
+    if hyp is not None:
+        with _opened(args.data) as fh:
+            if len(hyp) != _header_p(fh.readline()):
+                raise CsvSchemaError("--test-beta needs p comma-separated "
+                                     "values")
     ds, cfg, report, transform = _prepare(args)
     fit = {"a1": fit_a1, "a2": fit_a2}[args.algorithm](ds, cfg)
     report.update({
@@ -484,8 +448,8 @@ _SETTINGS = {
     "errors": dict(choices=ERROR_LAWS),
     "missing": dict(choices=MISSING_MECHANISMS),
     "pi": dict(type=float),
-    "tau": dict(type=_sim_tau, help="expectile level as a number, or "
-                "'default' for the error-law rule (no 'auto' here)"),
+    "tau": dict(type=_tau("default"), help="expectile level as a number, "
+                "or 'default' for the error-law rule (no 'auto' here)"),
     "h": dict(type=float, help="bandwidth (default n^(-1/4))"),
     "eta": dict(type=float, help="penalty level (default n^(-5/6))"),
     "gamma": dict(type=float, help="adaptive weight power"),
@@ -547,7 +511,7 @@ def build_parser():
             (p_sim, cmd_simulate, tuple(_SETTINGS))):
         if p is not p_sim:
             p.add_argument("data", help="dataset CSV path")
-            p.add_argument("--tau", default=str(ModelConfig.tau),
+            p.add_argument("--tau", type=_tau("auto"), default=ModelConfig.tau,
                            help="expectile level in (0,1), or 'auto' for the "
                                 "empirical rule (default %(default)s)")
             p.add_argument("--standardize", action="store_true",

@@ -86,7 +86,8 @@ class SimConfig:
         # tau, h, kernel, tolerance, eta or gamma fails here
         self.model_config(0.5 if self.tau is None else self.tau)
         PenaltyConfig(eta=self.resolved_eta(), gamma=self.gamma)
-        self.algorithms = tuple(str(a).lower() for a in self.algorithms)
+        self.algorithms = tuple(str(a).strip().lower()
+                                for a in self.algorithms)
         for i, a in enumerate(self.algorithms):
             if a not in ALGORITHMS or a in self.algorithms[:i]:
                 raise ValueError(f"unknown or repeated algorithm {a!r}")

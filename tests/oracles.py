@@ -19,11 +19,11 @@ on the band |u| < 1 only.  design_d1_one_draw draws the d1 design in
 one call and design_d2_loop draws the d2 design one column at a time, where
 seel.simulate.gen_design draws both in batches.
 read_dataset_rows parses a dataset CSV one row at a time with csv and
-float()/int(), where seel.cli.read_dataset parses it in bulk;
-write_dataset_rows writes one through csv.writer, where
-seel.cli.write_dataset formats each line itself; and
-first_row_error finds the first bad line of a CSV by parsing its lines one
-at a time, where read_dataset bisects.  OneShotStream
+float()/int(), where seel.cli.read_dataset parses the whole body in one
+np.loadtxt pass; write_dataset_rows writes one through csv.writer, where
+seel.cli.write_dataset formats each line itself; and parse_lines_alone
+and first_row_error parse a CSV's lines one at a time, where read_dataset
+parses them all at once and bisects a bad file.  OneShotStream
 hashes all counters of a draw in one array, and normal_quantile_masked and
 zero_expectile_tau_masked split their input with boolean indexing, where
 seel.numkit and seel.inference work block by block, with np.compress and
@@ -269,20 +269,29 @@ def read_dataset_rows(path):
         raise CsvSchemaError(str(exc)) from None
 
 
+def parse_lines_alone(path, parse_rows):
+    """The dataset CSV at path parsed one data line at a time by
+    parse_rows(lines, p): "line N: message" for the first line it rejects,
+    or else the (X, y, delta) of every line, stacked."""
+    with open(path, encoding="utf-8") as fh:
+        lines = fh.read().split("\n")
+    p = len(next(csv.reader(lines[:1]))) - 2
+    rows = []
+    for lineno, line in enumerate(lines[1:], start=2):
+        if line.strip():
+            try:
+                rows.append(parse_rows([line], p))
+            except ValueError as exc:
+                return f"line {lineno}: {exc}"
+    return tuple(np.concatenate(arrays) for arrays in zip(*rows))
+
+
 def first_row_error(path, parse_rows):
     """The row error of the dataset CSV at path, "line N: message" for the
     first data line that parse_rows(lines, p) rejects on its own, or None
     when every line passes."""
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().split("\n")
-    p = len(next(csv.reader(lines[:1]))) - 2
-    for lineno, line in enumerate(lines[1:], start=2):
-        if line.strip():
-            try:
-                parse_rows([line], p)
-            except ValueError as exc:
-                return f"line {lineno}: {exc}"
-    return None
+    outcome = parse_lines_alone(path, parse_rows)
+    return outcome if isinstance(outcome, str) else None
 
 
 class OneShotStream(RngStream):

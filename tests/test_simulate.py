@@ -176,6 +176,13 @@ def test_config_rejects_bad_values_up_front(overrides, message):
         base_config(**overrides)
 
 
+def test_config_strips_algorithm_names():
+    # padding is tolerated as in --beta0 "1, 2"; a padded repeat is a repeat
+    assert base_config(algorithms=(" a2", "L2 ")).algorithms == ("a2", "l2")
+    with pytest.raises(ValueError, match="repeated algorithm 'a2'"):
+        base_config(algorithms=("a2", " a2"))
+
+
 def test_replications_use_the_configured_pilot_mode(monkeypatch):
     modes = []
 
