@@ -467,8 +467,17 @@ _SETTINGS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser (and subparsers) that raises ValueError with its
+    message on a rejected flag, so main returns 2 as for any other input
+    error; --help still exits 0."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="seel",
         description="Smoothed expectile empirical-likelihood estimation, "
                     "variable selection, inference and simulation.",

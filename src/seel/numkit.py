@@ -5,6 +5,9 @@ numpy supplies array storage and matrix products; every algorithm that the
 estimation code depends on for correctness (factorization fallback, the
 regularized incomplete gamma, the normal quantile, the generator itself) is
 implemented here so results are reproducible bit for bit across platforms.
+log Gamma comes from math.lgamma, which CPython computes with its own
+Lanczos sum rather than the C library's lgamma, so the chi-square functions
+rest on libm's log and exp alone.
 """
 
 import functools
@@ -77,35 +80,6 @@ def solve_linear(A, b):
 # ---------------------------------------------------------------------------
 # chi-square distribution via the regularized incomplete gamma function
 
-_LANCZOS_G = 7.0
-_LANCZOS_COEF = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
-
-def gammaln(x):
-    """log Gamma(x) for x > 0 (Lanczos approximation, g = 7)."""
-    if x <= 0.0:
-        raise ValueError("gammaln requires x > 0")
-    if x < 0.5:
-        # reflection keeps the approximation in its accurate range
-        return math.log(math.pi / math.sin(math.pi * x)) - gammaln(1.0 - x)
-    x -= 1.0
-    acc = _LANCZOS_COEF[0]
-    for i, c in enumerate(_LANCZOS_COEF[1:], start=1):
-        acc += c / (x + i)
-    t = x + _LANCZOS_G + 0.5
-    return 0.5 * math.log(2.0 * math.pi) + (x + 0.5) * math.log(t) - t + math.log(acc)
-
-
 _IGAMMA_EPS = 1e-15
 _IGAMMA_ITMAX = 500
 
@@ -123,7 +97,7 @@ def _gamma_p_series(a, x):
         total += term
         if abs(term) < abs(total) * _IGAMMA_EPS:
             break
-    return total * math.exp(-x + a * math.log(x) - gammaln(a))
+    return total * math.exp(-x + a * math.log(x) - math.lgamma(a))
 
 def _gamma_q_contfrac(a, x):
     # upper regularized incomplete gamma by Lentz's continued fraction, x >= a + 1
@@ -146,7 +120,7 @@ def _gamma_q_contfrac(a, x):
         h *= delta
         if abs(delta - 1.0) < _IGAMMA_EPS:
             break
-    return h * math.exp(-x + a * math.log(x) - gammaln(a))
+    return h * math.exp(-x + a * math.log(x) - math.lgamma(a))
 
 
 def gamma_p(a, x):
@@ -289,6 +263,9 @@ _STREAM_SALT = np.uint64(0xD6E8FEB86659FD93)
 # offset + _STEPS[:k], offset = key + (first counter) * golden mod 2^64
 _BLOCK = 1 << 13
 _STEPS = np.arange(_BLOCK, dtype=np.uint64) * _GOLDEN
+# normals are made in blocks of _NORMAL_BLOCK draws, so a desk-size draw is
+# one normal_quantile call and a large one holds no full-size temporary
+_NORMAL_BLOCK = 1 << 16
 
 
 def _mix64(z):
@@ -306,9 +283,11 @@ class RngStream:
     pairs reproduce identical draw sequences and distinct stream ids give
     statistically independent streams, and a draw of n numbers equals any
     split of it into consecutive smaller draws.  The hash runs in place over
-    blocks of _BLOCK counters, in two fixed block buffers, so a draw holds
-    no temporary larger than a block.  Each stream instance is meant to be
-    owned by a single worker.
+    blocks of _BLOCK counters, in two fixed block buffers, and normals
+    turns its uniforms into normals in place, _NORMAL_BLOCK at a time, so
+    uniforms, normals and exponentials hold no temporary larger than a
+    block beside their output.  Each stream instance is meant to be owned
+    by a single worker.
     """
 
     def __init__(self, seed, stream_id=0):
@@ -344,7 +323,12 @@ class RngStream:
         return out
 
     def normals(self, size):
-        return normal_quantile(self.uniforms(size))
+        """size standard normal draws: the uniforms of the same counters,
+        turned into normals in place, _NORMAL_BLOCK at a time."""
+        u = self.uniforms(size)
+        for i in range(0, size, _NORMAL_BLOCK):
+            u[i:i + _NORMAL_BLOCK] = normal_quantile(u[i:i + _NORMAL_BLOCK])
+        return u
 
     def exponentials(self, mean, size):
         u = self.uniforms(size)

@@ -184,15 +184,7 @@ def gen_design(design, n, p, rng):
     """Design matrix draw: d1 is standard normal; d2 gives column j (1-based)
     chi-square(1) + j^2/n except column 3, which stays standard normal."""
     if design == "d1":
-        # whole rows, at most _DRAW_BATCH numbers (or one row) at a time: the
-        # same bytes and counter as one normals(n * p), and bounded
-        # temporaries of the draw
-        X = np.empty((n, p))
-        rows = max(1, _DRAW_BATCH // p)
-        for i0 in range(0, n, rows):
-            k = min(rows, n - i0)
-            X[i0:i0 + k] = rng.normals(k * p).reshape(k, p)
-        return X
+        return rng.normals(n * p).reshape(n, p)
     # column j takes the j-th block of n consecutive draws, as p calls of
     # normals(n) would; whole columns are drawn together, at most
     # _DRAW_BATCH numbers (or one column) at a time, which bounds the
@@ -234,10 +226,8 @@ def gen_missing(mechanism, X, rng, pi=0.8):
     n = X.shape[0]
     if mechanism == "complete":
         return np.ones(n, dtype=np.uint8)
-    if mechanism == "constant":
-        return rng.bernoulli(pi, n)
-    probs = missing_probability(X)
-    return (rng.uniforms(n) < probs).astype(np.uint8)
+    prob = pi if mechanism == "constant" else missing_probability(X)
+    return rng.bernoulli(prob, n)
 
 
 def _generate_dataset(sc, stream_id):

@@ -15,9 +15,10 @@ corrects a reference product, and NoTermsMemo is a row-pass memo that
 never holds an entry, so every pass is computed where seel.model reads
 through the memo each Dataset owns.  kernel_cdf_full evaluates the kernel
 CDF's polynomial on every element, clipped, where seel.kernels evaluates it
-on the band |u| < 1 only.  design_d1_one_draw draws the d1 design in
-one call and design_d2_loop draws the d2 design one column at a time, where
-seel.simulate.gen_design draws both in batches.
+on the band |u| < 1 only.  design_d1_rows draws the d1 design one row at
+a time, where seel.simulate.gen_design draws it in one call, and
+design_d2_loop draws the d2 design one column at a time, where gen_design
+draws it in batches of columns.
 read_dataset_rows parses a dataset CSV one row at a time with csv and
 float()/int(), where seel.cli.read_dataset parses the whole body in one
 np.loadtxt pass; write_dataset_rows writes one through csv.writer, where
@@ -186,9 +187,12 @@ class FullGram:
         return K if cols is None else K[np.ix_(cols, cols)]
 
 
-def design_d1_one_draw(n, p, rng):
-    """The d1 design drawn at once: n * p standard normals in row order."""
-    return rng.normals(n * p).reshape(n, p)
+def design_d1_rows(n, p, rng):
+    """The d1 design drawn row by row: p standard normals per row."""
+    X = np.empty((n, p))
+    for i in range(n):
+        X[i] = rng.normals(p)
+    return X
 
 
 def design_d2_loop(n, p, rng):

@@ -82,6 +82,9 @@ def test_removed_members_stay_removed():
     assert not hasattr(SimReport, "csv_row")
     # chi2_sf evaluates the upper incomplete gamma itself
     assert not hasattr(numkit, "gamma_q")
+    # log Gamma is the standard library's math.lgamma
+    for name in ("gammaln", "_LANCZOS_G", "_LANCZOS_COEF"):
+        assert not hasattr(numkit, name)
     # one finder locates the first bad line of a CSV
     assert not hasattr(cli, "_first_rejected")
     assert not hasattr(cli, "_is_float")

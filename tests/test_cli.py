@@ -782,12 +782,9 @@ def test_sweep_failure_before_the_grid_writes_no_report(sparse_csv, tmp_path,
 @pytest.mark.parametrize("flags", [["--a-step", "0"], ["--eta", "99"],
                                    ["--alpha", "0.9"]])
 def test_sweep_rejects_bad_flags(sparse_csv, flags):
+    # --eta is no sweep flag: argparse rejects it, and main still returns 2
     path, _ = sparse_csv
-    try:
-        code = main(["sweep", str(path), *flags])
-    except SystemExit as exc:  # argparse rejects unknown flags
-        code = exc.code
-    assert code == 2
+    assert main(["sweep", str(path), *flags]) == 2
 
 
 @pytest.mark.parametrize("flags, message", [
@@ -912,12 +909,11 @@ def test_simulate_rejects_tau_auto(tmp_path, capsys, via_config):
         argv += ["--config", str(cfg_file)]
     else:
         argv += ["--tau", "auto"]
-    with pytest.raises(SystemExit) as exc:
-        main(argv)
-    assert exc.value.code == 2
+    assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "--tau" in captured.err and "'default'" in captured.err
+    assert captured.err == "error: argument --tau: expected a number or " \
+        "'default', not 'auto'\n"
     code, rep = run_cli(capsys, "simulate", "--preset", "table1", "--n", "90",
                         "--reps", "2", "--tau", "DEFAULT")
     assert code == 0 and rep["tau"] != 0.5  # the shifted-exponential rule
@@ -927,13 +923,12 @@ def test_simulate_rejects_tau_auto(tmp_path, capsys, via_config):
 def test_dataset_tau_takes_a_number_or_auto(sparse_csv, capsys, command):
     # simulate's 'default' is no value here, and argparse names the flag
     path, _ = sparse_csv
-    with pytest.raises(SystemExit) as exc:
-        main([command, str(path), "--tau", "default"])
-    assert exc.value.code == 2
+    assert main([command, str(path), "--tau", "default"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "argument --tau: expected a number or 'auto', not 'default'" \
-        in captured.err
+    # one line, with no usage block
+    assert captured.err == "error: argument --tau: expected a number or " \
+        "'auto', not 'default'\n"
 
 
 def test_dataset_tau_auto_ignores_case(sparse_csv, capsys):
@@ -998,9 +993,7 @@ def test_config_bad_values_rejected(sparse_csv, tmp_path, capsys):
     cfg_file = tmp_path / "run.cfg"
     # a flag that takes a value gets 'no' as its value, never its default
     cfg_file.write_text("pilot = no\n")
-    with pytest.raises(SystemExit) as exc:
-        main(["select", str(path), "--config", str(cfg_file)])
-    assert exc.value.code == 2
+    assert main(["select", str(path), "--config", str(cfg_file)]) == 2
     assert "--pilot" in capsys.readouterr().err
     cfg_file.write_text("standardize = maybe\n")
     assert main(["fit", str(path), "--config", str(cfg_file)]) == 2
@@ -1275,6 +1268,29 @@ def test_every_subcommand_help_builds():
         assert text.startswith(f"usage: seel {name} ")
         for option in PARSER_INVENTORY[name]:
             assert option in text
+
+
+@pytest.mark.parametrize("argv, message", [
+    ([], "the following arguments are required: command"),
+    (["fit"], "the following arguments are required: data"),
+    (["fit", "x.csv", "--bogus"], "unrecognized arguments: --bogus"),
+    (["simulate", "--design", "d9"], "argument --design: invalid choice: 'd9'"),
+])
+def test_rejected_flag_returns_input_error(capsys, argv, message):
+    # argparse's message (whose list of choices differs across Python
+    # versions) on one line, no usage block, and no SystemExit
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith(f"error: {message}")
+    assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["sweep", "--help"]])
+def test_help_still_exits_zero(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: seel")
 
 
 _CONFIG_TEXT = "kernel = triweight\nmax_iter = 40\ngamma = 3\npilot = split\n"

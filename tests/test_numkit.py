@@ -10,6 +10,7 @@ from oracles import OneShotStream, normal_quantile_masked
 from seel.errors import InvalidProbabilityError, SingularMatrixError
 from seel.numkit import (
     _BLOCK,
+    _NORMAL_BLOCK,
     RngStream,
     chi2_quantile,
     chi2_sf,
@@ -18,6 +19,7 @@ from seel.numkit import (
     solve_linear,
     solve_spd,
 )
+from seel.simulate import gen_errors
 
 
 # ---------------------------------------------------------------------------
@@ -161,6 +163,40 @@ def test_chi2_quantile_memo_matches_fresh_solve():
         assert chi2_quantile.__wrapped__(q, df) == first
 
 
+# chi2_quantile at every level a report asks for (q = 0.9, 0.95, 0.99) and
+# df 1..60, recorded with the Lanczos log Gamma that math.lgamma replaced:
+# every Monte Carlo critical value keeps its bits
+QUANTILE_DIGEST = "f8cb5b5043c68002ea9b7cac79ca740734fbe3872285c160d03e904836be0a44"
+
+
+@pytest.mark.parametrize("q, df, bits", [
+    (0.9, 1, "0x1.5a4f3f769f500p+1"), (0.95, 1, "0x1.ebb4ec31e8500p+1"),
+    (0.95, 5, "0x1.6241846103180p+3"), (0.99, 10, "0x1.735917be46200p+4"),
+    (0.95, 60, "0x1.3c53e9417d1c0p+6"),
+])
+def test_chi2_quantile_pinned_bits(q, df, bits):
+    assert chi2_quantile(q, df).hex() == bits
+
+
+def test_chi2_quantile_pinned_digest():
+    values = [chi2_quantile(q, df) for q in (0.9, 0.95, 0.99)
+              for df in range(1, 61)]
+    digest = hashlib.sha256(np.array(values, dtype="<f8").tobytes()).hexdigest()
+    assert digest == QUANTILE_DIGEST
+
+
+@pytest.mark.parametrize("a, bits", [
+    (0.5, "0x1.250d048e7a1c0p-1"), (1.5, "-0x1.eeb95b094c1a0p-4"),
+    (2.5, "0x1.2383e809a67f0p-2"), (10.5, "0x1.be199a0f64394p+3"),
+    (30.5, "0x1.23d05ac006be7p+6"),
+])
+def test_lgamma_pinned_at_half_integers(a, bits):
+    # the chi-square functions take log Gamma(df / 2) from math.lgamma,
+    # which CPython computes itself (not the C library's lgamma); a CPython
+    # that changes it fails here
+    assert math.lgamma(a).hex() == bits
+
+
 def test_chi2_quantile_rejects_bad_probability():
     for q in (0.0, 1.0, -0.2, 1.7):
         with pytest.raises(InvalidProbabilityError):
@@ -256,6 +292,11 @@ def test_derived_draws_match_one_shot_oracle(seed, stream):
         assert rng.bernoulli(0.3, size).tobytes() \
             == oracle.bernoulli(0.3, size).tobytes()
         assert rng.chi2_1(size).tobytes() == oracle.chi2_1(size).tobytes()
+    # normals turn their uniforms into normals _NORMAL_BLOCK at a time:
+    # draws that end just before, at and after one or two block edges
+    for size in (_NORMAL_BLOCK - 1, _NORMAL_BLOCK, _NORMAL_BLOCK + 1,
+                 2 * _NORMAL_BLOCK, 2 * _NORMAL_BLOCK + 3):
+        assert rng.normals(size).tobytes() == oracle.normals(size).tobytes()
 
 
 @pytest.mark.parametrize("seed,stream,size,digest", [
@@ -284,6 +325,24 @@ def test_exponential_draw_memory_stays_near_its_output():
     finally:
         tracemalloc.stop()
     assert peak <= e.nbytes + 256 * 1024
+
+
+@pytest.mark.parametrize("draw", [
+    lambda: RngStream(0, 0).normals(10 ** 6),
+    lambda: gen_errors("normal", 10 ** 6, RngStream(0, 0)),
+], ids=["normals", "gen_errors"])
+def test_normal_draw_memory_stays_near_its_output(draw):
+    # the quantile runs block by block over the uniforms, in place, so a
+    # draw holds no temporary as large as its output
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        z = draw()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= z.nbytes + 4 * 1024 * 1024
 
 
 def test_stream_distinct_ids_differ():

@@ -9,8 +9,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import design_d1_one_draw, design_d2_loop, resolved_tau_one_shot
-from seel import simulate
+from oracles import design_d1_rows, design_d2_loop, resolved_tau_one_shot
+from seel import numkit, simulate
 from seel.errors import EstimationError, NoConvergenceError
 from seel.estimators import pilot_estimate
 from seel.numkit import RngStream
@@ -77,30 +77,46 @@ def test_design_d2_equals_the_column_loop(p, batch, monkeypatch):
 @pytest.mark.parametrize("n, rows", [(257, None), (256, 64), (257, 64), (7, 0)])
 @pytest.mark.parametrize("p", [1, 5, 50])
 def test_design_d1_equals_the_one_shot_draw(p, n, rows, monkeypatch):
-    # one batch (the default), four full batches of 64 rows, four and a
-    # one-row remainder, and a batch of fewer numbers than one row (one row
-    # per draw); every draw stays within the batch or one row
+    # gen_design draws d1 in one normals call, whose quantile runs in
+    # blocks: one block (the default), blocks of one number fewer than 64
+    # rows, which split rows, with and without a remainder row, and blocks
+    # of one number; the bytes equal a draw of one row at a time
     if rows is not None:
-        monkeypatch.setattr(simulate, "_DRAW_BATCH", max(rows * p, p - 1))
+        monkeypatch.setattr(numkit, "_NORMAL_BLOCK", max(1, rows * p - 1))
     sizes = []
-    normals = RngStream.normals
+    quantile = numkit.normal_quantile
 
-    def counted(self, size):
-        sizes.append(size)
-        return normals(self, size)
+    def counted(u):
+        sizes.append(u.size)
+        return quantile(u)
 
-    batched, one = RngStream(9, 4), RngStream(9, 4)
-    monkeypatch.setattr(RngStream, "normals", counted)
-    X = gen_design("d1", n, p, batched)
-    monkeypatch.setattr(RngStream, "normals", normals)
-    expected = design_d1_one_draw(n, p, one)
+    one, rowwise = RngStream(9, 4), RngStream(9, 4)
+    monkeypatch.setattr(numkit, "normal_quantile", counted)
+    X = gen_design("d1", n, p, one)
+    monkeypatch.setattr(numkit, "normal_quantile", quantile)
+    expected = design_d1_rows(n, p, rowwise)
     assert X.flags.c_contiguous
     assert X.shape == (n, p) and X.tobytes() == expected.tobytes()
-    assert batched._counter == one._counter == n * p
-    assert batched.uniforms(3).tobytes() == one.uniforms(3).tobytes()
+    assert one._counter == rowwise._counter == n * p
+    assert one.uniforms(3).tobytes() == rowwise.uniforms(3).tobytes()
+    block = numkit._NORMAL_BLOCK
     assert sum(sizes) == n * p
-    assert max(sizes) <= max(simulate._DRAW_BATCH, p)
-    assert len(sizes) == -(-n // max(1, simulate._DRAW_BATCH // p))
+    assert max(sizes) <= block
+    assert len(sizes) == -(-n * p // block)
+
+
+@pytest.mark.parametrize("mechanism", ["constant", "covariate"])
+def test_missing_flags_are_uniforms_below_the_probability(mechanism):
+    # both random mechanisms draw through bernoulli, with a scalar or a
+    # per-row probability
+    n = 300
+    X = gen_design("d1", n, 3, RngStream(5, 1))
+    rng, plain = RngStream(5, 2), RngStream(5, 2)
+    prob = 0.8 if mechanism == "constant" else missing_probability(X)
+    delta = gen_missing(mechanism, X, rng, pi=0.8)
+    expected = (plain.uniforms(n) < prob).astype(np.uint8)
+    assert delta.dtype == np.uint8 and delta.tobytes() == expected.tobytes()
+    assert rng._counter == plain._counter == n
 
 
 def test_errors_normal_and_shifted_exp():

@@ -1,14 +1,15 @@
 """Record, or check, the outputs of one fixed set of seel commands.
 
-    PYTHONPATH=src python3 tools/record_golden.py           # re-record
-    PYTHONPATH=src python3 tools/record_golden.py --check   # compare bytes
+    python3 tools/record_golden.py           # re-record
+    python3 tools/record_golden.py --check   # compare bytes
+
+It imports seel from this checkout's src/.
 
 Each case runs in-process through seel.cli.main in a temporary directory,
 and tests/golden/<case>/ holds what it produced: stdout.txt, stderr.txt,
 exit_code.txt and every file it wrote to --out.  A dataset that simulate
 --dump writes is not stored: its sha256 is, as <name>.sha256, and the fit,
-select and sweep cases read the regenerated dump.  The temporary directory's
-path reads $WORK in every stored text.
+select and sweep cases read the regenerated dump.
 
 The set: simulate on each preset at 4 replications with --dump; fit (a1 and
 a2, with --test-beta at the preset's true beta), select (both pilots) and
@@ -44,7 +45,6 @@ from seel.simulate import PRESETS, preset_config  # noqa: E402
 REPS = "4"
 DATA_PRESETS = ("table1", "fig-coverage")
 BAD_CSV = "y,delta,x1\n1.0,1,2.0\n1e,1,3.0\n2.0,1,x\n"
-PLACEHOLDER = "$WORK"
 
 
 def cases(work):
@@ -98,8 +98,7 @@ def run_cases():
                         hashlib.sha256(data).hexdigest() + "\n"
                 else:
                     files[path.name] = data.decode("utf-8")
-            outputs[name] = {k: v.replace(tmp, PLACEHOLDER)
-                             for k, v in files.items()}
+            outputs[name] = files
     return outputs
 
 
@@ -115,9 +114,7 @@ def record(outputs):
     for case, files in outputs.items():
         (GOLDEN / case).mkdir(parents=True)
         for fname, text in files.items():
-            with open(GOLDEN / case / fname, "w", encoding="utf-8",
-                      newline="") as fh:
-                fh.write(text)
+            (GOLDEN / case / fname).write_bytes(text.encode("utf-8"))
 
 
 def check(outputs):
