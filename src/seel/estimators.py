@@ -104,14 +104,15 @@ def expectile_fit(ds, tau):
     for _ in range(_EXPECTILE_MAX_ITER):
         r = yc - Xc @ beta
         w = np.where(r >= 0.0, tau, 1.0 - tau)
-        if w_prev is not None and np.array_equal(w, w_prev):
+        if w_prev is not None and (w == w_prev).all():
             return beta
         w_prev = w
         try:
             beta_new = solve_spd(gram(w), Xc.T @ (w * yc))
         except SingularMatrixError:
             raise RankDeficientError("weighted design is rank deficient") from None
-        step = np.linalg.norm(beta_new - beta)
+        d = beta_new - beta
+        step = np.sqrt(d.dot(d))
         beta = beta_new
         if step < _EXPECTILE_TOL:
             return beta
@@ -151,11 +152,14 @@ def _full_rank(Xc, K):
 
 def adaptive_weights(pilot, gamma, eps_zero=1e-4):
     """Componentwise |pilot_j|**(-gamma); entries below eps_zero become inf,
-    meaning the coordinate is frozen at zero."""
+    meaning the coordinate is frozen at zero.  A weight that overflows to
+    inf (a small pilot under a large gamma) freezes its coordinate the same
+    way, and raises no floating-point warning."""
     pilot = np.abs(np.asarray(pilot, dtype=float))
     out = np.full(pilot.shape, np.inf)
     live = pilot >= eps_zero
-    out[live] = pilot[live] ** -gamma
+    with np.errstate(over="ignore"):
+        out[live] = pilot[live] ** -gamma
     return out
 
 
@@ -207,7 +211,7 @@ def _fit_engine(ds, cfg, beta0, refresh_lambda, pen=None):
         ev = evaluate(ds, cfg, beta, memo=not trace)
         gbar = ev.gbar
         t = ev.a * (Xo @ ev.lam) - 1.0 if refresh_lambda else -1.0
-        idx = np.flatnonzero(active)
+        idx = active.nonzero()[0]
         # once a coordinate is frozen, only the active block of M is formed
         v = ev.c * t
         M_act = (ds.gram(v) if idx.size == p else ds.gram(v, idx)) / n
@@ -230,15 +234,17 @@ def _fit_engine(ds, cfg, beta0, refresh_lambda, pen=None):
             # geometrically is on its way to the freeze threshold; convergence
             # waits until it freezes or stabilizes
             live = active & (np.abs(beta) > 0.0)
-            collapsing = bool(np.any(
+            collapsing = bool((
                 (np.abs(beta_new[live]) < cfg.nu)
                 & (np.abs(beta_new[live]) < 0.5 * np.abs(beta[live]))
-            ))
+            ).any())
 
-        step = np.linalg.norm(beta_new - beta)
+        # np.linalg.norm's own form for a real vector, without its wrapper
+        d = beta_new - beta
+        step = np.sqrt(d.dot(d))
         trace.append(step)
         beta = beta_new
-        if math.hypot(*beta) > guard or not np.all(np.isfinite(beta)):
+        if math.hypot(*beta) > guard or not np.isfinite(beta).all():
             raise NoConvergenceError("iterates diverged")
         if step < cfg.nu and not collapsing:
             break

@@ -62,5 +62,7 @@ class Kernel:
             val = 0.5 + (15.0 / 16.0) * (v - (2.0 / 3.0) * v ** 3 + 0.2 * v ** 5)
         else:
             val = 0.5 + (35.0 / 32.0) * (v - v ** 3 + 0.6 * v ** 5 - v ** 7 / 7.0)
-        out[band] = np.clip(val, 0.0, 1.0)
+        # np.clip's values: the polynomial never gives -0.0, where the two
+        # would differ
+        out[band] = np.minimum(np.maximum(val, 0.0), 1.0)
         return out if out.ndim else float(out)

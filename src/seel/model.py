@@ -16,7 +16,6 @@ ratios after a fit read one evaluation instead of repeating it.
 """
 
 from dataclasses import FrozenInstanceError, dataclass, field, fields
-from functools import cached_property
 
 import numpy as np
 
@@ -252,7 +251,7 @@ class WeightedGram:
         ref = self._ref
         if ref is not None:
             v_ref, K_ref = ref
-            rows = np.flatnonzero(v != v_ref)
+            rows = (v != v_ref).nonzero()[0]
             if 2 * rows.size <= v.size:
                 X_D = (self.X[rows] if cols is None
                        else self.X[np.ix_(rows, cols)])
@@ -274,6 +273,21 @@ class _TermsMemo:
     entries = ()
 
 
+class _kept:
+    """functools.cached_property without the lock that Python 3.11 takes on
+    every first read: the value goes into the instance dict under the
+    method's name, where later reads find it first."""
+
+    def __init__(self, method):
+        self.method, self.name = method, method.__name__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.method(obj)
+        return value
+
+
 class Evaluation:
     """The closed-form quantities of one dataset at one (cfg, beta).
 
@@ -293,16 +307,16 @@ class Evaluation:
         a.flags.writeable = c.flags.writeable = False
 
     # a read that raises keeps nothing, so the next read raises again
-    @cached_property
+    @_kept
     def gbar(self):
         return _finite(self.Xo.T @ self.a / self.n, "gbar")
 
-    @cached_property
+    @_kept
     def S(self):
         return _finite(self.Xo.T @ (self.Xo * (self.a * self.a)[:, None])
                        / self.n, "S")
 
-    @cached_property
+    @_kept
     def lam(self):
         return _finite(solve_spd(self.S, self.gbar), "the multiplier")
 

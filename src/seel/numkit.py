@@ -202,8 +202,9 @@ _F = (5.99832206555887937690e-1, 1.36929880922735805310e-1, 1.487536129085061485
 
 def _poly(coefs, r):
     # Horner evaluation in place; coefs listed from the constant term upward
-    acc = np.full_like(r, coefs[-1])
-    for c in coefs[-2::-1]:
+    acc = r * coefs[-1]
+    acc += coefs[-2]
+    for c in coefs[-3::-1]:
         acc *= r
         acc += c
     return acc
@@ -221,6 +222,8 @@ def normal_quantile(u):
     Elementwise: output i depends on u[i] alone.  Each branch of AS 241 is
     gathered with np.compress, evaluated in place and scattered back with
     np.place, which gives the same bytes as evaluating every element alone.
+    The far-tail branch (r > 5, that is u or 1 - u below about 1.4e-11) is
+    skipped when it has no element, as it almost always has none.
     """
     u = np.asarray(u, dtype=float)
     flat = u.ravel()
@@ -239,11 +242,14 @@ def normal_quantile(u):
     lower = np.compress(tail, q) < 0.0
     ut = np.compress(tail, flat)
     r = np.sqrt(-np.log(np.where(lower, ut, 1.0 - ut)))
-    z = np.empty_like(r)
     near = r <= 5.0
-    np.place(z, near, _rational(_C, _D, np.compress(near, r) - 1.6))
-    far = ~near
-    np.place(z, far, _rational(_E, _F, np.compress(far, r) - 5.0))
+    if near.all():
+        z = _rational(_C, _D, r - 1.6)
+    else:
+        z = np.empty_like(r)
+        np.place(z, near, _rational(_C, _D, np.compress(near, r) - 1.6))
+        far = ~near
+        np.place(z, far, _rational(_E, _F, np.compress(far, r) - 5.0))
     np.negative(z, out=z, where=lower)
     np.place(out, tail, z)
     out = out.reshape(u.shape)
@@ -275,6 +281,48 @@ def _mix64(z):
     return z ^ (z >> np.uint64(31))
 
 
+def _stream_key(seed, stream_id):
+    # the key of stream stream_id (a uint64 scalar or array) of seed
+    with np.errstate(over="ignore"):
+        s = np.uint64(int(seed) & _MASK64)
+        return _mix64((_mix64(s + _GOLDEN) ^ (stream_id * _STREAM_SALT))
+                      + _GOLDEN)
+
+
+def _top53(z, t):
+    # _mix64 of the counter words z in place (t is scratch of z's shape),
+    # then their top 53 bits
+    for shift, mult in ((30, _MIX_M1), (27, _MIX_M2)):
+        np.right_shift(z, np.uint64(shift), out=t)
+        z ^= t
+        z *= mult
+    np.right_shift(z, np.uint64(31), out=t)
+    z ^= t
+    z >>= np.uint64(11)
+
+
+def _to_unit(out):
+    # 53-bit integers, as floats, to the open interval (0, 1), in place
+    out += 0.5
+    out *= 2.0 ** -53
+    return out
+
+
+def stream_uniforms(seed, streams, size):
+    """The first size uniforms of RngStream(seed, m) for each m in streams
+    (a range of stream ids), as the rows of one array.
+
+    One hash pass covers every word of the block: word i of stream m hashes
+    key_m + i * golden mod 2^64, the word that uniforms makes from counter
+    i, so each row is the bytes of RngStream(seed, m).uniforms(size).  The
+    block holds three arrays of its size; callers keep it small.
+    """
+    keys = _stream_key(seed, np.array(streams, dtype=np.uint64))
+    z = np.add.outer(keys, np.arange(size, dtype=np.uint64) * _GOLDEN)
+    _top53(z, np.empty_like(z))
+    return _to_unit(z.astype(float))
+
+
 class RngStream:
     """Deterministic counter-based random stream.
 
@@ -286,15 +334,13 @@ class RngStream:
     blocks of _BLOCK counters, in two fixed block buffers, and normals
     turns its uniforms into normals in place, _NORMAL_BLOCK at a time, so
     uniforms, normals and exponentials hold no temporary larger than a
-    block beside their output.  Each stream instance is meant to be owned
-    by a single worker.
+    block beside their output.  stream_uniforms makes the words of several
+    streams at once, each row the bytes of one stream's uniforms.  Each
+    stream instance is meant to be owned by a single worker.
     """
 
     def __init__(self, seed, stream_id=0):
-        with np.errstate(over="ignore"):
-            s = np.uint64(int(seed) & _MASK64)
-            t = np.uint64(int(stream_id) & _MASK64)
-            self._key = _mix64((_mix64(s + _GOLDEN) ^ (t * _STREAM_SALT)) + _GOLDEN)
+        self._key = _stream_key(seed, np.uint64(int(stream_id) & _MASK64))
         self.seed = int(seed)
         self.stream_id = int(stream_id)
         self._counter = 0
@@ -308,19 +354,10 @@ class RngStream:
             zk, tk = z[:size - i0], t[:size - i0]
             offset = (int(self._key) + self._counter * int(_GOLDEN)) & _MASK64
             np.add(_STEPS[:zk.size], np.uint64(offset), out=zk)
-            # _mix64 in place, then the top 53 bits
-            for shift, mult in ((30, _MIX_M1), (27, _MIX_M2)):
-                np.right_shift(zk, np.uint64(shift), out=tk)
-                zk ^= tk
-                zk *= mult
-            np.right_shift(zk, np.uint64(31), out=tk)
-            zk ^= tk
-            zk >>= np.uint64(11)
+            _top53(zk, tk)
             out[i0:i0 + zk.size] = zk
             self._counter += zk.size
-        out += 0.5
-        out *= 2.0 ** -53
-        return out
+        return _to_unit(out)
 
     def normals(self, size):
         """size standard normal draws: the uniforms of the same counters,

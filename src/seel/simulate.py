@@ -20,7 +20,7 @@ from .estimators import (expectile_fit, fit_a1, fit_a2, fit_l1, fit_l2,
 from .inference import _tau_of_masses, check_alpha, el_ratio
 from .kernels import Kernel
 from .model import SOLVER_FIELDS, Dataset, ModelConfig, PenaltyConfig
-from .numkit import RngStream, chi2_quantile
+from .numkit import RngStream, chi2_quantile, normal_quantile, stream_uniforms
 
 DESIGNS = ("d1", "d2")
 ERROR_LAWS = ("normal", "shifted_exp")
@@ -182,22 +182,31 @@ class SimReport:
 
 def gen_design(design, n, p, rng):
     """Design matrix draw: d1 is standard normal; d2 gives column j (1-based)
-    chi-square(1) + j^2/n except column 3, which stays standard normal."""
+    chi-square(1) + j^2/n except column 3, which stays standard normal.
+
+    Column j of d2 takes the j-th block of n consecutive draws, as p calls
+    of normals(n) would.  Whole columns are drawn together, at most
+    _DRAW_BATCH numbers (or one column) at a time, which bounds the
+    temporaries of the draw and of the squaring.  A Monte Carlo run draws
+    the same bytes a block of replications at a time (see _datasets).
+    """
     if design == "d1":
         return rng.normals(n * p).reshape(n, p)
-    # column j takes the j-th block of n consecutive draws, as p calls of
-    # normals(n) would; whole columns are drawn together, at most
-    # _DRAW_BATCH numbers (or one column) at a time, which bounds the
-    # temporaries of the draw and of the squaring
     X = np.empty((n, p))
     width = max(1, _DRAW_BATCH // n)
     for j0 in range(0, p, width):
         cols = np.arange(j0, min(p, j0 + width))
         Z = rng.normals(n * cols.size).reshape(cols.size, n).T
-        chi2 = cols != 2
-        Z[:, chi2] = Z[:, chi2] ** 2 + (cols[chi2] + 1) ** 2 / n
+        _d2_columns(Z, cols, n)
         X[:, j0:j0 + cols.size] = Z
     return X
+
+
+def _d2_columns(Z, cols, n):
+    # the standard normals Z[..., j] of the design columns cols (0-based)
+    # become d2's columns in place
+    chi2 = cols != 2
+    Z[..., chi2] = Z[..., chi2] ** 2 + (cols[chi2] + 1) ** 2 / n
 
 
 def gen_errors(law, n, rng):
@@ -205,20 +214,28 @@ def gen_errors(law, n, rng):
     zero (right-skewed, support bounded below at -1.5)."""
     if law == "normal":
         return rng.normals(n)
-    e = rng.exponentials(_EXP_MEAN, n)
-    e -= _EXP_MEAN
-    return e
+    return _shifted_exp(rng.uniforms(n))
+
+
+def _shifted_exp(u):
+    # the shifted exponential errors of the uniforms u, in place, as
+    # exponentials(1.5, ...) - 1.5 makes them
+    np.log(u, out=u)
+    u *= -_EXP_MEAN
+    u -= _EXP_MEAN
+    return u
 
 
 def missing_probability(X):
     """Covariate-driven observation probabilities, averaged over columns.
 
     Per entry: 0.8 + 0.2|x - 1| when |x - 1| <= 1, else 0.95; the row value
-    is the mean over the p covariates and always lies in [0.8, 0.95].
+    is the mean over the p covariates and always lies in [0.8, 0.95].  X
+    may hold a stack of designs along its leading axes.
     """
     d = np.abs(X - 1.0)
     per_entry = np.where(d <= 1.0, 0.8 + 0.2 * d, 0.95)
-    return per_entry.mean(axis=1)
+    return per_entry.mean(axis=-1)
 
 
 def gen_missing(mechanism, X, rng, pi=0.8):
@@ -226,25 +243,79 @@ def gen_missing(mechanism, X, rng, pi=0.8):
     n = X.shape[0]
     if mechanism == "complete":
         return np.ones(n, dtype=np.uint8)
+    return _missing_flags(mechanism, X, rng.uniforms(n), pi)
+
+
+def _missing_flags(mechanism, X, u, pi):
+    # flags of a random mechanism from the uniforms u of their counters, as
+    # bernoulli(prob, n) makes them
     prob = pi if mechanism == "constant" else missing_probability(X)
-    return rng.bernoulli(prob, n)
+    return (u < prob).astype(np.uint8)
+
+
+def _draw_words(sc):
+    """Numbers one replication draws: its design, its errors and, unless
+    every response is observed, its missingness flags, in that order."""
+    return sc.n * (sc.p + 1 + (sc.missing != "complete"))
+
+
+def _datasets(sc, start, stop):
+    """The datasets of replications start, ..., stop - 1.
+
+    Replication m reads stream m of the seed: the design from counters 0 to
+    np - 1, the errors from the next n and the missingness flags from the
+    n after them.  A block of replications is drawn together: one hash pass
+    (stream_uniforms) makes every word of the block, one normal_quantile
+    call all of its normals, and the d2 transform, the error map and the
+    missingness map run once over the block.  Each dataset is the bytes
+    that gen_design, gen_errors and gen_missing give on RngStream(seed, m)
+    alone.  A block of more than _DRAW_BATCH numbers must be one
+    replication, which is drawn alone, in gen_design's column batches.
+    """
+    n, p, k = sc.n, sc.p, stop - start
+    words = _draw_words(sc)
+    if k * words > _DRAW_BATCH:
+        (m,) = range(start, stop)
+        rng = RngStream(sc.seed, m)
+        X = gen_design(sc.design, n, p, rng)
+        eps = gen_errors(sc.errors, n, rng)
+        return [_dataset(sc, X, eps, gen_missing(sc.missing, X, rng, sc.pi))]
+    U = stream_uniforms(sc.seed, range(start, stop), words)
+    normal = n * p + n * (sc.errors == "normal")
+    U[:, :normal] = normal_quantile(U[:, :normal])
+    if sc.design == "d1":
+        X = U[:, :n * p].reshape(k, n, p)
+    else:
+        X = U[:, :n * p].reshape(k, p, n).transpose(0, 2, 1)
+        _d2_columns(X, np.arange(p), n)
+        X = np.ascontiguousarray(X)
+    eps = U[:, n * p:n * p + n]
+    if sc.errors != "normal":
+        eps = _shifted_exp(eps.copy())
+    if sc.missing == "complete":
+        delta = np.ones((k, n), dtype=np.uint8)
+    else:
+        delta = _missing_flags(sc.missing, X, U[:, n * p + n:], sc.pi)
+    return [_dataset(sc, *rep) for rep in zip(X, eps, delta)]
+
+
+def _dataset(sc, X, eps, delta):
+    y = X @ sc.beta0 + eps
+    return Dataset(X, np.where(delta == 1, y, np.nan), delta)
 
 
 def _generate_dataset(sc, stream_id):
-    rng = RngStream(sc.seed, stream_id)
-    X = gen_design(sc.design, sc.n, sc.p, rng)
-    eps = gen_errors(sc.errors, sc.n, rng)
-    delta = gen_missing(sc.missing, X, rng, sc.pi)
-    y = X @ sc.beta0 + eps
-    y = np.where(delta == 1, y, np.nan)
-    return Dataset(X, y, delta)
+    """The dataset of replication stream_id: a block of one (see _datasets)."""
+    return _datasets(sc, stream_id, stream_id + 1)[0]
 
 
-def _replicate(sc, tau, m):
-    """Metrics of replication m, or None when a fit fails: cp, cp_cr0 and
-    one dict per METRICS entry keyed by algorithm."""
+def _replicate(sc, tau, m, ds=None):
+    """Metrics of replication m on its dataset ds (drawn when not given), or
+    None when a fit fails: cp, cp_cr0 and one dict per METRICS entry keyed
+    by algorithm."""
     cfg = sc.model_config(tau)
-    ds = _generate_dataset(sc, m)
+    if ds is None:
+        ds = _generate_dataset(sc, m)
     crit_p = chi2_quantile(1.0 - sc.alpha, sc.p)
     out = {key: {} for key in METRICS}
     norm, coverage, zero, support = (out[key] for key in METRICS)
@@ -293,25 +364,47 @@ def _replicate(sc, tau, m):
     return out
 
 
+def _blocks(sc, workers):
+    """(start, stop) of each draw block of a run on workers processes, in
+    order: whole replications, at most _DRAW_BATCH numbers (one replication
+    when it alone draws more), and at least one block per process."""
+    size = max(1, min(_DRAW_BATCH // _draw_words(sc),
+                      sc.replications // workers))
+    return [(m, min(m + size, sc.replications))
+            for m in range(0, sc.replications, size)]
+
+
+def _replicate_block(sc, tau, start, stop):
+    """The _replicate results of replications start, ..., stop - 1, on the
+    datasets of one draw block."""
+    return [_replicate(sc, tau, m, ds)
+            for m, ds in zip(range(start, stop), _datasets(sc, start, stop))]
+
+
 def run_monte_carlo(sc, workers=1):
     """Run the full Monte Carlo cell and aggregate the summary metrics.
 
-    Per-replication failures are counted and excluded from the averages; the
-    run aborts if more than 10% of the replications fail.  They run in
-    min(workers, replications, CPU count) processes when that exceeds 1.
+    The replications are drawn a block at a time (see _blocks and
+    _datasets), and every replication's data are the bytes of its own
+    stream, whatever the block.  Per-replication failures are counted and
+    excluded from the averages; the run aborts if more than 10% of the
+    replications fail.  They run in min(workers, replications, CPU count)
+    processes when that exceeds 1, each taking whole blocks, so the report
+    is the serial report byte for byte.
     """
     if workers < 1:
         raise ValueError("workers must be at least 1")
     tau = sc.resolved_tau()
-    jobs = [(sc, tau, m) for m in range(sc.replications)]
     workers = min(workers, sc.replications, os.cpu_count() or 1)
+    jobs = [(sc, tau, *block) for block in _blocks(sc, workers)]
     if workers > 1:
         # imported here, so that no serial run loads multiprocessing
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_replicate, *zip(*jobs), chunksize=8))
+            blocks = list(pool.map(_replicate_block, *zip(*jobs)))
     else:
-        results = [_replicate(*job) for job in jobs]
+        blocks = [_replicate_block(*job) for job in jobs]
+    results = [r for block in blocks for r in block]
 
     kept = [r for r in results if r is not None]
     failed = len(results) - len(kept)

@@ -30,7 +30,10 @@ zero_expectile_tau_masked split their input with boolean indexing, where
 seel.numkit and seel.inference work block by block, with np.compress and
 np.place, in place.  resolved_tau_one_shot draws the tau calibration
 sample in one call, where seel.simulate.SimConfig.resolved_tau streams it
-in blocks.  expectile_fit_confirming runs the expectile fit's
+in blocks.  dataset_alone draws one Monte Carlo replication's dataset
+from its own RngStream, one generator call each for the design, errors and
+missingness, where seel.simulate draws a block of replications in one hash
+pass.  expectile_fit_confirming runs the expectile fit's
 loop until a step falls below tol, with the confirming solve that
 seel.estimators.expectile_fit skips once the weights repeat.
 """
@@ -44,7 +47,7 @@ from seel.inference import zero_expectile_tau
 from seel.model import Dataset, WeightedGram, evaluate
 from seel.numkit import (_A, _B, _C, _D, _E, _F, _GOLDEN, RngStream, _mix64,
                          solve_spd)
-from seel.simulate import _TAU_STREAM, gen_errors
+from seel.simulate import _TAU_STREAM, gen_design, gen_errors, gen_missing
 
 
 def expectile_loss(tau, x):
@@ -371,6 +374,19 @@ def resolved_tau_one_shot(seed):
     calibration stream in one draw, then their zero-expectile level."""
     sample = gen_errors("shifted_exp", 10 ** 6, RngStream(seed, _TAU_STREAM))
     return zero_expectile_tau(sample)
+
+
+def dataset_alone(sc, stream_id):
+    """The dataset of replication stream_id of the Monte Carlo cell sc,
+    drawn alone: design, errors and missingness flags from
+    RngStream(sc.seed, stream_id), in that order."""
+    rng = RngStream(sc.seed, stream_id)
+    X = gen_design(sc.design, sc.n, sc.p, rng)
+    eps = gen_errors(sc.errors, sc.n, rng)
+    delta = gen_missing(sc.missing, X, rng, sc.pi)
+    y = X @ sc.beta0 + eps
+    y = np.where(delta == 1, y, np.nan)
+    return Dataset(X, y, delta)
 
 
 def expectile_fit_confirming(ds, tau, tol=1e-8, max_iter=500, gram=None):

@@ -657,6 +657,23 @@ def test_select_l1_l2_agree(sparse_csv, capsys):
     assert rep1["active_set"] == rep2["active_set"]
 
 
+def test_select_overflowing_weights_freeze_without_a_warning(tmp_path,
+                                                            capsys):
+    # at gamma 400 the adaptive weights |pilot_j|^-400 of the table1 dump's
+    # small pilots overflow to inf and freeze their coordinates; with
+    # overflow warnings as errors the run exits 0 with the same report
+    path = tmp_path / "dump.csv"
+    write_dataset(path, _generate_dataset(preset_config("table1"), 0))
+    argv = ["select", str(path), "--gamma", "400"]
+    assert main(argv) == 0
+    plain = capsys.readouterr().out
+    assert json.loads(plain)["active_set"] == [3, 5]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(argv) == 0
+    assert capsys.readouterr().out == plain
+
+
 # ---------------------------------------------------------------------------
 # sweep
 
@@ -833,6 +850,20 @@ def test_sweep_grid_bound_counts_as_arange_does(sparse_csv, capsys,
         assert f"has {cells} cells" in err
 
 
+def test_repeated_sweep_writes_the_same_files(tmp_path, capsys):
+    # a grid out of order with a repeated eta, on a dump with missing
+    # responses: the multiplier predicted along the eta path meets equal
+    # and backward-spaced points, and a second run writes the same bytes
+    path = tmp_path / "dump.csv"
+    write_dataset(path, _generate_dataset(preset_config("fig-coverage"), 0))
+    for run in ("first", "again"):
+        assert main(["sweep", str(path), "--tau", "auto", "--a-values",
+                     "4,1,2,2,8", "--out", str(tmp_path / run)]) == 0
+    for name in ("sweep_report.json", "sweep_records.csv"):
+        assert (tmp_path / "again" / name).read_bytes() \
+            == (tmp_path / "first" / name).read_bytes()
+
+
 def test_sweep_selects_support_on_synthetic(sparse_csv, capsys):
     path, _ = sparse_csv
     code, rep = run_cli(capsys, "sweep", str(path), "--a-values",
@@ -868,6 +899,18 @@ def test_simulate_same_seed_identical_files(tmp_path, capsys):
     assert code1 == code2 == 0
     for name in ("sim_report.json", "sim_cells.csv", "sim_dump.csv"):
         assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
+
+
+def test_simulate_pool_writes_the_serial_files(tmp_path, capsys):
+    # two worker processes, each drawing and scoring whole blocks of
+    # replications, write the serial report and cells row byte for byte
+    for workers in ("1", "2"):
+        assert main(["simulate", "--preset", "table1", "--reps", "4",
+                     "--workers", workers,
+                     "--out", str(tmp_path / f"pool{workers}")]) == 0
+    for name in ("sim_report.json", "sim_cells.csv"):
+        assert (tmp_path / "pool2" / name).read_bytes() \
+            == (tmp_path / "pool1" / name).read_bytes()
 
 
 def test_simulate_dump_roundtrip_fit_bitwise(tmp_path, capsys):

@@ -249,6 +249,31 @@ def test_normal_quantile_matches_masked_oracle():
         assert z.tobytes() == normal_quantile_masked(arr).tobytes()
 
 
+@pytest.mark.parametrize("case", ["central", "near_tail", "far_tail"])
+def test_normal_quantile_branch_skips_keep_the_bytes(case):
+    # an array with no far-tail element (r > 5, u or 1 - u below about
+    # 1.4e-11) skips the far branch, whether it has tail elements or none;
+    # each equals its elements computed one at a time, and the masked
+    # oracle, whose Horner evaluation multiplies an array filled with the
+    # last coefficient by r where _poly starts from r times that coefficient
+    u = RngStream(11, 7).uniforms(4000)
+    if case == "central":
+        u = 0.08 + 0.84 * u
+    elif case == "near_tail":
+        u = np.concatenate([0.07 * u[:2000], 1.0 - 0.07 * u[2000:]])
+        u = np.clip(u, 1e-10, 1.0 - 1e-10)
+    else:
+        u = np.concatenate([u, [1e-11, 5e-324, 1e-300, 1.0 - 2.0 ** -53]])
+    q = np.abs(u - 0.5)
+    tail = np.minimum(u, 1.0 - u)
+    assert (q > 0.425).any() == (case != "central")
+    assert (tail < 1.4e-11).any() == (case == "far_tail")
+    z = normal_quantile(u)
+    one_at_a_time = np.array([normal_quantile(float(x)) for x in u])
+    assert z.tobytes() == one_at_a_time.tobytes()
+    assert z.tobytes() == normal_quantile_masked(u).tobytes()
+
+
 def test_normal_quantile_scalar_inputs_match_masked_oracle():
     for v in quantile_inputs()[:12]:
         for x in (float(v), np.array(v), np.float64(v)):

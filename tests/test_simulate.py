@@ -3,13 +3,14 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-
-from oracles import design_d1_rows, design_d2_loop, resolved_tau_one_shot
+from oracles import (dataset_alone, design_d1_rows, design_d2_loop,
+                     resolved_tau_one_shot)
 from seel import numkit, simulate
 from seel.errors import EstimationError, NoConvergenceError
 from seel.estimators import pilot_estimate
@@ -117,6 +118,50 @@ def test_missing_flags_are_uniforms_below_the_probability(mechanism):
     expected = (plain.uniforms(n) < prob).astype(np.uint8)
     assert delta.dtype == np.uint8 and delta.tobytes() == expected.tobytes()
     assert rng._counter == plain._counter == n
+
+
+@settings(deadline=None, max_examples=60)
+@given(design=st.sampled_from(simulate.DESIGNS),
+       errors=st.sampled_from(simulate.ERROR_LAWS),
+       missing=st.sampled_from(simulate.MISSING_MECHANISMS),
+       p=st.integers(1, 10), extra=st.integers(1, 25),
+       seed=st.integers(0, 2 ** 64 - 1), first=st.integers(0, 50),
+       reps=st.integers(1, 12), per_block=st.integers(0, 5),
+       workers=st.integers(1, 3))
+@example(design="d2", errors="normal", missing="covariate", p=10, extra=3,
+         seed=0, first=0, reps=7, per_block=3, workers=1)
+@example(design="d1", errors="shifted_exp", missing="constant", p=2,
+         extra=1, seed=2 ** 64 - 1, first=0, reps=5, per_block=2, workers=2)
+@example(design="d1", errors="normal", missing="covariate", p=9, extra=20,
+         seed=3, first=40, reps=12, per_block=5, workers=1)
+def test_block_draws_equal_the_draws_of_one_replication(
+        design, errors, missing, p, extra, seed, first, reps, per_block,
+        workers):
+    # the blocks of a run hold at most per_block replications (all of them
+    # drawn alone when per_block is 0, which makes one replication more
+    # than a block), and replications first, ..., first + reps - 1 are
+    # drawn in them; each dataset is the bytes of its replication drawn
+    # alone from its own stream
+    sc = SimConfig(n=p + extra, p=p, beta0=np.linspace(-1.0, 2.0, p),
+                   design=design, errors=errors, missing=missing, seed=seed,
+                   replications=reps, algorithms=())
+    words = simulate._draw_words(sc)
+    batch = per_block * words if per_block else words - 1
+    with mock.patch.object(simulate, "_DRAW_BATCH", batch):
+        blocks = simulate._blocks(sc, workers)
+        drawn = [ds for start, stop in blocks
+                 for ds in simulate._datasets(sc, first + start, first + stop)]
+    assert [start for start, _ in blocks] \
+        == [0] + [stop for _, stop in blocks[:-1]]
+    assert blocks[-1][1] == reps and len(blocks) >= min(workers, reps)
+    assert all(stop - start == 1 or (stop - start) * words <= batch
+               for start, stop in blocks)
+    assert len(drawn) == reps
+    for m, ds in enumerate(drawn, start=first):
+        ref = dataset_alone(sc, m)
+        assert ds.X.tobytes() == ref.X.tobytes()
+        assert ds.y.tobytes() == ref.y.tobytes()
+        assert ds.delta.tobytes() == ref.delta.tobytes()
 
 
 def test_errors_normal_and_shifted_exp():
@@ -382,18 +427,18 @@ def failing_replications(monkeypatch, failing):
     # the A2 fit of each replication in failing raises NoConvergenceError,
     # as a diverging fit would; a serial run replicates in index order
     current = []
-    generate, fit_a2 = simulate._generate_dataset, simulate.fit_a2
+    replicate, fit_a2 = simulate._replicate, simulate.fit_a2
 
-    def generating(sc, m):
+    def replicating(sc, tau, m, ds=None):
         current.append(m)
-        return generate(sc, m)
+        return replicate(sc, tau, m, ds)
 
     def fitting(ds, cfg, beta0=None):
         if current[-1] in failing:
             raise NoConvergenceError("forced")
         return fit_a2(ds, cfg, beta0)
 
-    monkeypatch.setattr(simulate, "_generate_dataset", generating)
+    monkeypatch.setattr(simulate, "_replicate", replicating)
     monkeypatch.setattr(simulate, "fit_a2", fitting)
 
 
