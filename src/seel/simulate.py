@@ -263,7 +263,7 @@ def _datasets(sc, start, stop):
     """The datasets of replications start, ..., stop - 1.
 
     Replication m reads stream m of the seed: the design from counters 0 to
-    np - 1, the errors from the next n and the missingness flags from the
+    n*p - 1, the errors from the next n and the missingness flags from the
     n after them.  A block of replications is drawn together: one hash pass
     (stream_uniforms) makes every word of the block, one normal_quantile
     call all of its normals, and the d2 transform, the error map and the
@@ -288,6 +288,8 @@ def _datasets(sc, start, stop):
     else:
         X = U[:, :n * p].reshape(k, p, n).transpose(0, 2, 1)
         _d2_columns(X, np.arange(p), n)
+        # C order, as gen_design returns it: a dataset keeps the layout of
+        # the design it is given, and its products run on that layout
         X = np.ascontiguousarray(X)
     eps = U[:, n * p:n * p + n]
     if sc.errors != "normal":
